@@ -4,6 +4,15 @@ Smith normal form, presented abelian groups, kernels and cokernels, and the
 invariant-factor canonical form that every other module reports its answers
 in.  All arithmetic uses Python's arbitrary-precision integers; nothing is
 ever rounded.
+
+Every cokernel goes through one sparse elimination, :func:`_invariant_factors`.
+:func:`cokernel_group` hands it relations given either as an
+:class:`IntegerMatrix` or as sparse rows (mappings column -> value), so a
+builder whose relations are almost all zero never materialises them densely.
+Only the answers that need coordinate changes (:func:`smith_normal_form`,
+:func:`simplify_presentation`, :func:`element_order`) run the dense
+transform-tracking Smith form, and kernels and quotients use an integer
+row echelon.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(int(v) for v in row) for row in entries)
+        data = tuple(tuple(map(int, row)) for row in entries)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -456,7 +465,7 @@ def _snf_transforms(mat: IntegerMatrix, want_vinv: bool):
     )
 
 
-# --- invariant factors of a row lattice (fast path, no transforms) ---------
+# --- invariant factors of a row lattice (sparse, no transforms) ------------
 
 def _chain_normalize(values: list[int]) -> list[int]:
     vals = [abs(x) for x in values if x]
@@ -473,152 +482,148 @@ def _chain_normalize(values: list[int]) -> list[int]:
     return vals
 
 
-def _dense_invariants(a: list[list[int]]) -> list[int]:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(m, n):
-        best, where = None, None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = a[i][j]
-                if val:
-                    val = -val if val < 0 else val
-                    if best is None or val < best:
-                        best, where = val, (i, j)
-                        if val == 1:
-                            break
-            if best == 1:
-                break
-        if where is None:
-            break
-        i0, j0 = where
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    ai, at = a[i], a[t]
-                    for k in range(t, n):
-                        ai[k] -= q * at[k]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x:
-                    q = x // piv
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
-    return _chain_normalize(diag)
-
-
-def _invariant_factors(sparse_rows, ncols: int) -> tuple[int, list[int]]:
+def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
     """(rank, invariant factors > 1) of the lattice spanned by the rows.
 
-    Rows are dicts column -> nonzero value.  Unimodular pivots are peeled off
-    sparsely before the dense residue is diagonalised.
+    ``entries`` yields one iterable of (column, value) pairs per row, with
+    columns in ``[0, ncols)``; zero values and empty rows are ignored.
+    Elimination stays sparse throughout.  Unit pivots come off a worklist of
+    rows that may hold a +-1: clearing a unit's column takes row operations
+    only, after which its row is cleared by column operations that touch no
+    other row, so the row just drops out.  What remains holds no unit.  Its
+    pivots are taken at an entry of least absolute value (rows are bucketed
+    by their least |value|); the pivot's column is cleared by row
+    operations, then its row is reduced by column operations, and any
+    nonzero remainder is a smaller pivot that takes over.  An isolated pivot
+    is one diagonal entry, and the diagonal is brought into
+    divisibility-chain form at the end.
     """
     rows: dict[int, dict[int, int]] = {}
     col_index: dict[int, set[int]] = {}
-    next_id = 0
+    for rid, pairs in enumerate(entries):
+        row = {}
+        for c, v in pairs:
+            if not 0 <= c < ncols:
+                raise ValueError(f"relation column {c} outside 0..{ncols - 1}")
+            if v:
+                row[c] = int(v)
+        if row:
+            rows[rid] = row
+            for c in row:
+                col_index.setdefault(c, set()).add(rid)
 
-    def insert(row: dict[int, int]):
-        nonlocal next_id
-        rid = next_id
-        next_id += 1
-        rows[rid] = row
-        for c in row:
-            col_index.setdefault(c, set()).add(rid)
-        return rid
+    def subtract(other: int, q: int, prow: dict[int, int]):
+        # rows[other] -= q * prow, keeping the column index in step
+        orow = rows[other]
+        for c, v in prow.items():
+            x = orow.get(c, 0) - q * v
+            if x:
+                if c not in orow:
+                    col_index[c].add(other)
+                orow[c] = x
+            else:
+                del orow[c]
+                col_index[c].discard(other)
 
-    def update(rid: int, col: int, val: int):
-        row = rows[rid]
-        if val:
-            if col not in row:
-                col_index.setdefault(col, set()).add(rid)
-            row[col] = val
-        elif col in row:
-            del row[col]
-            col_index[col].discard(rid)
-
-    for r in sparse_rows:
-        r = {c: v for c, v in r.items() if v}
-        if r:
-            insert(r)
+    def drop(rid: int):
+        for c in rows.pop(rid):
+            col_index[c].discard(rid)
 
     unit_rank = 0
-    # Peel unimodular pivots: clearing their column needs row operations only,
-    # and clearing their row afterwards is a column operation that touches no
-    # other row.
-    while True:
-        pivot = None
-        for rid in sorted(rows):
-            row = rows[rid]
-            for c in sorted(row):
-                if row[c] in (1, -1):
-                    pivot = (rid, c)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        rid, c = pivot
-        prow = rows[rid]
+    work = list(rows)
+    while work:
+        rid = work.pop()
+        prow = rows.get(rid)
+        if prow is None:
+            continue
+        units = [c for c, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        # the unit whose column meets the fewest rows makes the least fill
+        c = min(units, key=lambda k: (len(col_index[k]), k))
         sign = prow[c]
-        for other in sorted(col_index.get(c, ())):
-            if other == rid:
-                continue
-            q = rows[other][c] * sign
-            for cc, vv in list(prow.items()):
-                update(other, cc, rows[other].get(cc, 0) - q * vv)
-        for cc in list(prow):
-            col_index[cc].discard(rid)
-        del rows[rid]
+        for other in [o for o in col_index[c] if o != rid]:
+            subtract(other, rows[other][c] * sign, prow)
+            if rows[other]:
+                work.append(other)
+            else:
+                del rows[other]
+        drop(rid)
         unit_rank += 1
 
-    if not rows:
-        return unit_rank, []
+    def least(rid: int) -> int:
+        return min(map(abs, rows[rid].values()))
 
-    used_cols = sorted({c for row in rows.values() for c in row})
-    col_pos = {c: k for k, c in enumerate(used_cols)}
-    dense = []
-    for rid in sorted(rows):
-        row = [0] * len(used_cols)
-        for c, v in rows[rid].items():
-            row[col_pos[c]] = v
-        dense.append(row)
-    factors = _dense_invariants(dense)
+    # rows by their least |value|; a changed row is filed again, and its
+    # older entry is skipped as stale when it comes up
+    buckets: dict[int, list[int]] = {}
+    for rid in rows:
+        buckets.setdefault(least(rid), []).append(rid)
+    diag: list[int] = []
+    while buckets:
+        size = min(buckets)
+        rid = buckets[size].pop()
+        if not buckets[size]:
+            del buckets[size]
+        if rid not in rows or least(rid) != size:
+            continue
+        row = rows[rid]
+        c = min(row, key=lambda k: (abs(row[k]), k))
+        touched = set()
+        while True:
+            prow = rows[rid]
+            piv = prow[c]
+            smaller = []
+            for other in [o for o in col_index[c] if o != rid]:
+                q = rows[other][c] // piv
+                if q:
+                    subtract(other, q, prow)
+                    touched.add(other)
+                if c in rows[other]:
+                    smaller.append((abs(rows[other][c]), other))
+            if smaller:
+                rid = min(smaller)[1]
+                continue
+            # column c is clear, so column operations now touch only this row
+            for k in [k for k in prow if k != c]:
+                x = prow[k] % piv
+                if x:
+                    prow[k] = x
+                else:
+                    del prow[k]
+                    col_index[k].discard(rid)
+            if len(prow) == 1:
+                break
+            c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
+        diag.append(abs(piv))
+        drop(rid)
+        touched.discard(rid)
+        for other in touched:
+            if rows.get(other):
+                buckets.setdefault(least(other), []).append(other)
+            else:
+                rows.pop(other, None)
+    factors = _chain_normalize(diag)
     rank = unit_rank + len(factors)
     return rank, [d for d in factors if d > 1]
 
 
-def cokernel_group(generators: int, relations: IntegerMatrix) -> FgAbelianGroup:
-    """Canonical form of Z^generators modulo the row lattice of ``relations``."""
-    if relations.cols != generators:
-        raise ValueError("relation matrix width must equal the generator count")
-    sparse = ({j: v for j, v in enumerate(row) if v} for row in relations.entries)
-    rank, factors = _invariant_factors(sparse, generators)
+def cokernel_group(generators: int, relations) -> FgAbelianGroup:
+    """Canonical form of Z^generators modulo the lattice of ``relations``.
+
+    ``relations`` is either an :class:`IntegerMatrix` whose width must equal
+    ``generators`` (its rows are read entry by entry), or an iterable of
+    sparse rows, each a mapping column -> value with columns in
+    ``[0, generators)``; zero values and empty rows are ignored.  Both forms
+    run the same sparse elimination, :func:`_invariant_factors`.
+    """
+    if isinstance(relations, IntegerMatrix):
+        if relations.cols != generators:
+            raise ValueError("relation matrix width must equal the generator count")
+        rows = map(enumerate, relations.entries)
+    else:
+        rows = (row.items() for row in relations)
+    rank, factors = _invariant_factors(rows, generators)
     return FgAbelianGroup(generators - rank, tuple(factors))
 
 

@@ -17,6 +17,7 @@ from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     IntegerMatrix,
+    _apply_row,
     cokernel_group,
     kernel_of_map,
     simplify_presentation,
@@ -91,30 +92,22 @@ def tensor_degree(
                 key = (rem // d, ga, gb)
                 pos[key] = len(basis)
                 basis.append(key)
-    rows: list[list[int]] = []
-    for rel in m.relations:
-        rel_deg = m.relation_degree(rel)
-        for gb, db in enumerate(n_mod.gen_degrees):
-            rem = n - rel_deg - db
-            if rem < 0 or rem % d:
-                continue
-            k0 = rem // d
-            row = [0] * len(basis)
-            for coeff, exp, ga in rel:
-                row[pos[(k0 + exp, ga, gb)]] += coeff
-            rows.append(row)
-    for rel in n_mod.relations:
-        rel_deg = n_mod.relation_degree(rel)
-        for ga, da in enumerate(m.gen_degrees):
-            rem = n - rel_deg - da
-            if rem < 0 or rem % d:
-                continue
-            k0 = rem // d
-            row = [0] * len(basis)
-            for coeff, exp, gb in rel:
-                row[pos[(k0 + exp, ga, gb)]] += coeff
-            rows.append(row)
-    return cokernel_group(len(basis), IntegerMatrix(rows, cols=len(basis)))
+    rows: list[dict[int, int]] = []  # sparse: column -> coefficient
+    # each factor's relations times each generator of the other factor
+    for rel_mod, other, left in ((m, n_mod, True), (n_mod, m, False)):
+        for rel in rel_mod.relations:
+            rel_deg = rel_mod.relation_degree(rel)
+            for g, dg in enumerate(other.gen_degrees):
+                rem = n - rel_deg - dg
+                if rem < 0 or rem % d:
+                    continue
+                k0 = rem // d
+                row: dict[int, int] = {}
+                for coeff, exp, h in rel:
+                    col = pos[(k0 + exp, h, g) if left else (k0 + exp, g, h)]
+                    row[col] = row.get(col, 0) + coeff
+                rows.append(row)
+    return cokernel_group(len(basis), rows)
 
 
 def _shift_slice_vector(src: DegreeSlice, tgt: DegreeSlice, vec: list[int]) -> list[int]:
@@ -176,7 +169,7 @@ def tor1_degree(
             old = list(simp.from_min.row(t))
             row = [0] * total
             # p times the identity into block bj
-            mapped = _row_times(
+            mapped = _apply_row(
                 [p * c for c in old], simp.to_min
             )
             for col, val in enumerate(mapped):
@@ -184,22 +177,12 @@ def tor1_degree(
             if bj >= 1:
                 up_deg = deg + d  # slice of the previous stage generator
                 shifted = _shift_slice_vector(slices[deg], slices[up_deg], old)
-                mapped = _row_times([-c for c in shifted], simples[up_deg].to_min)
+                mapped = _apply_row([-c for c in shifted], simples[up_deg].to_min)
                 for col, val in enumerate(mapped):
                     row[offsets[bj - 1] + col] += val
             image_rows.append(row)
     images = IntegerMatrix(image_rows, cols=total)
     return kernel_of_map(AbelianGroupMap(source, target, images))
-
-
-def _row_times(row: list[int], mat: IntegerMatrix) -> list[int]:
-    out = [0] * mat.cols
-    for i, c in enumerate(row):
-        if c:
-            mrow = mat.entries[i]
-            for j in range(mat.cols):
-                out[j] += c * mrow[j]
-    return out
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

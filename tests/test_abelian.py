@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kconn.abelian import (
     AbelianGroupMap,
@@ -205,6 +207,68 @@ def test_cokernel_rectangular_vs_enumeration():
             continue
         trials += 1
         assert enumerate_quotient_order(rows, n) == g.order()
+
+
+def test_cokernel_sparse_rows_match_matrix():
+    rows = [[0, 4, 0], [6, 0, 0], [0, 0, 0], [2, 2, 0]]
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert cokernel_group(3, sparse) == cokernel_group(3, IntegerMatrix(rows))
+    assert cokernel_group(3, sparse) == FgAbelianGroup(1, (2, 2))
+
+
+def test_cokernel_sparse_ignores_zero_entries_and_empty_rows():
+    rows = [{0: 2, 1: 0}, {}, {1: 0}]
+    assert cokernel_group(2, rows) == FgAbelianGroup(1, (2,))
+    assert cokernel_group(2, []) == Z(2)
+    assert rows == [{0: 2, 1: 0}, {}, {1: 0}]  # the caller's rows are not touched
+
+
+@pytest.mark.parametrize("row", [{-1: 1}, {2: 3}, {0: 1, 5: 2}, {7: 0}])
+def test_cokernel_sparse_column_out_of_range(row):
+    with pytest.raises(ValueError):
+        cokernel_group(2, [{0: 2}, row])
+
+
+def test_cokernel_matrix_width_checked():
+    with pytest.raises(ValueError):
+        cokernel_group(3, IntegerMatrix([[1, 2]]))
+    with pytest.raises(ValueError):
+        cokernel_group(1, IntegerMatrix([], cols=2))
+
+
+# entries lean to zero and to non-units, so the non-unit stage gets work
+_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-12, 12))
+
+
+@st.composite
+def _relations(draw):
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 7))
+    scale = draw(st.sampled_from((1, 1, 2, 6)))  # scaled matrices hold no unit
+    rows = [[scale * draw(_ENTRY) for _ in range(n)] for _ in range(m)]
+    return n, rows
+
+
+def _snf_group(n, rows):
+    """The group read off the diagonal of the transform-tracking SNF."""
+    d, _, _ = smith_normal_form(IntegerMatrix(rows, cols=n))
+    diag = [d[i, i] for i in range(min(d.rows, n))]
+    return FgAbelianGroup.from_cyclic_orders(0, diag + [0] * (n - len(diag)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations(), st.randoms(use_true_random=False))
+def test_cokernel_differential(relations, rng):
+    n, rows = relations
+    dense = cokernel_group(n, IntegerMatrix(rows, cols=n))
+    sparse = cokernel_group(n, [{j: v for j, v in enumerate(row) if v} for row in rows])
+    assert dense == sparse == _snf_group(n, rows)
+    row_perm = list(range(len(rows)))
+    col_perm = list(range(n))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    permuted = [[rows[i][col_perm[j]] for j in range(n)] for i in row_perm]
+    assert cokernel_group(n, IntegerMatrix(permuted, cols=n)) == dense
 
 
 # --- canonical forms ---------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +173,21 @@ def test_fixture_override_flag(tmp_path, capsys):
     )
     recs = {(r["theory"], r["degree"]): r["group"] for r in json.loads(out)["records"]}
     assert recs[("bo", 3)] == "Z/2"  # 4n+1 at n=0 instead of 4n+3
+
+
+# --- golden tensor grid -------------------------------------------------------
+
+GOLDEN_TENSOR = json.loads(
+    (Path(__file__).parent / "fixtures" / "smash_bu_tensor_sha256.json").read_text("utf-8")
+)["stdout_sha256"]
+
+
+@pytest.mark.parametrize("p,top", [key.split() for key in GOLDEN_TENSOR])
+def test_smash_bu_tensor_golden(capsys, p, top):
+    # degrees up to 48 reach a non-unit residue far larger than the
+    # hand-checked cases above; the hashes pin the output byte for byte
+    code, out, _ = run_cli(capsys, "smash-bu", "--p", p, "--max", top,
+                           "--tor-method", "closed-form", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TENSOR[f"{p} {top}"]
