@@ -12,7 +12,8 @@ builder whose relations are almost all zero never materialises them densely.
 Only the answers that need coordinate changes (:func:`smith_normal_form`,
 :func:`simplify_presentation`, :func:`element_order`) run the dense
 transform-tracking Smith form, and kernels and quotients use an integer
-row echelon.
+row echelon.  Each echelon basis gets one leading-column map (:func:`_leads`),
+which every vector solved against that basis then shares.
 """
 
 from __future__ import annotations
@@ -66,16 +67,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values, rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
-        vals = list(values)
-        m = len(vals) if rows is None else rows
-        n = len(vals) if cols is None else cols
-        ent = [[0] * n for _ in range(m)]
-        for i, v in enumerate(vals):
-            ent[i][i] = v
-        return cls(ent, cols=n)
-
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -93,12 +84,6 @@ class IntegerMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -664,20 +649,26 @@ def _leading(row) -> int | None:
     return next((k for k, x in enumerate(row) if x), None)
 
 
+def _leads(echelon_rows) -> dict[int, int]:
+    """Leading column -> row index, built once per echelon basis."""
+    return {_leading(row): idx for idx, row in enumerate(echelon_rows)}
+
+
 def lattice_member(echelon_rows: list[list[int]], vec) -> bool:
     """Membership of ``vec`` in the lattice given by echelon rows."""
-    return _solve_against_echelon(echelon_rows, vec) is not None
+    return _solve_against_echelon(echelon_rows, _leads(echelon_rows), vec) is not None
 
 
-def _solve_against_echelon(echelon_rows, vec) -> list[int] | None:
+def _solve_against_echelon(echelon_rows, leads: dict[int, int], vec) -> list[int] | None:
     r = list(vec)
     coeffs = [0] * len(echelon_rows)
-    lead = {_leading(row): idx for idx, row in enumerate(echelon_rows)}
+    j = 0
     while True:
-        j = _leading(r)
+        # entries before the last pivot are already zero
+        j = next((k for k in range(j, len(r)) if r[k]), None)
         if j is None:
             return coeffs
-        idx = lead.get(j)
+        idx = leads.get(j)
         if idx is None:
             return None
         p = echelon_rows[idx]
@@ -715,9 +706,10 @@ def quotient_group(sup_rows: list[list[int]], sub_rows, ambient: int) -> FgAbeli
         if any(any(row) for row in sub_rows):
             raise ValueError("sublattice is not contained in the ambient lattice")
         return FgAbelianGroup.trivial()
+    leads = _leads(basis)
     coeff_rows = []
     for row in sub_rows:
-        coeffs = _solve_against_echelon(basis, row)
+        coeffs = _solve_against_echelon(basis, leads, row)
         if coeffs is None:
             raise ValueError("sublattice is not contained in the ambient lattice")
         coeff_rows.append(coeffs)
@@ -739,12 +731,6 @@ class GroupPresentation:
 
     def group(self) -> FgAbelianGroup:
         return cokernel_group(self.n_gens, self.relations)
-
-    def direct_sum(self, other: "GroupPresentation") -> "GroupPresentation":
-        n = self.n_gens + other.n_gens
-        rows = [list(r) + [0] * other.n_gens for r in self.relations.entries]
-        rows += [[0] * self.n_gens + list(r) for r in other.relations.entries]
-        return GroupPresentation(n, IntegerMatrix(rows, cols=n))
 
 
 @dataclass(frozen=True)
@@ -797,9 +783,10 @@ class AbelianGroupMap:
         if self.images.rows != self.source.n_gens or self.images.cols != self.target.n_gens:
             raise ValueError("image matrix shape must be n_source x n_target")
         ech = _echelon([list(r) for r in self.target.relations.entries], self.target.n_gens)
+        leads = _leads(ech)
         for rel in self.source.relations.entries:
             vec = _apply_row(rel, self.images)
-            if not lattice_member(ech, vec):
+            if _solve_against_echelon(ech, leads, vec) is None:
                 raise ValueError("images do not respect the source relations")
 
 

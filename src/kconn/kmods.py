@@ -292,12 +292,6 @@ class KuSmashCheck:
             and self.generates
         )
 
-    @property
-    def dual_injective(self) -> bool:
-        # the class of t (x) t generating the smash group is exactly the
-        # surjectivity of the restriction of products, whose dual is injective
-        return self.generates
-
 
 def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     """Check that the reduced truncated K-rings have orders 2^r and 2^v, that

@@ -16,7 +16,9 @@ from functools import lru_cache
 from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
+    GroupPresentation,
     IntegerMatrix,
+    SimplifiedPresentation,
     _apply_row,
     cokernel_group,
     kernel_of_map,
@@ -123,66 +125,71 @@ def _shift_slice_vector(src: DegreeSlice, tgt: DegreeSlice, vec: list[int]) -> l
 
 
 @lru_cache(maxsize=None)
+def _simplified_slice(
+    module: GradedModulePresentation, deg: int
+) -> tuple[DegreeSlice, SimplifiedPresentation]:
+    """One degree slice and its minimal presentation, simplified once and
+    shared by every Tor degree whose blocks include it."""
+    slc = realize_slice(module, deg)
+    return slc, simplify_presentation(slc.presentation)
+
+
+@lru_cache(maxsize=None)
 def tor1_degree(
     resolution: SummandResolution, module: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
     """Degree-n piece of the first derived functor against one summand: the
-    kernel of the induced differential on the tensored resolution."""
+    kernel of the induced differential on the tensored resolution.
+
+    Stage generator j contributes one block, the minimal presentation of the
+    module slice in degree n - gen_degree(j).  Both stages have the same
+    blocks, so source and target are one block-diagonal presentation.  The
+    differential is p on each block plus -v from block j into block j - 1;
+    as gen_degree(j - 1) + deg v == gen_degree(j), the v-term lands exactly
+    in the previous block's slice.
+    """
     if module.p != resolution.p:
         raise ValueError("resolution and module primes disagree")
-    d = module.ring_degree
+    if module.ring_degree != 2 * (module.p - 1):
+        raise ValueError("module ring degree must be 2p - 2")
     stages = resolution.stages_through(n)
     if not stages:
         return FgAbelianGroup.trivial()
-    slices = {}
-    simples = {}
-    for j in stages:
-        deg = n - resolution.gen_degree(j)
-        if deg not in slices:
-            slices[deg] = realize_slice(module, deg)
-            simples[deg] = simplify_presentation(slices[deg].presentation)
-    # shifted slices feed the v-term of the differential
-    for j in stages[1:]:
-        deg = n - resolution.gen_degree(j) + d
-        if deg not in slices:
-            slices[deg] = realize_slice(module, deg)
-            simples[deg] = simplify_presentation(slices[deg].presentation)
-
-    block_deg = [n - resolution.gen_degree(j) for j in stages]
+    blocks = [_simplified_slice(module, n - resolution.gen_degree(j)) for j in stages]
     offsets = []
     total = 0
-    for deg in block_deg:
+    for _, simp in blocks:
         offsets.append(total)
-        total += simples[deg].presentation.n_gens
+        total += simp.presentation.n_gens
 
-    source = None
-    for deg in block_deg:
-        pres = simples[deg].presentation
-        source = pres if source is None else source.direct_sum(pres)
-    target = source  # stage degrees coincide, so the blocks do too
+    rel_rows = []
+    for off, (_, simp) in zip(offsets, blocks):
+        mini = simp.presentation
+        for rel in mini.relations.entries:
+            row = [0] * total
+            row[off:off + mini.n_gens] = rel
+            rel_rows.append(row)
+    source = GroupPresentation(total, IntegerMatrix(rel_rows, cols=total))
 
     p = module.p
     image_rows = []
-    for bj, deg in enumerate(block_deg):
-        simp = simples[deg]
+    for bj, (slc, simp) in enumerate(blocks):
         for t in range(simp.presentation.n_gens):
             old = list(simp.from_min.row(t))
             row = [0] * total
             # p times the identity into block bj
-            mapped = _apply_row(
-                [p * c for c in old], simp.to_min
-            )
-            for col, val in enumerate(mapped):
-                row[offsets[bj] + col] += val
+            mapped = _apply_row([p * c for c in old], simp.to_min)
+            row[offsets[bj]:offsets[bj] + len(mapped)] = mapped
             if bj >= 1:
-                up_deg = deg + d  # slice of the previous stage generator
-                shifted = _shift_slice_vector(slices[deg], slices[up_deg], old)
-                mapped = _apply_row([-c for c in shifted], simples[up_deg].to_min)
-                for col, val in enumerate(mapped):
-                    row[offsets[bj - 1] + col] += val
+                # -v into block bj - 1, which ends where block bj starts
+                up_slc, up_simp = blocks[bj - 1]
+                shifted = _shift_slice_vector(slc, up_slc, old)
+                row[offsets[bj - 1]:offsets[bj]] = _apply_row(
+                    [-c for c in shifted], up_simp.to_min
+                )
             image_rows.append(row)
     images = IntegerMatrix(image_rows, cols=total)
-    return kernel_of_map(AbelianGroupMap(source, target, images))
+    return kernel_of_map(AbelianGroupMap(source, source, images))
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

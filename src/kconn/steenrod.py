@@ -79,16 +79,6 @@ def f2_in_span(echelon: list[int], vec: int) -> bool:
     return vec == 0
 
 
-def f2_solve(echelon_rows: list[int], vec: int) -> int | None:
-    """Coordinates (as a bitmask over the rows) expressing vec in the span."""
-    coords = 0
-    for idx, b in enumerate(echelon_rows):
-        if vec & (b & -b):
-            vec ^= b
-            coords |= 1 << idx
-    return coords if vec == 0 else None
-
-
 def f2_nullspace(rows: list[int], width: int) -> list[int]:
     """Vectors v (bitmasks of the given width) with row . v even for all rows."""
     ech = f2_echelon(rows)

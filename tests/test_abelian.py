@@ -1,7 +1,9 @@
+import itertools
 import random
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kconn.abelian import (
@@ -9,11 +11,13 @@ from kconn.abelian import (
     FgAbelianGroup,
     GroupPresentation,
     IntegerMatrix,
+    _echelon,
     cokernel_group,
     element_order,
     groups_isomorphic,
     kernel_generators,
     kernel_of_map,
+    lattice_member,
     left_nullspace,
     parse_group,
     quotient_group,
@@ -377,6 +381,77 @@ def test_left_nullspace_contract():
             assert all(
                 sum(z[i] * rows[i][j] for i in range(m)) == 0 for j in range(n)
             )
+
+
+# finite groups: diagonal relations of orders 1..12 plus one extra row
+@st.composite
+def _finite_presentation(draw):
+    n = draw(st.integers(1, 3))
+    orders = [draw(st.integers(1, 12)) for _ in range(n)]
+    extra = [draw(st.integers(-12, 12)) for _ in range(n)]
+    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(orders)]
+    return orders, extra, rows + [extra]
+
+
+def _multiples(orders, vec):
+    """The residues mod the orders of every multiple of ``vec``."""
+    out, cur = set(), tuple(0 for _ in orders)
+    while cur not in out:
+        out.add(cur)
+        cur = tuple((c + x) % d for c, x, d in zip(cur, vec, orders))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_presentation(), _finite_presentation(), st.data())
+def test_kernel_order_brute_force(src, tgt, data):
+    s_orders, s_extra, s_rows = src
+    t_orders, t_extra, t_rows = tgt
+    ns, nt = len(s_orders), len(t_orders)
+    images = [[data.draw(st.integers(-12, 12)) for _ in range(nt)] for _ in range(ns)]
+    # a multiple of every target order kills the target, so scaling an
+    # image by it keeps many maps well defined
+    scales = [data.draw(st.sampled_from((1, lcm(*t_orders)))) for _ in range(ns)]
+    images = [[c * x for x in row] for c, row in zip(scales, images)]
+    target_lattice = _multiples(t_orders, t_extra)  # mod the diagonal
+
+    def hits_target_lattice(vec):
+        img = [sum(vec[i] * images[i][j] for i in range(ns)) for j in range(nt)]
+        return tuple(x % d for x, d in zip(img, t_orders)) in target_lattice
+
+    well_defined = all(hits_target_lattice(row) for row in s_rows)
+    f = None
+    if well_defined:
+        f = AbelianGroupMap(pres(ns, s_rows), pres(nt, t_rows), IntegerMatrix(images, cols=nt))
+    else:
+        with pytest.raises(ValueError, match="respect"):
+            AbelianGroupMap(pres(ns, s_rows), pres(nt, t_rows), IntegerMatrix(images, cols=nt))
+    assume(well_defined)
+    # count in Z^ns / diag(orders), then divide out the image of the extra row
+    box = itertools.product(*(range(d) for d in s_orders))
+    preimage = sum(1 for x in box if hits_target_lattice(x))
+    assert kernel_of_map(f).order() * len(_multiples(s_orders, s_extra)) == preimage
+
+
+def test_lattice_member_false_cases():
+    ech = _echelon([[2, 0, 1], [0, 3, 0]], 3)
+    assert lattice_member(ech, [0, 0, 0])
+    assert lattice_member(ech, [2, 3, 1])
+    assert not lattice_member(ech, [1, 0, 0])  # leading entry not divisible
+    assert not lattice_member(ech, [2, 1, 1])  # fails past the first pivot
+    assert not lattice_member(ech, [0, 0, 1])  # no pivot in the last column
+    assert not lattice_member([], [0, 1])
+
+
+@pytest.mark.parametrize("sup,sub", [
+    ([[2]], [[3]]),
+    ([[1, 0], [0, 2]], [[2, 0], [0, 3]]),  # first row contained, second not
+    ([[0, 0]], [[0, 1]]),  # empty basis
+    ([[1, 1]], [[1, 0]]),  # leading column right, remainder outside
+])
+def test_quotient_group_not_contained(sup, sub):
+    with pytest.raises(ValueError, match="not contained"):
+        quotient_group(sup, sub, len(sup[0]))
 
 
 def test_quotient_group_z2_inside_z():

@@ -191,3 +191,18 @@ def test_smash_bu_tensor_golden(capsys, p, top):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_TENSOR[f"{p} {top}"]
+
+
+GOLDEN_TOR = json.loads(
+    (Path(__file__).parent / "fixtures" / "smash_bu_tor_sha256.json").read_text("utf-8")
+)["stdout_sha256"]
+
+
+@pytest.mark.parametrize("p,top", [key.split() for key in GOLDEN_TOR])
+def test_smash_bu_tor_golden(capsys, p, top):
+    # the default Tor method is the resolution kernel, so every odd degree
+    # up to 61 runs tor1_degree; the hashes pin the output byte for byte
+    code, out, _ = run_cli(capsys, "smash-bu", "--p", p, "--max", top, "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TOR[f"{p} {top}"]

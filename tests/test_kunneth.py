@@ -1,12 +1,22 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from kconn import kmods, kunneth
 from kconn.abelian import (
     FgAbelianGroup,
     IntegerMatrix,
     cokernel_group,
     left_nullspace,
+    simplify_presentation,
 )
-from kconn.kmods import lu_bzp_presentation, realize_degree, summand_presentation
+from kconn.kmods import (
+    GradedModulePresentation,
+    lu_bzp_presentation,
+    realize_degree,
+    summand_presentation,
+)
 from kconn.kunneth import (
     SummandResolution,
     decomposition_crosscheck,
@@ -142,12 +152,60 @@ def test_tor_closed_form_values():
 
 
 def test_tor_engine_matches_closed_form():
-    for p in [2, 3]:
+    for p in [2, 3, 5]:
         for i in range(1, p):
-            for internal in range(0, 25):
+            for internal in range(0, 61):
                 assert tor_summand_group(p, i, internal) == tor_closed_form(
                     p, i, internal
                 ), (p, i, internal)
+
+
+def test_tor_rejects_foreign_ring_degree():
+    # the v-term of the differential lands in the previous stage's block
+    # only when deg v == 2p - 2
+    module = GradedModulePresentation(2, 4, (1, 5), (((2, 0, 0),),), 20)
+    with pytest.raises(ValueError, match="ring degree"):
+        tor1_degree(SummandResolution(2, 1), module, 9)
+
+
+def _clear_caches(*modules):
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_tor_simplifies_each_slice_once(monkeypatch):
+    seen = []
+
+    def record(pres):
+        seen.append(pres)
+        return simplify_presentation(pres)
+
+    monkeypatch.setattr(kunneth, "simplify_presentation", record)
+    _clear_caches(kunneth)
+    try:
+        for n in range(1, 42, 2):
+            tor_part(2, n)
+    finally:
+        _clear_caches(kunneth)
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+def test_tor_threads_match_serial():
+    queries = [(p, n) for p in (2, 3) for n in range(1, 42, 2)]
+    _clear_caches(kunneth, kmods)
+    serial = [tor_part(p, n) for p, n in queries]
+    _clear_caches(kunneth, kmods)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the caches too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda q: tor_part(*q), queries, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_tor_truncation_stability():
