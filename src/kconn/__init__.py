@@ -24,13 +24,11 @@ from .exactseq import (
     LongExactSequence,
     alternating_order_check,
     bo1_les_consistency,
-    bo1_rp_table,
-    bo_rp_table,
     bo_smash_group,
     bott_audit,
-    h_rp_table,
     image_order_solve,
     load_fixture_table,
+    table_group,
 )
 from .kmods import (
     GradedGroup,
@@ -73,15 +71,12 @@ __all__ = [
     "TruncatedKuRing",
     "alternating_order_check",
     "bo1_les_consistency",
-    "bo1_rp_table",
-    "bo_rp_table",
     "bo_smash_group",
     "bott_audit",
     "bu_bzp_group",
     "cofiber_homology",
     "cokernel_group",
     "groups_isomorphic",
-    "h_rp_table",
     "hom_dim",
     "image_order_solve",
     "kernel_of_map",
@@ -97,6 +92,7 @@ __all__ = [
     "shift",
     "smith_normal_form",
     "sq_action",
+    "table_group",
     "tensor_degree",
     "tor1_degree",
     "tor_closed_form",

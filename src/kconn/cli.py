@@ -10,20 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 from .abelian import FgAbelianGroup, render_group
-from .exactseq import (
-    FixtureTable,
-    bo1_rp_table,
-    bo_rp_table,
-    bott_audit,
-    bo_smash_group,
-    h_rp_table,
-    load_fixture_table,
-)
+from .exactseq import FixtureTable, bott_audit, bo_smash_group, load_fixture_table
 from .kmods import bu_bzp_group, is_prime, lu_closed_form
 from .kunneth import kunneth_smash_group, tor_closed_form
 from .steenrod import hom_dim, x_count
@@ -54,46 +45,7 @@ def _group_record(degree: int, group: FgAbelianGroup, **extra) -> dict:
     return rec
 
 
-def _emit_json(command: str, parameters: dict, records: list[dict], report: dict | None = None) -> str:
-    doc: dict = {"command": command, "parameters": parameters, "records": records}
-    if report is not None:
-        doc["report"] = report
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_csv(columns: list[str], records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in records:
-        row = []
-        for col in columns:
-            if col == "rank":
-                row.append(rec["canonical"]["rank"])
-            elif col == "invariants":
-                row.append(";".join(str(d) for d in rec["canonical"]["invariants"]))
-            else:
-                row.append(rec.get(col, ""))
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 _GROUP_CSV = ["degree", "group", "rank", "invariants"]
-
-
-def _emit_group_text(records: list[dict], columns: list[str]) -> str:
-    lines = []
-    widths = {}
-    for col in columns:
-        widths[col] = max(
-            [len(col)] + [len(str(_cell(rec, col))) for rec in records]
-        )
-    lines.append("  ".join(col.ljust(widths[col]) for col in columns).rstrip())
-    for rec in records:
-        lines.append(
-            "  ".join(str(_cell(rec, col)).ljust(widths[col]) for col in columns).rstrip()
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _cell(rec: dict, col: str):
@@ -104,14 +56,33 @@ def _cell(rec: dict, col: str):
     return rec.get(col, "")
 
 
-def _print_table(args, command: str, parameters: dict, records: list[dict], columns: list[str]) -> int:
+def _emit(args, command: str, params: dict, records: list[dict], columns: list[str],
+          text: str | None = None, report: dict | None = None) -> None:
+    """Write ``records`` to stdout in the format ``args.format`` asks for.
+
+    JSON wraps them with the command and its parameters, and a ``report``
+    when one is given.  CSV writes the ``columns`` of each record, or of each
+    of the report's findings when there is a report.  Text is ``text`` when
+    it is given, else the columns as an aligned table.
+    """
     if args.format == "json":
-        sys.stdout.write(_emit_json(command, parameters, records))
+        doc: dict = {"command": command, "parameters": params, "records": records}
+        if report is not None:
+            doc["report"] = report
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
-        sys.stdout.write(_emit_csv(columns, records))
+        rows = records if report is None else report["findings"]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(rec, col) for col in columns] for rec in rows)
+    elif text is not None:
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(_emit_group_text(records, columns))
-    return EXIT_OK
+        table = [columns] + [[str(_cell(rec, col)) for col in columns] for rec in records]
+        widths = [max(len(row[k]) for row in table) for k in range(len(columns))]
+        for row in table:
+            line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+            sys.stdout.write(line.rstrip() + "\n")
 
 
 def _require_prime(parser: _Parser, p: int):
@@ -119,8 +90,13 @@ def _require_prime(parser: _Parser, p: int):
         parser.error(f"--p must be a prime number, got {p}")
 
 
-def _fixture_table(args) -> FixtureTable:
-    return load_fixture_table(args.fixtures)
+def _fixture_table(args, parser: _Parser) -> FixtureTable:
+    """The fixture tables; an unreadable or malformed file exits 1 with
+    one line on stderr."""
+    try:
+        return load_fixture_table(args.fixtures)
+    except (OSError, ValueError) as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
 
 
 # --- verb handlers ----------------------------------------------------------------
@@ -132,7 +108,8 @@ def _cmd_lu(args, parser) -> int:
         g = lu_closed_form(args.p, n)
         if not g.is_trivial():
             records.append(_group_record(n, g))
-    return _print_table(args, "lu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
+    _emit(args, "lu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
+    return EXIT_OK
 
 
 def _cmd_bu(args, parser) -> int:
@@ -142,7 +119,8 @@ def _cmd_bu(args, parser) -> int:
         g = bu_bzp_group(args.p, n)
         if not g.is_trivial():
             records.append(_group_record(n, g))
-    return _print_table(args, "bu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
+    _emit(args, "bu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
+    return EXIT_OK
 
 
 def _cmd_smash_bu(args, parser) -> int:
@@ -154,7 +132,8 @@ def _cmd_smash_bu(args, parser) -> int:
         if not g.is_trivial():
             records.append(_group_record(n, g))
     params = {"p": args.p, "max": args.max, "tor_method": args.tor_method}
-    return _print_table(args, "smash-bu", params, records, _GROUP_CSV)
+    _emit(args, "smash-bu", params, records, _GROUP_CSV)
+    return EXIT_OK
 
 
 def _cmd_tor(args, parser) -> int:
@@ -166,7 +145,8 @@ def _cmd_tor(args, parser) -> int:
             if not g.is_trivial():
                 records.append(_group_record(internal, g, summand=i))
     columns = ["summand", "degree", "group", "rank", "invariants"]
-    return _print_table(args, "tor", {"p": args.p, "max": args.max}, records, columns)
+    _emit(args, "tor", {"p": args.p, "max": args.max}, records, columns)
+    return EXIT_OK
 
 
 def _cmd_hom_dim(args, parser) -> int:
@@ -179,47 +159,32 @@ def _cmd_hom_dim(args, parser) -> int:
                 "dim_e": hom_dim("E", args.space, degree),
             }
         )
-    columns = ["degree", "dim_b", "dim_e"]
     params = {"space": args.space, "max": args.max}
-    if args.format == "json":
-        sys.stdout.write(_emit_json("hom-dim", params, records))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(columns, records))
-    else:
-        sys.stdout.write(_emit_group_text(records, columns))
+    _emit(args, "hom-dim", params, records, ["degree", "dim_b", "dim_e"])
     return EXIT_OK
 
 
 def _cmd_x_count(args, parser) -> int:
     value = x_count(args.n)
     records = [{"n": args.n, "count": value}]
-    if args.format == "json":
-        sys.stdout.write(_emit_json("x-count", {"n": args.n}, records))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(["n", "count"], records))
-    else:
-        sys.stdout.write(f"{value}\n")
+    _emit(args, "x-count", {"n": args.n}, records, ["n", "count"], text=f"{value}\n")
     return EXIT_OK
 
 
 def _cmd_bo_tables(args, parser) -> int:
-    table = _fixture_table(args)
+    table = _fixture_table(args, parser)
     records = []
-    for theory, fn in (
-        ("bo", lambda n: bo_rp_table(n, table)),
-        ("bo1", lambda n: bo1_rp_table(n, table)),
-        ("H", lambda n: h_rp_table(n, table)),
-    ):
-        fixture_theory = {"bo": "bo_rp", "bo1": "bo1_rp", "H": "h_rp"}[theory]
+    for theory, fixture_theory in (("bo", "bo_rp"), ("bo1", "bo1_rp"), ("H", "h_rp")):
         for n in range(args.max + 1):
             group, row = table.lookup(fixture_theory, n)
             records.append(_group_record(n, group, theory=theory, source=row.source))
     columns = ["theory", "degree", "group", "rank", "invariants", "source"]
-    return _print_table(args, "bo-tables", {"max": args.max}, records, columns)
+    _emit(args, "bo-tables", {"max": args.max}, records, columns)
+    return EXIT_OK
 
 
 def _cmd_bo_smash(args, parser) -> int:
-    table = _fixture_table(args)
+    table = _fixture_table(args, parser)
     records = []
     for m in range(args.max + 1):
         g = bo_smash_group(m, table)
@@ -227,24 +192,17 @@ def _cmd_bo_smash(args, parser) -> int:
             _group_record(m, g, source="computed: cover theory plus wedge classes")
         )
     columns = ["degree", "group", "rank", "invariants", "source"]
-    return _print_table(args, "bo-smash", {"max": args.max}, records, columns)
+    _emit(args, "bo-smash", {"max": args.max}, records, columns)
+    return EXIT_OK
 
 
 def _cmd_audit(args, parser) -> int:
-    table = _fixture_table(args)
+    table = _fixture_table(args, parser)
     audit = bott_audit(args.space, args.max, table)
     params = {"space": args.space, "max": args.max}
-    if args.format == "json":
-        sys.stdout.write(_emit_json("audit", params, [], report=audit.to_json_dict()))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row", "status", "corrected", "detail"])
-        for f in audit.findings:
-            writer.writerow([f.row, f.status, f.corrected or "", f.detail])
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.write(audit.to_text() + "\n")
+    columns = ["row", "status", "corrected", "detail"]
+    _emit(args, "audit", params, [], columns, text=audit.to_text() + "\n",
+          report=audit.to_json_dict())
     if not audit.baseline_feasible:
         return EXIT_VERIFICATION_FAILED
     return EXIT_AUDIT_FINDINGS if audit.has_errata else EXIT_OK
@@ -261,22 +219,12 @@ def _cmd_verify_all(args, parser) -> int:
         }
         for r in results
     ]
-    if args.format == "json":
-        sys.stdout.write(_emit_json("verify-all", {}, records))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["criterion", "title", "passed", "detail"])
-        for r in records:
-            writer.writerow([r["criterion"], r["title"], r["passed"], r["detail"]])
-        sys.stdout.write(buf.getvalue())
-    else:
-        for r in records:
-            mark = "PASS" if r["passed"] else "FAIL"
-            line = f"{mark} criterion {r['criterion']}: {r['title']}"
-            if r["detail"]:
-                line += f" [{r['detail']}]"
-            sys.stdout.write(line + "\n")
+    text = ""
+    for r in records:
+        mark = "PASS" if r["passed"] else "FAIL"
+        detail = f" [{r['detail']}]" if r["detail"] else ""
+        text += f"{mark} criterion {r['criterion']}: {r['title']}{detail}\n"
+    _emit(args, "verify-all", {}, records, ["criterion", "title", "passed", "detail"], text=text)
     return EXIT_OK if all(r["passed"] for r in records) else EXIT_VERIFICATION_FAILED
 
 

@@ -143,7 +143,16 @@ class FixtureTable:
         raise KeyError(f"theory {theory!r} has no row covering degree {degree}")
 
 
+def _fixture_int(lineno: int, field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"fixture line {lineno}: {field} {text!r} is not an integer") from None
+
+
 def parse_fixture_text(text: str) -> FixtureTable:
+    """Parse fixture rows; every bad field raises ``ValueError`` naming its
+    line, and every group expression is checked at its row's ``min_n``."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,16 +162,19 @@ def parse_fixture_text(text: str) -> FixtureTable:
         if len(parts) != 6:
             raise ValueError(f"fixture line {lineno}: expected 6 fields, got {len(parts)}")
         theory, residue, modulus, group, min_n, source = parts
-        rows.append(
-            FixtureRow(
-                theory=theory,
-                residue=int(residue),
-                modulus=int(modulus),
-                expression=GroupExpression(group),
-                min_n=0 if min_n == "-" else int(min_n),
-                source=source,
-            )
+        row = FixtureRow(
+            theory=theory,
+            residue=_fixture_int(lineno, "residue", residue),
+            modulus=_fixture_int(lineno, "modulus", modulus),
+            expression=GroupExpression(group),
+            min_n=0 if min_n == "-" else _fixture_int(lineno, "min_n", min_n),
+            source=source,
         )
+        try:
+            row.expression.evaluate(row.min_n)
+        except ValueError as exc:
+            raise ValueError(f"fixture line {lineno}: {exc}") from None
+        rows.append(row)
     return FixtureTable(tuple(rows))
 
 
@@ -185,28 +197,15 @@ def load_fixture_table(path: str | None = None) -> FixtureTable:
     return _load_table_cached(path)
 
 
-def bo_rp_table(n: int, table: FixtureTable | None = None) -> FgAbelianGroup:
-    """Reduced bo of infinite real projective space, from the fixture table."""
+def table_group(theory: str, n: int, table: FixtureTable | None = None) -> FgAbelianGroup:
+    """The group of a fixture theory in degree ``n``: ``bo_rp`` (reduced bo
+    of infinite real projective space), ``bo1_rp`` (its 0-connected-cover
+    theory), ``h_rp`` (its reduced integral homology) or any other theory
+    of the table."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     table = table or load_fixture_table()
-    return table.lookup("bo_rp", n)[0]
-
-
-def bo1_rp_table(n: int, table: FixtureTable | None = None) -> FgAbelianGroup:
-    """The 0-connected-cover theory of the same space, from the fixture table."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    table = table or load_fixture_table()
-    return table.lookup("bo1_rp", n)[0]
-
-
-def h_rp_table(n: int, table: FixtureTable | None = None) -> FgAbelianGroup:
-    """Reduced integral homology of infinite real projective space."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    table = table or load_fixture_table()
-    return table.lookup("h_rp", n)[0]
+    return table.lookup(theory, n)[0]
 
 
 @dataclass(frozen=True)
@@ -350,53 +349,39 @@ def _trim_to_zero(nodes: list[SequenceNode], labels: list[str]):
     return tuple(nodes[start:]), tuple(labels[start:])
 
 
+# One period of a sequence, as (name, shift, arrow) triples: period i holds
+# the node ``name_{i + shift}`` of each triple, and the triple's arrow leaves
+# that node.
+#
+# ... -> bo_i -> bu_i -> bo_{i-2} -> bo_{i-1} -> bu_{i-1} -> ..., relating the
+# orthogonal and unitary theories
+BOTT = (("bo", 0, "c"), ("bu", 0, "d"), ("bo", -2, "eta"))
+# ... -> cover_i -> bo_i -> H_i -> cover_{i-1} -> ... from the cofiber
+# sequence of the zeroth-homotopy truncation
+COVER = (("bo1", 0, "j"), ("bo", 0, "pi"), ("H", 0, "d"))
+# ... -> bo_{i-1} -> cover_i -> bu_{i-2} -> bo_{i-2} -> ... from the
+# suspension cofiber sequence defining the cover theory
+ETA_COVER = (("bo", -1, "eta~"), ("bo1", 0, "c~"), ("bu", -2, "d"))
+
+
+def exact_sequence(terms, groups, top: int) -> LongExactSequence:
+    """The 3-periodic long exact sequence of ``terms`` (``BOTT``, ``COVER``
+    or ``ETA_COVER``) built from degree ``top`` down to the vanishing range;
+    ``groups`` maps each name to its group function."""
+    nodes: list[SequenceNode] = []
+    labels: list[str] = []
+    for i in range(top, -2, -1):
+        for name, shift, arrow in terms:
+            nodes.append(SequenceNode(f"{name}_{i + shift}", groups[name](i + shift)))
+            labels.append(arrow)
+    nodes, labels = _trim_to_zero(nodes, labels)
+    return LongExactSequence(nodes, labels[: len(nodes) - 1])
+
+
 def bott_sequence(bo_at, bu_at, top: int) -> LongExactSequence:
-    """The long exact sequence relating the orthogonal and unitary theories:
-    ... -> bo_i -> bu_i -> bo_{i-2} -> bo_{i-1} -> bu_{i-1} -> ... built from
-    degree ``top`` down to the vanishing range."""
-    nodes: list[SequenceNode] = []
-    labels: list[str] = []
-    for i in range(top, -2, -1):
-        nodes.append(SequenceNode(f"bo_{i}", bo_at(i)))
-        labels.append("c")
-        nodes.append(SequenceNode(f"bu_{i}", bu_at(i)))
-        labels.append("d")
-        nodes.append(SequenceNode(f"bo_{i - 2}", bo_at(i - 2)))
-        labels.append("eta")
-    nodes, labels = _trim_to_zero(nodes, labels)
-    return LongExactSequence(nodes, labels[: len(nodes) - 1])
-
-
-def cover_sequence(bo1_at, bo_at, h_at, top: int) -> LongExactSequence:
-    """... -> cover_i -> bo_i -> H_i -> cover_{i-1} -> ... from the cofiber
-    sequence of the zeroth-homotopy truncation."""
-    nodes: list[SequenceNode] = []
-    labels: list[str] = []
-    for i in range(top, -2, -1):
-        nodes.append(SequenceNode(f"bo1_{i}", bo1_at(i)))
-        labels.append("j")
-        nodes.append(SequenceNode(f"bo_{i}", bo_at(i)))
-        labels.append("pi")
-        nodes.append(SequenceNode(f"H_{i}", h_at(i)))
-        labels.append("d")
-    nodes, labels = _trim_to_zero(nodes, labels)
-    return LongExactSequence(nodes, labels[: len(nodes) - 1])
-
-
-def eta_cover_sequence(bo_at, bo1_at, bu_at, top: int) -> LongExactSequence:
-    """... -> bo_{i-1} -> cover_i -> bu_{i-2} -> bo_{i-2} -> ... from the
-    suspension cofiber sequence defining the cover theory."""
-    nodes: list[SequenceNode] = []
-    labels: list[str] = []
-    for i in range(top, -2, -1):
-        nodes.append(SequenceNode(f"bo_{i - 1}", bo_at(i - 1)))
-        labels.append("eta~")
-        nodes.append(SequenceNode(f"bo1_{i}", bo1_at(i)))
-        labels.append("c~")
-        nodes.append(SequenceNode(f"bu_{i - 2}", bu_at(i - 2)))
-        labels.append("d")
-    nodes, labels = _trim_to_zero(nodes, labels)
-    return LongExactSequence(nodes, labels[: len(nodes) - 1])
+    """The long exact sequence relating the orthogonal and unitary theories
+    (``BOTT``), built from degree ``top`` down to the vanishing range."""
+    return exact_sequence(BOTT, {"bo": bo_at, "bu": bu_at}, top)
 
 
 def _guarded(table_fn):
@@ -414,7 +399,7 @@ def bo_smash_group(m: int, table: FixtureTable | None = None) -> FgAbelianGroup:
     mod-2 class for each wedge pair in even degrees."""
     if m < 0:
         raise ValueError("degree must be non-negative")
-    base = bo1_rp_table(m, table)
+    base = table_group("bo1_rp", m, table)
     if m % 2:
         return base
     wedge = FgAbelianGroup.from_cyclic_orders(0, [2] * x_count(m // 2))
@@ -431,17 +416,15 @@ def bo1_les_consistency(
     override of cover values, used to demonstrate detection)."""
     table = table or load_fixture_table()
     override = bo1_override or {}
-
-    def bo1_at(n: int) -> FgAbelianGroup:
-        if n in override:
-            return override[n]
-        return FgAbelianGroup.trivial() if n < 0 else bo1_rp_table(n, table)
-
-    bo_at = _guarded(lambda n: bo_rp_table(n, table))
-    h_at = _guarded(lambda n: h_rp_table(n, table))
-    bu_at = _guarded(lambda n: bu_bzp_group(2, n))
-    seq_a = cover_sequence(bo1_at, bo_at, h_at, n_max)
-    seq_b = eta_cover_sequence(bo_at, bo1_at, bu_at, n_max)
+    bo1_at = _guarded(lambda n: table_group("bo1_rp", n, table))
+    groups = {
+        "bo": _guarded(lambda n: table_group("bo_rp", n, table)),
+        "bo1": lambda n: override[n] if n in override else bo1_at(n),
+        "H": _guarded(lambda n: table_group("h_rp", n, table)),
+        "bu": _guarded(lambda n: bu_bzp_group(2, n)),
+    }
+    seq_a = exact_sequence(COVER, groups, n_max)
+    seq_b = exact_sequence(ETA_COVER, groups, n_max)
     return (
         alternating_order_check(seq_a)
         and image_order_solve(seq_a).feasible
@@ -556,7 +539,7 @@ def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> Bot
         raise ValueError("space must be 'rp' or 'smash'")
     table = table or load_fixture_table()
     if space == "rp":
-        bo_at = _guarded(lambda n: bo_rp_table(n, table))
+        bo_at = _guarded(lambda n: table_group("bo_rp", n, table))
         bu_at = _guarded(lambda n: bu_bzp_group(2, n))
         seq = bott_sequence(bo_at, bu_at, n_max)
         feasible = alternating_order_check(seq) and image_order_solve(seq).feasible
@@ -630,7 +613,7 @@ def _cover_column_notes(table: FixtureTable, n_max: int) -> tuple[str, ...]:
         bad = [
             m
             for m in degrees
-            if row.value(m) != bo1_rp_table(m, table)
+            if row.value(m) != table_group("bo1_rp", m, table)
         ]
         if bad:
             notes.append(

@@ -47,7 +47,9 @@ def sq_action(k: int, mono: Monomial) -> frozenset[Monomial]:
 
 # --- F2 matrices as lists of bitmask rows ------------------------------------
 
-def f2_rank(rows: list[int]) -> int:
+def _f2_basis(rows: list[int]) -> list[int]:
+    """Reduce each row against the rows kept so far and keep it if nonzero;
+    the kept rows have distinct lowest set bits."""
     basis: list[int] = []
     for row in rows:
         for b in basis:
@@ -56,20 +58,15 @@ def f2_rank(rows: list[int]) -> int:
                 row ^= b
         if row:
             basis.append(row)
-    return len(basis)
+    return basis
+
+
+def f2_rank(rows: list[int]) -> int:
+    return len(_f2_basis(rows))
 
 
 def f2_echelon(rows: list[int]) -> list[int]:
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    basis.sort(key=lambda r: r & -r)
-    return basis
+    return sorted(_f2_basis(rows), key=lambda r: r & -r)
 
 
 def f2_in_span(echelon: list[int], vec: int) -> bool:
@@ -267,15 +264,7 @@ def verify_hom_sequence(i_max: int) -> HomSequenceReport:
             _transpose_bits(lam_images, len(module.basis(degree - 2))),
             len(e_basis),
         )
-        kernel_vecs = []
-        for coords in kernel_coords:
-            acc = 0
-            rem = coords
-            while rem:
-                low = rem & -rem
-                acc ^= e_basis[low.bit_length() - 1]
-                rem ^= low
-            kernel_vecs.append(acc)
+        kernel_vecs = f2_compose(kernel_coords, e_basis)
         phi_image = f2_echelon(list(b_basis))
         kernel_ech = f2_echelon(kernel_vecs)
         middle = len(phi_image) == len(kernel_ech) and all(

@@ -175,6 +175,35 @@ def test_fixture_override_flag(tmp_path, capsys):
     assert recs[("bo", 3)] == "Z/2"  # 4n+1 at n=0 instead of 4n+3
 
 
+@pytest.mark.parametrize("verb", [("bo-tables",), ("bo-smash",), ("audit", "--space", "rp")])
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("bo_rp | three | 8 | Z/2 | 0 | src", "fixture line 2: residue 'three' is not an integer"),
+        ("bo_rp | 3 | 8 | Z/2^(4m+3) | 0 | src", "fixture line 2: cannot parse"),
+    ],
+)
+def test_malformed_fixture_exits_1(tmp_path, capsys, verb, line, message):
+    bad = tmp_path / "tables.txt"
+    bad.write_text("# a malformed table\n" + line + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *verb, "--max", "4", "--fixtures", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_missing_fixture_exits_1(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run_cli(capsys, "bo-tables", "--fixtures", str(missing))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "absent.txt" in err
+    # a directory named by the environment variable is read the same way
+    monkeypatch.setenv("KCONN_FIXTURES", str(tmp_path))
+    code, out, err = run_cli(capsys, "bo-smash", "--max", "4")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "tables.txt" in err
+
+
 # --- golden tensor grid -------------------------------------------------------
 
 GOLDEN_TENSOR = json.loads(
@@ -206,3 +235,23 @@ def test_smash_bu_tor_golden(capsys, p, top):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_TOR[f"{p} {top}"]
+
+
+# --- golden grid of every verb ------------------------------------------------
+
+GOLDEN_CLI = json.loads(
+    (Path(__file__).parent / "fixtures" / "cli_sha256.json").read_text("utf-8")
+)["grid"]
+
+
+@pytest.mark.parametrize(
+    "invocation,fmt",
+    [(inv, fmt) for inv, by_format in GOLDEN_CLI.items() for fmt in by_format],
+)
+def test_cli_golden(capsys, invocation, fmt):
+    # every verb in every format, exit code included: the smash audit exits 3
+    # and verify-all exits 2; the hashes pin the output byte for byte
+    code, out, _ = run_cli(capsys, *invocation.split(), "--format", fmt)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    want = GOLDEN_CLI[invocation][fmt]
+    assert (code, digest) == (want["exit"], want["sha256"])

@@ -1,23 +1,31 @@
-import pytest
+import json
+from pathlib import Path
 
-from kconn.abelian import FgAbelianGroup
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kconn.abelian import FgAbelianGroup, render_group
 from kconn.exactseq import (
     BO_COEFFICIENTS,
+    BOTT,
+    COVER,
+    ETA_COVER,
     GroupExpression,
     LongExactSequence,
     SequenceNode,
     alternating_order_check,
     bo1_les_consistency,
-    bo1_rp_table,
-    bo_rp_table,
     bo_smash_group,
     bott_audit,
     bott_sequence,
-    h_rp_table,
+    exact_sequence,
     image_order_solve,
     load_fixture_table,
     parse_fixture_text,
+    table_group,
 )
+from kconn.kmods import bu_bzp_group
 
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
@@ -60,6 +68,56 @@ def test_fixture_parser_and_validity():
     assert g == C(4)
     with pytest.raises(KeyError):
         table.lookup("demo", 3)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("demo | x | 4 | Z/2 | 0 | src", "residue 'x' is not an integer"),
+        ("demo | 1 | 4.5 | Z/2 | 0 | src", "modulus '4.5' is not an integer"),
+        ("demo | 1 | 4 | Z/2 | one | src", "min_n 'one' is not an integer"),
+        ("demo | 1 | 4 | Q/Z | 0 | src", "cannot parse group expression 'Q/Z'"),
+        ("demo | 1 | 4 | Z/2^(n) | -1 | src", "negative exponent"),
+        ("demo | 1 | 4 | Z/2", "expected 6 fields, got 4"),
+    ],
+)
+def test_fixture_errors_name_their_line(line, message):
+    # the bad row is line 3; a bad group expression fails at load, not when
+    # its row is first evaluated
+    text = "# header\ndemo | 0 | 4 | Z/2 | 0 | good row\n" + line + "\n"
+    with pytest.raises(ValueError, match="^fixture line 3: ") as info:
+        parse_fixture_text(text)
+    assert message in str(info.value)
+
+
+_FIELD_TEXT = st.text(alphabet="Zn0123456789/^()+-| #x.", max_size=8)
+_INT = st.integers(-2, 12).map(str)
+_NUMBER = st.one_of(_INT, _INT, st.just("-"), _FIELD_TEXT)
+_GROUP = st.one_of(
+    st.sampled_from(["0", "Z", "Z/2", "Z/2^(4n+3)", "(Z/2)^(2n+1)", "Z/3^2", "(Z/2)^3"]),
+    _FIELD_TEXT,
+)
+_ROW = st.tuples(st.sampled_from(["bo_rp", "demo"]), _NUMBER, _NUMBER, _GROUP, _NUMBER,
+                 st.just("src")).map(" | ".join)
+_LINE = st.one_of(_ROW, _ROW, _ROW, _FIELD_TEXT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_LINE, min_size=1, max_size=3))
+def test_fixture_parser_fuzz(lines):
+    # whatever the lines hold, the parser either loads them or raises a
+    # ValueError that names the offending line; the fields stay short
+    # because a loaded expression is evaluated, and a huge exponent costs
+    # time and memory rather than raising
+    try:
+        parse_fixture_text("\n".join(lines))
+    except ValueError as exc:
+        assert str(exc).startswith("fixture line "), exc
+
+
+def test_table_group_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        table_group("bo_rp", -1)
 
 
 # --- checks ------------------------------------------------------------------------
@@ -112,24 +170,24 @@ def test_image_orders_deterministic():
 # --- fixture tables ------------------------------------------------------------------
 
 def test_bo_table_values():
-    assert bo_rp_table(3) == C(8)
-    assert bo_rp_table(11) == C(128)
-    assert bo_rp_table(1) == C(2)
-    assert bo_rp_table(8) == trivial()
+    assert table_group("bo_rp", 3) == C(8)
+    assert table_group("bo_rp", 11) == C(128)
+    assert table_group("bo_rp", 1) == C(2)
+    assert table_group("bo_rp", 8) == trivial()
 
 
 def test_bo1_table_values():
-    assert bo1_rp_table(7) == C(8)
-    assert bo1_rp_table(3) == C(4)
-    assert bo1_rp_table(1) == trivial()
-    assert bo1_rp_table(0) == trivial()
-    assert bo1_rp_table(8) == C(2)
-    assert bo1_rp_table(9) == C(2)
+    assert table_group("bo1_rp", 7) == C(8)
+    assert table_group("bo1_rp", 3) == C(4)
+    assert table_group("bo1_rp", 1) == trivial()
+    assert table_group("bo1_rp", 0) == trivial()
+    assert table_group("bo1_rp", 8) == C(2)
+    assert table_group("bo1_rp", 9) == C(2)
 
 
 def test_h_table_values():
-    assert h_rp_table(5) == C(2)
-    assert h_rp_table(6) == trivial()
+    assert table_group("h_rp", 5) == C(2)
+    assert table_group("h_rp", 6) == trivial()
 
 
 def test_coefficient_fixture_is_declared():
@@ -231,14 +289,37 @@ def test_audit_serialisation():
 
 
 def test_bott_sequence_structure():
-    bo_at = lambda n: bo_rp_table(n) if n >= 0 else trivial()
-    from kconn.kmods import bu_bzp_group
-
+    bo_at = lambda n: table_group("bo_rp", n) if n >= 0 else trivial()
     bu_at = lambda n: bu_bzp_group(2, n) if n >= 0 else trivial()
     seq = bott_sequence(bo_at, bu_at, 10)
     assert seq.nodes[0].group.is_trivial()
     assert seq.nodes[-1].group.is_trivial()
     assert len(seq.arrow_labels) == len(seq.nodes) - 1
+
+
+SHAPES = json.loads(
+    (Path(__file__).parent / "fixtures" / "sequence_shapes.json").read_text("utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "name,terms",
+    [("BOTT", BOTT), ("COVER", COVER), ("ETA_COVER", ETA_COVER)],
+    ids=["BOTT", "COVER", "ETA_COVER"],
+)
+def test_sequence_shapes(name, terms):
+    # node labels, node groups and arrow labels over the packaged tables,
+    # recorded from the three separate builders that exact_sequence replaced
+    def at(theory):
+        return lambda n: trivial() if n < 0 else table_group(theory, n)
+
+    groups = {"bo": at("bo_rp"), "bo1": at("bo1_rp"), "H": at("h_rp"),
+              "bu": lambda n: trivial() if n < 0 else bu_bzp_group(2, n)}
+    seq = exact_sequence(terms, groups, SHAPES["top"])
+    want = SHAPES["sequences"][name]
+    assert [node.label for node in seq.nodes] == want["nodes"]
+    assert [render_group(node.group) for node in seq.nodes] == want["groups"]
+    assert list(seq.arrow_labels) == want["arrows"]
 
 
 def test_bott_audit_rejects_unknown_space():

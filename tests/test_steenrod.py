@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kconn.abelian import cokernel_group
 from kconn.steenrod import (
     SteenrodModule,
     choose_mod2,
     expected_dims,
     f2_compose,
+    f2_echelon,
     f2_rank,
     hom_basis,
     hom_dim,
@@ -178,6 +182,27 @@ def test_hom_dim_brute_force_degree_3():
     assert len(mod.basis(3)) == 2
     assert f2_rank(mod.sq_matrix(1, 2)) == 1
     assert hom_dim("B", "smash", 3) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.tuples(
+            st.just(ncols), st.lists(st.integers(0, 2**ncols - 1), max_size=7)
+        )
+    )
+)
+def test_f2_rank_matches_integer_cokernel(shape):
+    # the cokernel of a 0/1 matrix over Z, tensored with F2, has dimension
+    # ncols - rank mod 2: its free rank plus its even invariant factors
+    ncols, rows = shape
+    group = cokernel_group(ncols, [{j: 1 for j in range(ncols) if row >> j & 1} for row in rows])
+    even = sum(1 for d in group.invariant_factors if d % 2 == 0)
+    assert f2_rank(rows) == ncols - (group.free_rank + even)
+    echelon = f2_echelon(rows)
+    assert len(echelon) == f2_rank(rows)
+    lows = [row & -row for row in echelon]
+    assert lows == sorted(set(lows))
 
 
 # --- exactness of the dual sequence ---------------------------------------------------
