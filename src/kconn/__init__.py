@@ -13,11 +13,9 @@ from .abelian import (
     GroupPresentation,
     IntegerMatrix,
     cokernel_group,
-    groups_isomorphic,
     kernel_of_map,
     parse_group,
     render_group,
-    smith_normal_form,
 )
 from .exactseq import (
     BO_COEFFICIENTS,
@@ -76,7 +74,6 @@ __all__ = [
     "bu_bzp_group",
     "cofiber_homology",
     "cokernel_group",
-    "groups_isomorphic",
     "hom_dim",
     "image_order_solve",
     "kernel_of_map",
@@ -90,7 +87,6 @@ __all__ = [
     "render_group",
     "run_acceptance",
     "shift",
-    "smith_normal_form",
     "sq_action",
     "table_group",
     "tensor_degree",

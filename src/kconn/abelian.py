@@ -1,26 +1,28 @@
 """Exact linear algebra over Z.
 
-Smith normal form, presented abelian groups, kernels and cokernels, and the
-invariant-factor canonical form that every other module reports its answers
-in.  All arithmetic uses Python's arbitrary-precision integers; nothing is
-ever rounded.
+Presented abelian groups, kernels and cokernels, and the invariant-factor
+canonical form that every other module reports its answers in.  All
+arithmetic uses Python's arbitrary-precision integers; nothing is ever
+rounded.
 
-Every cokernel goes through one sparse elimination, :func:`_invariant_factors`.
-:func:`cokernel_group` hands it relations given either as an
+Two elimination cores do all the work.  :func:`_invariant_factors` computes
+invariants: every cokernel, and through it every group order and element
+order, goes through this one sparse elimination, which keeps no coordinate
+changes.  :func:`cokernel_group` hands it relations given either as an
 :class:`IntegerMatrix` or as sparse rows (mappings column -> value), so a
 builder whose relations are almost all zero never materialises them densely.
-Only the answers that need coordinate changes (:func:`smith_normal_form`,
-:func:`simplify_presentation`, :func:`element_order`) run the dense
-transform-tracking Smith form, and kernels and quotients use an integer
-row echelon.  Each echelon basis gets one leading-column map (:func:`_leads`),
-which every vector solved against that basis then shares.
+:func:`_echelon` computes lattice bases: an integer row echelon behind
+kernels, quotients, the well-definedness check of :class:`AbelianGroupMap`
+and the coordinate changes of :func:`simplify_presentation`.  Each echelon
+basis gets one leading-column map (:func:`_leads`), which every vector solved
+against that basis then shares.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -59,14 +61,6 @@ class IntegerMatrix:
         self.rows = len(data)
         self.cols = width
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -78,37 +72,8 @@ class IntegerMatrix:
     def __repr__(self):
         return f"IntegerMatrix({[list(r) for r in self.entries]!r})"
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            srow = self.entries[i]
-            out.append(
-                [
-                    sum(srow[k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntegerMatrix(out, cols=other.cols)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            v == 0
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if i != j
-        )
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -220,11 +185,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def groups_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
-    """Canonical forms are complete invariants, so this is just equality."""
-    return g == h
-
-
 # --- rendering and parsing -------------------------------------------------
 
 def render_group(g: FgAbelianGroup) -> str:
@@ -277,177 +237,6 @@ def parse_group(text: str) -> FgAbelianGroup:
         else:
             rank += int(m.group("rank") or 1)
     return FgAbelianGroup.from_cyclic_orders(rank, orders)
-
-
-# --- Smith normal form -----------------------------------------------------
-
-def smith_normal_form(mat: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (D, U, V) with U*mat*V == D, D diagonal with d1 | d2 | ...,
-    all entries >= 0 and U, V unimodular."""
-    d, u, v, _ = _snf_transforms(mat, want_vinv=False)
-    return d, u, v
-
-
-def _snf_transforms(mat: IntegerMatrix, want_vinv: bool):
-    a = mat.to_lists()
-    m, n = mat.rows, mat.cols
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_vinv else None
-
-    def row_sub(i, j, q):  # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        ui, uj = u[i], u[j]
-        for k in range(n):
-            ai[k] -= q * aj[k]
-        for k in range(m):
-            ui[k] -= q * uj[k]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_sub(j, i, q):  # col_j -= q * col_i
-        for row in a:
-            row[j] -= q * row[i]
-        for row in v:
-            row[j] -= q * row[i]
-        if vinv is not None:  # inverse op: row_i += q * row_j
-            vi, vj = vinv[i], vinv[j]
-            for k in range(n):
-                vi[k] += q * vj[k]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        if vinv is not None:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
-                val = ai[j]
-                if val:
-                    val = -val if val < 0 else val
-                    if best is None or val < best:
-                        best, where = val, (i, j)
-                        if val == 1:
-                            return where
-        return where
-
-    def clear_at(t):
-        # Minimal-absolute-value pivoting; loop until row t and column t are
-        # clear outside the pivot.
-        while True:
-            where = find_pivot(t)
-            if where is None:
-                return False
-            if where != (t, t):
-                if where[0] != t:
-                    row_swap(t, where[0])
-                if where[1] != t:
-                    col_swap(t, where[1])
-            if a[t][t] < 0:
-                row_neg(t)
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                x = a[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        row_sub(i, t, q)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                x = a[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        col_sub(j, t, q)
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                return True
-
-    rank = 0
-    for t in range(min(m, n)):
-        if not clear_at(t):
-            break
-        rank += 1
-
-    def clear_block(i):
-        # Rediagonalise the 2x2 block at rows/cols {i, i+1}; every other entry
-        # in these two rows and columns is zero, so the work stays local.
-        while True:
-            cells = [
-                (abs(a[r][c]), r, c)
-                for r in (i, i + 1)
-                for c in (i, i + 1)
-                if a[r][c]
-            ]
-            if not cells:
-                return
-            _, r0, c0 = min(cells)
-            if r0 != i:
-                row_swap(i, r0)
-            if c0 != i:
-                col_swap(i, c0)
-            if a[i][i] < 0:
-                row_neg(i)
-            piv = a[i][i]
-            dirty = False
-            x = a[i + 1][i]
-            if x:
-                q = x // piv
-                if q:
-                    row_sub(i + 1, i, q)
-                if a[i + 1][i]:
-                    dirty = True
-            x = a[i][i + 1]
-            if x:
-                q = x // piv
-                if q:
-                    col_sub(i + 1, i, q)
-                if a[i][i + 1]:
-                    dirty = True
-            if not dirty:
-                return
-
-    # Enforce the divisibility chain by merging adjacent diagonal entries.
-    for i in range(rank):
-        if a[i][i] < 0:
-            row_neg(i)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di:
-                # bring d_{i+1} alongside d_i and rediagonalise the block
-                col_sub(i, i + 1, -1)
-                clear_block(i)
-                if a[i][i] < 0:
-                    row_neg(i)
-                if a[i + 1][i + 1] < 0:
-                    row_neg(i + 1)
-                changed = True
-
-    return (
-        IntegerMatrix(a, cols=n),
-        IntegerMatrix(u, cols=m),
-        IntegerMatrix(v, cols=n),
-        IntegerMatrix(vinv, cols=n) if want_vinv else None,
-    )
 
 
 # --- invariant factors of a row lattice (sparse, no transforms) ------------
@@ -735,10 +524,12 @@ class GroupPresentation:
 
 @dataclass(frozen=True)
 class SimplifiedPresentation:
-    """A minimal presentation together with the coordinate changes.
+    """A reduced presentation together with the coordinate changes.
 
-    ``to_min`` maps old coordinates to minimal ones (row vector times matrix)
-    and ``from_min`` lifts a minimal generator back to old coordinates.
+    ``to_min`` maps old coordinates to reduced ones (row vector times matrix)
+    and ``from_min`` lifts a reduced generator back to old coordinates, so
+    ``from_min * to_min`` is the identity.  The reduced presentation has no
+    more generators than the old one, but it need not be minimal.
     """
 
     presentation: GroupPresentation
@@ -747,23 +538,42 @@ class SimplifiedPresentation:
 
 
 def simplify_presentation(pres: GroupPresentation) -> SimplifiedPresentation:
+    """Drop every generator that a relation expresses through later ones.
+
+    An echelon row of the relations led by 1 at column j writes generator j
+    in terms of generators past j, so j is dropped and written that way in
+    ``to_min``, back-substituting from the last column down.  The kept
+    generators are the other columns, ``from_min`` is their inclusion, and
+    the other echelon rows, mapped through ``to_min``, are the relations.
+    The result is reduced, not always minimal: Z^2 / <(2, 3)> keeps both
+    generators.
+    """
     n = pres.n_gens
-    if pres.relations.rows == 0:
-        ident = IntegerMatrix.identity(n)
-        return SimplifiedPresentation(pres, ident, ident)
-    d, _, v, vinv = _snf_transforms(pres.relations, want_vinv=True)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    keep = [j for j in range(n) if j >= len(diag) or diag[j] != 1]
-    rel_rows = []
-    for pos, j in enumerate(keep):
-        if j < len(diag) and diag[j] > 1:
-            row = [0] * len(keep)
-            row[pos] = diag[j]
-            rel_rows.append(row)
-    to_min = IntegerMatrix([[v[i, j] for j in keep] for i in range(n)], cols=len(keep))
-    from_min = IntegerMatrix([vinv.row(j) for j in keep], cols=n)
-    mini = GroupPresentation(len(keep), IntegerMatrix(rel_rows, cols=len(keep)))
-    return SimplifiedPresentation(mini, to_min, from_min)
+    ech = _echelon(pres.relations.entries, n)
+    unit_rows = {}
+    other_rows = []
+    for row in ech:
+        j = _leading(row)
+        if row[j] == 1:
+            unit_rows[j] = row
+        else:
+            other_rows.append(row)
+    keep = [j for j in range(n) if j not in unit_rows]
+    m = len(keep)
+    to_min = {j: [int(t == pos) for t in range(m)] for pos, j in enumerate(keep)}
+    for j in sorted(unit_rows, reverse=True):
+        # e_j = -(sum over k > j of row[k] * e_k) in the group
+        image = [0] * m
+        for k, c in enumerate(unit_rows[j][j + 1:], start=j + 1):
+            if c:
+                for t, x in enumerate(to_min[k]):
+                    image[t] -= c * x
+        to_min[j] = image
+    to_min_mat = IntegerMatrix([to_min[j] for j in range(n)], cols=m)
+    from_min = IntegerMatrix([[int(j == i) for j in range(n)] for i in keep], cols=n)
+    rel_rows = [_apply_row(row, to_min_mat) for row in other_rows]
+    mini = GroupPresentation(m, IntegerMatrix(rel_rows, cols=m))
+    return SimplifiedPresentation(mini, to_min_mat, from_min)
 
 
 @dataclass(frozen=True)
@@ -819,20 +629,19 @@ def kernel_of_map(f: AbelianGroupMap) -> FgAbelianGroup:
 
 
 def element_order(pres: GroupPresentation, vec) -> int | None:
-    """Order of the class of ``vec`` in the presented group (None = infinite)."""
-    if len(vec) != pres.n_gens:
+    """Order of the class of ``vec`` in the presented group (None = infinite).
+
+    With G the presented group and x the class, the order is read off two
+    cokernels: x has infinite order exactly when G / <x> has smaller free
+    rank than G, and otherwise x is torsion, so tors(G / <x>) = tors(G) / <x>
+    and the order of x is the ratio of the two torsion orders.
+    """
+    n = pres.n_gens
+    if len(vec) != n:
         raise ValueError("vector length must equal generator count")
-    if pres.relations.rows == 0:
-        return 1 if not any(vec) else None
-    d, _, v, _ = _snf_transforms(pres.relations, want_vinv=False)
-    w = _apply_row(vec, v)  # w = vec * V
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    order = 1
-    for j in range(pres.n_gens):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            if w[j]:
-                return None
-        else:
-            order = lcm(order, dj // gcd(dj, w[j] % dj))
-    return order
+    rows = [dict(enumerate(row)) for row in pres.relations.entries]
+    group = cokernel_group(n, rows)
+    quotient = cokernel_group(n, rows + [dict(enumerate(vec))])
+    if quotient.free_rank < group.free_rank:
+        return None
+    return prod(group.invariant_factors) // prod(quotient.invariant_factors)

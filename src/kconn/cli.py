@@ -90,13 +90,18 @@ def _require_prime(parser: _Parser, p: int):
         parser.error(f"--p must be a prime number, got {p}")
 
 
-def _fixture_table(args, parser: _Parser) -> FixtureTable:
-    """The fixture tables; an unreadable or malformed file exits 1 with
-    one line on stderr."""
-    try:
-        return load_fixture_table(args.fixtures)
-    except (OSError, ValueError) as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+def _fixture_verb(handler):
+    """A verb over the fixture tables: an unreadable or malformed file, or a
+    query that takes a table expression past its bounds, exits 1 with one
+    line on stderr."""
+
+    def run(args, parser: _Parser) -> int:
+        try:
+            return handler(args, load_fixture_table(args.fixtures))
+        except (OSError, ValueError) as exc:
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+
+    return run
 
 
 # --- verb handlers ----------------------------------------------------------------
@@ -171,8 +176,8 @@ def _cmd_x_count(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_bo_tables(args, parser) -> int:
-    table = _fixture_table(args, parser)
+@_fixture_verb
+def _cmd_bo_tables(args, table: FixtureTable) -> int:
     records = []
     for theory, fixture_theory in (("bo", "bo_rp"), ("bo1", "bo1_rp"), ("H", "h_rp")):
         for n in range(args.max + 1):
@@ -183,8 +188,8 @@ def _cmd_bo_tables(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_bo_smash(args, parser) -> int:
-    table = _fixture_table(args, parser)
+@_fixture_verb
+def _cmd_bo_smash(args, table: FixtureTable) -> int:
     records = []
     for m in range(args.max + 1):
         g = bo_smash_group(m, table)
@@ -196,8 +201,8 @@ def _cmd_bo_smash(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args, parser) -> int:
-    table = _fixture_table(args, parser)
+@_fixture_verb
+def _cmd_audit(args, table: FixtureTable) -> int:
     audit = bott_audit(args.space, args.max, table)
     params = {"space": args.space, "max": args.max}
     columns = ["row", "status", "corrected", "detail"]

@@ -24,10 +24,24 @@ from .steenrod import x_count
 
 FIXTURE_ENV = "KCONN_FIXTURES"
 
+# Largest exponent or multiplicity a group expression may evaluate to.  The
+# packaged rows reach 24 at the degrees the golden grids and the benchmark
+# query; unbounded, a row such as ``(Z/2)^(n)`` at n = 200000 stalls a load
+# or a query.
+MAX_EXPONENT = 4096
+
 
 # --- symbolic group expressions ----------------------------------------------
 
 _LINEAR = re.compile(r"^(?:(\d*)n)?\s*(?:\+?\s*(\d+))?$")
+
+
+def _bounded(kind: str, value: int, text: str, n: int) -> int:
+    if value < 0:
+        raise ValueError(f"negative {kind} in {text!r} at n={n}")
+    if value > MAX_EXPONENT:
+        raise ValueError(f"{kind} {value} in {text!r} at n={n} exceeds {MAX_EXPONENT}")
+    return value
 
 
 def _parse_linear(text: str) -> tuple[int, int]:
@@ -65,17 +79,13 @@ class GroupExpression:
         if m:
             base = int(m.group(1) or m.group(3))
             slope, const = _parse_linear(m.group(2) or m.group(4))
-            exp = slope * n + const
-            if exp < 0:
-                raise ValueError(f"negative exponent in {text!r} at n={n}")
+            exp = _bounded("exponent", slope * n + const, text, n)
             return FgAbelianGroup.cyclic(base**exp)
         m = _ELEMENTARY.match(text)
         if m:
             base = int(m.group(1) or m.group(3))
             slope, const = _parse_linear(m.group(2) or m.group(4))
-            count = slope * n + const
-            if count < 0:
-                raise ValueError(f"negative multiplicity in {text!r} at n={n}")
+            count = _bounded("multiplicity", slope * n + const, text, n)
             return FgAbelianGroup.from_cyclic_orders(0, [base] * count)
         m = re.match(r"^Z/(\d+)$", text)
         if m:

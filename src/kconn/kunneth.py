@@ -128,7 +128,7 @@ def _shift_slice_vector(src: DegreeSlice, tgt: DegreeSlice, vec: list[int]) -> l
 def _simplified_slice(
     module: GradedModulePresentation, deg: int
 ) -> tuple[DegreeSlice, SimplifiedPresentation]:
-    """One degree slice and its minimal presentation, simplified once and
+    """One degree slice and its reduced presentation, simplified once and
     shared by every Tor degree whose blocks include it."""
     slc = realize_slice(module, deg)
     return slc, simplify_presentation(slc.presentation)
@@ -141,7 +141,7 @@ def tor1_degree(
     """Degree-n piece of the first derived functor against one summand: the
     kernel of the induced differential on the tensored resolution.
 
-    Stage generator j contributes one block, the minimal presentation of the
+    Stage generator j contributes one block, the reduced presentation of the
     module slice in degree n - gen_degree(j).  Both stages have the same
     blocks, so source and target are one block-diagonal presentation.  The
     differential is p on each block plus -v from block j into block j - 1;

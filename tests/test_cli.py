@@ -6,6 +6,7 @@ import pytest
 
 from kconn.cli import main
 from kconn.abelian import parse_group
+from kconn.exactseq import MAX_EXPONENT
 
 try:
     import jsonschema
@@ -190,6 +191,18 @@ def test_malformed_fixture_exits_1(tmp_path, capsys, verb, line, message):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("verb", [("bo-tables",), ("bo-smash",), ("audit", "--space", "rp")])
+def test_query_past_expression_bound_exits_1(tmp_path, capsys, verb):
+    # the steep rows load (exponent 3 at n = 0) but pass the bound at n = 1
+    steep = tmp_path / "tables.txt"
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    steep.write_text(packaged.replace("^(4n+3)", f"^({MAX_EXPONENT}n+3)"), encoding="utf-8")
+    code, out, err = run_cli(capsys, *verb, "--max", "16", "--fixtures", str(steep))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("kconn: error: ")
+    assert f"exponent {MAX_EXPONENT + 3} in 'Z/2^({MAX_EXPONENT}n+3)' at n=1" in err
 
 
 def test_missing_fixture_exits_1(tmp_path, capsys, monkeypatch):

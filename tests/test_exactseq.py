@@ -11,6 +11,7 @@ from kconn.exactseq import (
     BOTT,
     COVER,
     ETA_COVER,
+    MAX_EXPONENT,
     GroupExpression,
     LongExactSequence,
     SequenceNode,
@@ -79,6 +80,9 @@ def test_fixture_parser_and_validity():
         ("demo | 1 | 4 | Q/Z | 0 | src", "cannot parse group expression 'Q/Z'"),
         ("demo | 1 | 4 | Z/2^(n) | -1 | src", "negative exponent"),
         ("demo | 1 | 4 | Z/2", "expected 6 fields, got 4"),
+        ("demo | 1 | 4 | (Z/2)^(n) | 200000 | src",
+         f"multiplicity 200000 in '(Z/2)^(n)' at n=200000 exceeds {MAX_EXPONENT}"),
+        ("demo | 1 | 4 | Z/2^(n+1) | 4096 | src", "exponent 4097 in 'Z/2^(n+1)' at n=4096"),
     ],
 )
 def test_fixture_errors_name_their_line(line, message):
@@ -88,6 +92,18 @@ def test_fixture_errors_name_their_line(line, message):
     with pytest.raises(ValueError, match="^fixture line 3: ") as info:
         parse_fixture_text(text)
     assert message in str(info.value)
+
+
+def test_expressions_at_the_bound_load():
+    text = (
+        f"demo | 1 | 4 | (Z/2)^(n) | {MAX_EXPONENT} | src\n"
+        f"demo | 2 | 4 | Z/3^(2n) | {MAX_EXPONENT // 2} | src\n"
+    )
+    table = parse_fixture_text(text)
+    g, _ = table.lookup("demo", 1 + 4 * MAX_EXPONENT)
+    assert g == FgAbelianGroup(0, (2,) * MAX_EXPONENT)
+    g, _ = table.lookup("demo", 2 + 4 * (MAX_EXPONENT // 2))
+    assert g == C(3**MAX_EXPONENT)
 
 
 _FIELD_TEXT = st.text(alphabet="Zn0123456789/^()+-| #x.", max_size=8)

@@ -193,6 +193,18 @@ def test_tor_simplifies_each_slice_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tor_slices_are_minimal(p):
+    # simplify_presentation is reduced, not minimal in general; on the slices
+    # the Tor path uses it must keep one generator per cyclic summand, or the
+    # block matrices of tor1_degree grow
+    module = kunneth._lu_window(p, 121)
+    for deg in range(122):
+        _, simp = kunneth._simplified_slice(module, deg)
+        g = simp.presentation.group()
+        assert simp.presentation.n_gens == g.free_rank + len(g.invariant_factors), deg
+
+
 def test_tor_threads_match_serial():
     queries = [(p, n) for p in (2, 3) for n in range(1, 42, 2)]
     _clear_caches(kunneth, kmods)
