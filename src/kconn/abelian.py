@@ -641,7 +641,11 @@ def element_order(pres: GroupPresentation, vec) -> int | None:
         raise ValueError("vector length must equal generator count")
     rows = [dict(enumerate(row)) for row in pres.relations.entries]
     group = cokernel_group(n, rows)
-    quotient = cokernel_group(n, rows + [dict(enumerate(vec))])
+    return _order_from_quotient(group, cokernel_group(n, rows + [dict(enumerate(vec))]))
+
+
+def _order_from_quotient(group: FgAbelianGroup, quotient: FgAbelianGroup) -> int | None:
+    """Order of x in G, given G and G / <x> (None = infinite)."""
     if quotient.free_rank < group.free_rank:
         return None
     return prod(group.invariant_factors) // prod(quotient.invariant_factors)

@@ -91,15 +91,17 @@ def _require_prime(parser: _Parser, p: int):
 
 
 def _fixture_verb(handler):
-    """A verb over the fixture tables: an unreadable or malformed file, or a
-    query that takes a table expression past its bounds, exits 1 with one
-    line on stderr."""
+    """A verb over the fixture tables: an unreadable or malformed file, a
+    query that takes a table expression past its bounds, or a theory or
+    degree the file does not cover exits 1 with one line on stderr."""
 
     def run(args, parser: _Parser) -> int:
         try:
             return handler(args, load_fixture_table(args.fixtures))
         except (OSError, ValueError) as exc:
             parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+        except KeyError as exc:  # str() of a KeyError quotes its message
+            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc.args[0]}\n")
 
     return run
 

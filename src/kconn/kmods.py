@@ -17,6 +17,8 @@ from .abelian import (
     FgAbelianGroup,
     GroupPresentation,
     IntegerMatrix,
+    _order_from_quotient,
+    cokernel_group,
     element_order,
 )
 
@@ -296,34 +298,24 @@ class KuSmashCheck:
 def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     """Check that the reduced truncated K-rings have orders 2^r and 2^v, that
     their product group has order 2^min(r, v), and that the external class
-    t (x) t generates it."""
+    t (x) t generates it.
+
+    The product is presented on t^(a+1) (x) t^(b+1), column a * v + b, by
+    sparse rows: each ring's relations times each basis element of the other.
+    It is eliminated twice, as it stands (G) and with t (x) t added as a
+    relation (G / <t (x) t>), and the order of t (x) t is read off the pair
+    as in :func:`element_order`.
+    """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
-    left = TruncatedKuRing(r)
-    right = TruncatedKuRing(v)
-    left_pres = left.presentation()
-    right_pres = right.presentation()
-    n = r * v  # generators t^a (x) t^b indexed (a-1) * v + (b-1)
-    rows = []
-    for rel in left_pres.relations.entries:
-        for b in range(v):
-            row = [0] * n
-            for a in range(r):
-                if rel[a]:
-                    row[a * v + b] = rel[a]
-            rows.append(row)
-    for rel in right_pres.relations.entries:
-        for a in range(r):
-            row = [0] * n
-            for b in range(v):
-                if rel[b]:
-                    row[a * v + b] = rel[b]
-            rows.append(row)
-    smash_pres = GroupPresentation(n, IntegerMatrix(rows, cols=n))
-    smash = smash_pres.group()
-    gen_vec = [0] * n
-    gen_vec[0] = 1  # t (x) t
-    order = element_order(smash_pres, gen_vec)
+    left_pres = TruncatedKuRing(r).presentation()
+    right_pres = TruncatedKuRing(v).presentation()
+    rows = [{a * v + b: c for a, c in enumerate(rel) if c}
+            for rel in left_pres.relations.entries for b in range(v)]
+    rows += [{a * v + b: c for b, c in enumerate(rel) if c}
+             for rel in right_pres.relations.entries for a in range(r)]
+    smash = cokernel_group(r * v, rows)
+    order = _order_from_quotient(smash, cokernel_group(r * v, rows + [{0: 1}]))
     generates = (
         smash.free_rank == 0
         and len(smash.invariant_factors) <= 1

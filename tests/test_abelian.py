@@ -3,7 +3,7 @@ import random
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kconn.abelian import (
@@ -264,6 +264,19 @@ def test_canonical_form_from_unordered_factors():
     assert FgAbelianGroup.from_cyclic_orders(0, [9, 3]) == FgAbelianGroup(0, (3, 9))
 
 
+# cyclic orders as from_cyclic_orders takes them: 0 is a copy of Z, 1 is trivial
+_CYCLIC_ORDERS = st.lists(st.integers(0, 200), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), _CYCLIC_ORDERS, st.data())
+def test_from_cyclic_orders_ignores_input_order(free_rank, orders, data):
+    shuffled = data.draw(st.permutations(orders))
+    assert FgAbelianGroup.from_cyclic_orders(free_rank, shuffled) == (
+        FgAbelianGroup.from_cyclic_orders(free_rank, orders)
+    )
+
+
 def test_invalid_chain_rejected():
     with pytest.raises(ValueError):
         FgAbelianGroup(0, (4, 6))
@@ -515,11 +528,11 @@ def test_render(group, text):
     assert render_group(group) == text
 
 
-def test_parse_roundtrip():
-    rng = random.Random(13)
-    samples = [trivial(), Z(2), C(9)]
-    for _ in range(30):
-        orders = [rng.choice([2, 3, 4, 8, 9, 5]) for _ in range(rng.randrange(0, 4))]
-        samples.append(FgAbelianGroup.from_cyclic_orders(rng.randrange(0, 3), orders))
-    for g in samples:
-        assert parse_group(render_group(g)) == g
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), _CYCLIC_ORDERS)
+@example(0, [])
+@example(2, [])
+@example(0, [9])
+def test_parse_roundtrip(free_rank, orders):
+    g = FgAbelianGroup.from_cyclic_orders(free_rank, orders)
+    assert parse_group(render_group(g)) == g

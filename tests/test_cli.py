@@ -205,6 +205,25 @@ def test_query_past_expression_bound_exits_1(tmp_path, capsys, verb):
     assert f"exponent {MAX_EXPONENT + 3} in 'Z/2^({MAX_EXPONENT}n+3)' at n=1" in err
 
 
+@pytest.mark.parametrize(
+    "dropped,message",
+    [
+        ("h_rp |", "no fixture rows for theory 'h_rp'"),
+        ("h_rp | 1 |", "theory 'h_rp' has no row covering degree 1"),
+    ],
+    ids=["missing_theory", "uncovered_degree"],
+)
+def test_uncovered_fixture_query_exits_1(tmp_path, capsys, dropped, message):
+    # the file loads, but a lookup finds no row: one line, message unquoted
+    partial = tmp_path / "tables.txt"
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    kept = [line for line in packaged.splitlines() if not line.startswith(dropped)]
+    partial.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bo-tables", "--max", "3", "--fixtures", str(partial))
+    assert (code, out) == (1, "")
+    assert err == f"kconn: error: {message}\n"
+
+
 def test_missing_fixture_exits_1(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "absent.txt"
     code, out, err = run_cli(capsys, "bo-tables", "--fixtures", str(missing))

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from kconn.abelian import FgAbelianGroup, kernel_of_map
@@ -13,6 +17,8 @@ from kconn.kmods import (
     shift,
     v_multiplication_map,
 )
+
+from .test_abelian import enumerate_quotient_order, reference_group
 
 C = FgAbelianGroup.cyclic
 Z = FgAbelianGroup.free
@@ -183,6 +189,59 @@ def test_ku_smash_check_examples():
 
 def test_ku_smash_check_r2_reduced_group():
     assert ku_smash_check(2, 2).left_group == C(4)
+
+
+GOLDEN_SMASH_CHECK = json.loads(
+    (Path(__file__).parent / "fixtures" / "ku_smash_check_sha256.json").read_text("utf-8")
+)
+
+
+def test_ku_smash_check_golden():
+    # every field of every check up to 24 x 24, recorded before the sparse
+    # two-elimination rewrite
+    top = GOLDEN_SMASH_CHECK["max"]
+    text = "".join(
+        repr(ku_smash_check(r, v)) + "\n" for r in range(1, top + 1) for v in range(1, top + 1)
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SMASH_CHECK["sha256"]
+
+
+def dense_smash_presentation(r, v):
+    """The r * v generators t^(a+1) (x) t^(b+1), column a * v + b, modulo each
+    ring's relations tensored with every basis element of the other, as
+    dense rows."""
+    n = r * v
+    rows = []
+    for rel in TruncatedKuRing(r).presentation().relations.entries:
+        for b in range(v):
+            row = [0] * n
+            for a in range(r):
+                row[a * v + b] = rel[a]
+            rows.append(row)
+    for rel in TruncatedKuRing(v).presentation().relations.entries:
+        for a in range(r):
+            row = [0] * n
+            for b in range(v):
+                row[a * v + b] = rel[b]
+            rows.append(row)
+    return n, rows
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("v", range(1, 7))
+def test_ku_smash_check_against_dense_reference(r, v):
+    n, rows = dense_smash_presentation(r, v)
+    t_t = [1] + [0] * (n - 1)
+    chk = ku_smash_check(r, v)
+    # |G| / |G / <t (x) t>| is the order of t (x) t, by residue enumeration
+    order = enumerate_quotient_order(rows, n)
+    rest = enumerate_quotient_order(rows + [t_t], n)
+    assert chk.generator_order == order // rest
+    assert rest == 1 and chk.smash_group == C(order)  # t (x) t generates G
+    if n <= 6:  # determinantal divisors visit C(2n, n) maximal minors
+        group = reference_group(n, rows)
+        assert chk.smash_group == group
+        assert chk.generator_order == group.order() // reference_group(n, rows + [t_t]).order()
 
 
 # --- cofiber homology fixture -------------------------------------------------------------

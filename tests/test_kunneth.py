@@ -205,18 +205,31 @@ def test_tor_slices_are_minimal(p):
         assert simp.presentation.n_gens == g.free_rank + len(g.invariant_factors), deg
 
 
-def test_tor_threads_match_serial():
-    queries = [(p, n) for p in (2, 3) for n in range(1, 42, 2)]
-    _clear_caches(kunneth, kmods)
-    serial = [tor_part(p, n) for p, n in queries]
-    _clear_caches(kunneth, kmods)
+def serial_and_threaded(call, queries, *modules):
+    """``call(*q)`` for every query, run serially and then on a 4-thread
+    pool, each time from cold caches in ``modules``."""
+    _clear_caches(*modules)
+    serial = [call(*q) for q in queries]
+    _clear_caches(*modules)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside the caches too
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda q: tor_part(*q), queries, timeout=120))
+            threaded = list(pool.map(lambda q: call(*q), queries, timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    return serial, threaded
+
+
+def test_tor_threads_match_serial():
+    queries = [(p, n) for p in (2, 3) for n in range(1, 42, 2)]
+    serial, threaded = serial_and_threaded(tor_part, queries, kunneth, kmods)
+    assert threaded == serial
+
+
+def test_tensor_threads_match_serial():
+    queries = [(p, n) for p in (2, 3) for n in range(0, 41, 2)]
+    serial, threaded = serial_and_threaded(tensor_part, queries, kunneth, kmods)
     assert threaded == serial
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kconn import steenrod
 from kconn.abelian import cokernel_group
 from kconn.steenrod import (
     SteenrodModule,
@@ -16,6 +17,8 @@ from kconn.steenrod import (
     verify_hom_sequence,
     x_count,
 )
+
+from .test_kunneth import serial_and_threaded
 
 
 # --- independent oracle: the multiplicative total square ------------------------
@@ -261,3 +264,9 @@ def test_x_count_closed_form_and_enumeration():
         )
         assert x_count(n) == brute
         assert x_count(n) == (n // 2 if n % 2 == 0 else (n - 1) // 2)
+
+
+def test_hom_dim_threads_match_serial():
+    queries = [(alg, "smash", d) for alg in ("B", "E") for d in range(61)]
+    serial, threaded = serial_and_threaded(hom_dim, queries, steenrod)
+    assert threaded == serial
