@@ -11,7 +11,6 @@ from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
-    IntegerMatrix,
     cokernel_group,
     kernel_of_map,
     parse_group,
@@ -61,7 +60,6 @@ __all__ = [
     "GradedGroup",
     "GradedModulePresentation",
     "GroupPresentation",
-    "IntegerMatrix",
     "KunnethReport",
     "LongExactSequence",
     "SteenrodModule",

@@ -5,17 +5,16 @@ canonical form that every other module reports its answers in.  All
 arithmetic uses Python's arbitrary-precision integers; nothing is ever
 rounded.
 
-Two elimination cores do all the work.  :func:`_invariant_factors` computes
-invariants: every cokernel, and through it every group order and element
-order, goes through this one sparse elimination, which keeps no coordinate
-changes.  :func:`cokernel_group` hands it relations given either as an
-:class:`IntegerMatrix` or as sparse rows (mappings column -> value), so a
-builder whose relations are almost all zero never materialises them densely.
-:func:`_echelon` computes lattice bases: an integer row echelon behind
-kernels, quotients, the well-definedness check of :class:`AbelianGroupMap`
-and the coordinate changes of :func:`simplify_presentation`.  Each echelon
-basis gets one leading-column map (:func:`_leads`), which every vector solved
-against that basis then shares.
+There is one row format: a sparse row, a mapping column -> value whose zero
+values are ignored.  Relations, images of generators, coordinate changes and
+vectors are all rows of this kind, and two elimination cores work on them.
+:func:`_invariant_factors` computes invariants: every cokernel, and through
+it every group order and element order, goes through this one elimination,
+which keeps no coordinate changes.  :func:`_echelon` computes lattice bases
+as {leading column: row}, against which :func:`_solve_against_echelon`
+writes a vector: one echelon per kernel (:func:`kernel_of_map`), one per
+well-definedness check of :class:`AbelianGroupMap`, and one for the
+coordinate changes of :func:`simplify_presentation`.
 """
 
 from __future__ import annotations
@@ -38,42 +37,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-class IntegerMatrix:
-    """Immutable dense matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries, cols: int | None = None):
-        data = tuple(tuple(map(int, row)) for row in entries)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("rows have unequal lengths")
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with rows")
-        else:
-            width = 0 if cols is None else cols
-        if width < 0:
-            raise ValueError("negative column count")
-        self.entries = data
-        self.rows = len(data)
-        self.cols = width
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
-    def __repr__(self):
-        return f"IntegerMatrix({[list(r) for r in self.entries]!r})"
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
 
 @dataclass(frozen=True)
@@ -383,140 +346,109 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
 
 
 def cokernel_group(generators: int, relations) -> FgAbelianGroup:
-    """Canonical form of Z^generators modulo the lattice of ``relations``.
-
-    ``relations`` is either an :class:`IntegerMatrix` whose width must equal
-    ``generators`` (its rows are read entry by entry), or an iterable of
-    sparse rows, each a mapping column -> value with columns in
-    ``[0, generators)``; zero values and empty rows are ignored.  Both forms
-    run the same sparse elimination, :func:`_invariant_factors`.
-    """
-    if isinstance(relations, IntegerMatrix):
-        if relations.cols != generators:
-            raise ValueError("relation matrix width must equal the generator count")
-        rows = map(enumerate, relations.entries)
-    else:
-        rows = (row.items() for row in relations)
-    rank, factors = _invariant_factors(rows, generators)
+    """Canonical form of Z^generators modulo the lattice of ``relations``,
+    sparse rows with columns in ``[0, generators)``; zero values and empty
+    rows are ignored."""
+    rank, factors = _invariant_factors((row.items() for row in relations), generators)
     return FgAbelianGroup(generators - rank, tuple(factors))
 
 
-# --- lattice utilities ------------------------------------------------------
+# --- sparse rows and lattice bases -------------------------------------------
 
-def _echelon(rows, ncols: int) -> list[list[int]]:
-    """Integer row echelon of the lattice spanned by ``rows``; the output rows
-    have strictly increasing leading columns and span the same lattice."""
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        r = list(row)
-        while True:
-            j = next((k for k, x in enumerate(r) if x), None)
-            if j is None:
-                break
-            if j not in pivots:
-                if r[j] < 0:
-                    r = [-x for x in r]
-                pivots[j] = r
-                break
-            p = pivots[j]
-            aa, bb = p[j], r[j]
-            if bb % aa == 0:
-                q = bb // aa
-                for k in range(j, ncols):
-                    r[k] -= q * p[k]
-            else:
-                x, y, g = _xgcd(aa, bb)
-                ka, kb = aa // g, bb // g
-                for k in range(j, ncols):
-                    pk, rk = p[k], r[k]
-                    p[k] = x * pk + y * rk
-                    r[k] = ka * rk - kb * pk
-    return [pivots[j] for j in sorted(pivots)]
+def _axpy(row: dict[int, int], q: int, other: dict[int, int]) -> None:
+    """row += q * other, in place; entries that cancel are dropped."""
+    for c, v in other.items():
+        x = row.get(c, 0) + q * v
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
 
 
-def _leading(row) -> int | None:
-    return next((k for k, x in enumerate(row) if x), None)
-
-
-def _leads(echelon_rows) -> dict[int, int]:
-    """Leading column -> row index, built once per echelon basis."""
-    return {_leading(row): idx for idx, row in enumerate(echelon_rows)}
-
-
-def lattice_member(echelon_rows: list[list[int]], vec) -> bool:
-    """Membership of ``vec`` in the lattice given by echelon rows."""
-    return _solve_against_echelon(echelon_rows, _leads(echelon_rows), vec) is not None
-
-
-def _solve_against_echelon(echelon_rows, leads: dict[int, int], vec) -> list[int] | None:
-    r = list(vec)
-    coeffs = [0] * len(echelon_rows)
-    j = 0
-    while True:
-        # entries before the last pivot are already zero
-        j = next((k for k in range(j, len(r)) if r[k]), None)
-        if j is None:
-            return coeffs
-        idx = leads.get(j)
-        if idx is None:
-            return None
-        p = echelon_rows[idx]
-        if r[j] % p[j]:
-            return None
-        q = r[j] // p[j]
-        for k in range(j, len(r)):
-            r[k] -= q * p[k]
-        coeffs[idx] += q
-
-
-def left_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the left-nullspace lattice {z : z * M == 0} where M has the
-    given rows.  Computed by echelonising the augmented rows [M | I]."""
-    m = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        tail = [0] * m
-        tail[i] = 1
-        aug.append(list(row) + tail)
-    ech = _echelon(aug, ncols + m)
-    out = []
-    for row in ech:
-        j = _leading(row)
-        if j is not None and j >= ncols:
-            out.append(row[ncols:])
+def _combine(a: int, row: dict[int, int], b: int, other: dict[int, int]) -> dict[int, int]:
+    """a * row + b * other as a new sparse row."""
+    out = {c: a * v for c, v in row.items()} if a else {}
+    _axpy(out, b, other)
     return out
 
 
-def quotient_group(sup_rows: list[list[int]], sub_rows, ambient: int) -> FgAbelianGroup:
-    """Canonical form of (lattice spanned by sup_rows) / (lattice spanned by
-    sub_rows); the sublattice must be contained in the big one."""
-    basis = _echelon(sup_rows, ambient)
-    if not basis:
-        if any(any(row) for row in sub_rows):
-            raise ValueError("sublattice is not contained in the ambient lattice")
-        return FgAbelianGroup.trivial()
-    leads = _leads(basis)
-    coeff_rows = []
-    for row in sub_rows:
-        coeffs = _solve_against_echelon(basis, leads, row)
-        if coeffs is None:
-            raise ValueError("sublattice is not contained in the ambient lattice")
-        coeff_rows.append(coeffs)
-    return cokernel_group(len(basis), IntegerMatrix(coeff_rows, cols=len(basis)))
+def _row_times(row: dict[int, int], rows) -> dict[int, int]:
+    """The sparse row ``row`` times the matrix whose i-th row is ``rows[i]``."""
+    out: dict[int, int] = {}
+    for i, c in row.items():
+        _axpy(out, c, rows[i])
+    return out
+
+
+def _check_columns(rows, ncols: int) -> None:
+    if ncols < 0:
+        raise ValueError("negative generator count")
+    for row in rows:
+        for c in row:
+            if not 0 <= c < ncols:
+                raise ValueError(f"column {c} outside 0..{ncols - 1}")
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Integer row echelon of the lattice spanned by the sparse ``rows``, as
+    {leading column: row} in increasing column order.
+
+    Each leading value is positive and the rows span the same lattice.  An
+    incoming row is reduced at its leading column against the pivot row
+    there: subtracted off when the pivot divides it, and otherwise both rows
+    are replaced by their extended-gcd combination, whose pivot is the gcd
+    (the Hermite step of Kannan and Bachem).  The input rows are not touched.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            j = min(r)
+            p = pivots.get(j)
+            if p is None:
+                pivots[j] = r if r[j] > 0 else {c: -v for c, v in r.items()}
+                break
+            aa, bb = p[j], r[j]
+            if bb % aa == 0:
+                _axpy(r, -(bb // aa), p)
+            else:
+                x, y, g = _xgcd(aa, bb)
+                pivots[j], r = _combine(x, p, y, r), _combine(aa // g, r, -(bb // g), p)
+    return dict(sorted(pivots.items()))
+
+
+def _solve_against_echelon(basis: dict[int, dict[int, int]], vec) -> dict[int, int] | None:
+    """Coefficients {leading column: q} with ``vec`` the sum of q times the
+    basis row led there, or None when ``vec`` is outside the lattice."""
+    r = {c: v for c, v in vec.items() if v}
+    coeffs = {}
+    while r:
+        j = min(r)
+        p = basis.get(j)
+        if p is None or r[j] % p[j]:
+            return None
+        q = coeffs[j] = r[j] // p[j]
+        _axpy(r, -q, p)
+    return coeffs
+
+
+def lattice_member(basis: dict[int, dict[int, int]], vec) -> bool:
+    """Membership of the sparse ``vec`` in the lattice of an echelon basis."""
+    return _solve_against_echelon(basis, vec) is not None
 
 
 # --- presented groups and maps between them ---------------------------------
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Z^n_gens modulo the rows of ``relations``."""
+    """Z^n_gens modulo the sparse rows of ``relations``."""
 
     n_gens: int
-    relations: IntegerMatrix
+    relations: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if self.relations.cols != self.n_gens:
-            raise ValueError("relation width must equal generator count")
+        object.__setattr__(self, "relations", tuple(self.relations))
+        _check_columns(self.relations, self.n_gens)
 
     def group(self) -> FgAbelianGroup:
         return cokernel_group(self.n_gens, self.relations)
@@ -526,15 +458,16 @@ class GroupPresentation:
 class SimplifiedPresentation:
     """A reduced presentation together with the coordinate changes.
 
-    ``to_min`` maps old coordinates to reduced ones (row vector times matrix)
-    and ``from_min`` lifts a reduced generator back to old coordinates, so
-    ``from_min * to_min`` is the identity.  The reduced presentation has no
-    more generators than the old one, but it need not be minimal.
+    ``to_min`` maps old coordinates to reduced ones (row i is the image of
+    old generator i) and ``from_min`` lifts a reduced generator back to old
+    coordinates, so ``from_min`` times ``to_min`` is the identity.  The
+    reduced presentation has no more generators than the old one, but it
+    need not be minimal.
     """
 
     presentation: GroupPresentation
-    to_min: IntegerMatrix
-    from_min: IntegerMatrix
+    to_min: tuple[dict[int, int], ...]
+    from_min: tuple[dict[int, int], ...]
 
 
 def simplify_presentation(pres: GroupPresentation) -> SimplifiedPresentation:
@@ -549,31 +482,21 @@ def simplify_presentation(pres: GroupPresentation) -> SimplifiedPresentation:
     generators.
     """
     n = pres.n_gens
-    ech = _echelon(pres.relations.entries, n)
-    unit_rows = {}
-    other_rows = []
-    for row in ech:
-        j = _leading(row)
-        if row[j] == 1:
-            unit_rows[j] = row
-        else:
-            other_rows.append(row)
+    ech = _echelon(pres.relations)
+    unit_rows = {j: row for j, row in ech.items() if row[j] == 1}
     keep = [j for j in range(n) if j not in unit_rows]
-    m = len(keep)
-    to_min = {j: [int(t == pos) for t in range(m)] for pos, j in enumerate(keep)}
+    to_min = {j: {pos: 1} for pos, j in enumerate(keep)}
     for j in sorted(unit_rows, reverse=True):
         # e_j = -(sum over k > j of row[k] * e_k) in the group
-        image = [0] * m
-        for k, c in enumerate(unit_rows[j][j + 1:], start=j + 1):
-            if c:
-                for t, x in enumerate(to_min[k]):
-                    image[t] -= c * x
+        image: dict[int, int] = {}
+        for k, c in unit_rows[j].items():
+            if k != j:
+                _axpy(image, -c, to_min[k])
         to_min[j] = image
-    to_min_mat = IntegerMatrix([to_min[j] for j in range(n)], cols=m)
-    from_min = IntegerMatrix([[int(j == i) for j in range(n)] for i in keep], cols=n)
-    rel_rows = [_apply_row(row, to_min_mat) for row in other_rows]
-    mini = GroupPresentation(m, IntegerMatrix(rel_rows, cols=m))
-    return SimplifiedPresentation(mini, to_min_mat, from_min)
+    to_min_rows = tuple(to_min[j] for j in range(n))
+    rel_rows = [_row_times(row, to_min_rows) for j, row in ech.items() if j not in unit_rows]
+    mini = GroupPresentation(len(keep), rel_rows)
+    return SimplifiedPresentation(mini, to_min_rows, tuple({j: 1} for j in keep))
 
 
 @dataclass(frozen=True)
@@ -587,61 +510,58 @@ class AbelianGroupMap:
 
     source: GroupPresentation
     target: GroupPresentation
-    images: IntegerMatrix
+    images: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if self.images.rows != self.source.n_gens or self.images.cols != self.target.n_gens:
-            raise ValueError("image matrix shape must be n_source x n_target")
-        ech = _echelon([list(r) for r in self.target.relations.entries], self.target.n_gens)
-        leads = _leads(ech)
-        for rel in self.source.relations.entries:
-            vec = _apply_row(rel, self.images)
-            if _solve_against_echelon(ech, leads, vec) is None:
+        object.__setattr__(self, "images", tuple(self.images))
+        if len(self.images) != self.source.n_gens:
+            raise ValueError("need one image row per source generator")
+        _check_columns(self.images, self.target.n_gens)
+        basis = _echelon(self.target.relations)
+        for rel in self.source.relations:
+            if not lattice_member(basis, _row_times(rel, self.images)):
                 raise ValueError("images do not respect the source relations")
 
 
-def _apply_row(row, mat: IntegerMatrix) -> list[int]:
-    out = [0] * mat.cols
-    for i, c in enumerate(row):
-        if c:
-            mrow = mat.entries[i]
-            for j in range(mat.cols):
-                out[j] += c * mrow[j]
-    return out
+def kernel_generators(f: AbelianGroupMap) -> dict[int, dict[int, int]]:
+    """Echelon basis, in source generators, of the preimage of the target
+    relation lattice: lifts of a generating set of ker(f).
 
-
-def kernel_generators(f: AbelianGroupMap) -> list[list[int]]:
-    """Lifts (in source generators) of a generating set of ker(f)."""
-    ns, nt = f.source.n_gens, f.target.n_gens
-    stacked = [list(r) for r in f.images.entries]
-    stacked += [list(r) for r in f.target.relations.entries]
-    null = left_nullspace(stacked, nt)
-    gens = [row[:ns] for row in null]
-    return _echelon(gens, ns)
+    One echelon of the rows [images | identity] and [target relations | 0]:
+    its rows led past the target columns have a zero image part, and their
+    identity parts are the basis.
+    """
+    nt = f.target.n_gens
+    rows = [{**img, nt + i: 1} for i, img in enumerate(f.images)]
+    ech = _echelon(rows + list(f.target.relations))
+    return {j - nt: {c - nt: v for c, v in row.items()} for j, row in ech.items() if j >= nt}
 
 
 def kernel_of_map(f: AbelianGroupMap) -> FgAbelianGroup:
-    """Canonical form of the kernel, computed by pulling the target relation
-    lattice back through the lift to free covers."""
-    gens = kernel_generators(f)
-    sub = [list(r) for r in f.source.relations.entries]
-    return quotient_group(gens, sub, f.source.n_gens)
+    """Canonical form of the kernel: the preimage of the target relation
+    lattice modulo the source relations, which it contains."""
+    basis = kernel_generators(f)
+    index = {j: k for k, j in enumerate(basis)}
+    rows = []
+    for rel in f.source.relations:
+        coeffs = _solve_against_echelon(basis, rel)
+        if coeffs is None:
+            raise ValueError("source relations are not contained in the preimage lattice")
+        rows.append({index[j]: q for j, q in coeffs.items()})
+    return cokernel_group(len(basis), rows)
 
 
 def element_order(pres: GroupPresentation, vec) -> int | None:
-    """Order of the class of ``vec`` in the presented group (None = infinite).
+    """Order of the class of the sparse vector ``vec`` in the presented group
+    (None = infinite).
 
     With G the presented group and x the class, the order is read off two
     cokernels: x has infinite order exactly when G / <x> has smaller free
     rank than G, and otherwise x is torsion, so tors(G / <x>) = tors(G) / <x>
     and the order of x is the ratio of the two torsion orders.
     """
-    n = pres.n_gens
-    if len(vec) != n:
-        raise ValueError("vector length must equal generator count")
-    rows = [dict(enumerate(row)) for row in pres.relations.entries]
-    group = cokernel_group(n, rows)
-    return _order_from_quotient(group, cokernel_group(n, rows + [dict(enumerate(vec))]))
+    quotient = cokernel_group(pres.n_gens, (*pres.relations, vec))
+    return _order_from_quotient(pres.group(), quotient)
 
 
 def _order_from_quotient(group: FgAbelianGroup, quotient: FgAbelianGroup) -> int | None:

@@ -16,7 +16,6 @@ from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
-    IntegerMatrix,
     _order_from_quotient,
     cokernel_group,
     element_order,
@@ -147,18 +146,18 @@ def realize_slice(module: GradedModulePresentation, n: int) -> DegreeSlice:
         if rem >= 0 and rem % d == 0:
             basis.append((rem // d, gi))
     pos = {bk: idx for idx, bk in enumerate(basis)}
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []  # sparse: column -> coefficient
     for rel in module.relations:
         rem = n - module.relation_degree(rel)
         if rem < 0 or rem % d:
             continue
         k0 = rem // d
-        row = [0] * len(basis)
+        row: dict[int, int] = {}
         for coeff, exp, gi in rel:
-            row[pos[(k0 + exp, gi)]] += coeff
+            col = pos[(k0 + exp, gi)]
+            row[col] = row.get(col, 0) + coeff
         rows.append(row)
-    pres = GroupPresentation(len(basis), IntegerMatrix(rows, cols=len(basis)))
-    return DegreeSlice(n, tuple(basis), pres)
+    return DegreeSlice(n, tuple(basis), GroupPresentation(len(basis), rows))
 
 
 def realize_degree(module: GradedModulePresentation, n: int) -> FgAbelianGroup:
@@ -174,12 +173,7 @@ def v_multiplication_map(module: GradedModulePresentation, n: int) -> AbelianGro
     src = realize_slice(module, n)
     tgt = realize_slice(module, n + module.ring_degree)
     tgt_pos = {bk: idx for idx, bk in enumerate(tgt.basis)}
-    rows = []
-    for k, gi in src.basis:
-        row = [0] * len(tgt.basis)
-        row[tgt_pos[(k + 1, gi)]] = 1
-        rows.append(row)
-    images = IntegerMatrix(rows, cols=len(tgt.basis))
+    images = [{tgt_pos[(k + 1, gi)]: 1} for k, gi in src.basis]
     return AbelianGroupMap(src.presentation, tgt.presentation, images)
 
 
@@ -241,30 +235,21 @@ class TruncatedKuRing:
             raise ValueError("truncation must be at least 1")
 
     def presentation(self) -> GroupPresentation:
+        """Z^r on t, t^2, ..., t^r (column a is t^(a+1)) modulo the ring's
+        relations."""
         r = self.truncation
-        rows = []
-        for a in range(r - 1):  # t^(a+2) = -2 t^(a+1)
-            row = [0] * r
-            row[a + 1] = 1
-            row[a] = 2
-            rows.append(row)
-        last = [0] * r
-        last[r - 1] = 2  # t^(r+1) = 0 forces 2 t^r = 0
-        rows.append(last)
-        return GroupPresentation(r, IntegerMatrix(rows, cols=r))
+        rows = [{a: 2, a + 1: 1} for a in range(r - 1)]  # t^(a+2) = -2 t^(a+1)
+        rows.append({r - 1: 2})  # t^(r+1) = 0 forces 2 t^r = 0
+        return GroupPresentation(r, rows)
 
-    def multiply(self, left, right) -> list[int]:
-        r = self.truncation
-        out = [0] * r
-        for a in range(1, r + 1):
-            ca = left[a - 1]
-            if not ca:
-                continue
-            for b in range(1, r + 1):
-                cb = right[b - 1]
-                if cb and a + b <= r:
-                    out[a + b - 1] += ca * cb
-        return out
+    def multiply(self, left, right) -> dict[int, int]:
+        """Product of two sparse vectors on t, ..., t^r (column a is t^(a+1))."""
+        out: dict[int, int] = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                if a + b + 1 < self.truncation:
+                    out[a + b + 1] = out.get(a + b + 1, 0) + ca * cb
+        return {k: c for k, c in out.items() if c}
 
     def reduced_group(self) -> FgAbelianGroup:
         return self.presentation().group()
@@ -310,10 +295,10 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
         raise ValueError("truncations must be at least 1")
     left_pres = TruncatedKuRing(r).presentation()
     right_pres = TruncatedKuRing(v).presentation()
-    rows = [{a * v + b: c for a, c in enumerate(rel) if c}
-            for rel in left_pres.relations.entries for b in range(v)]
-    rows += [{a * v + b: c for b, c in enumerate(rel) if c}
-             for rel in right_pres.relations.entries for a in range(r)]
+    rows = [{a * v + b: c for a, c in rel.items()}
+            for rel in left_pres.relations for b in range(v)]
+    rows += [{a * v + b: c for b, c in rel.items()}
+             for rel in right_pres.relations for a in range(r)]
     smash = cokernel_group(r * v, rows)
     order = _order_from_quotient(smash, cokernel_group(r * v, rows + [{0: 1}]))
     generates = (

@@ -17,9 +17,8 @@ from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
-    IntegerMatrix,
     SimplifiedPresentation,
-    _apply_row,
+    _row_times,
     cokernel_group,
     kernel_of_map,
     simplify_presentation,
@@ -112,18 +111,6 @@ def tensor_degree(
     return cokernel_group(len(basis), rows)
 
 
-def _shift_slice_vector(src: DegreeSlice, tgt: DegreeSlice, vec: list[int]) -> list[int]:
-    """Image of a degree-slice vector under multiplication by v, written in
-    the basis of the slice one ring-degree higher."""
-    tgt_pos = {bk: idx for idx, bk in enumerate(tgt.basis)}
-    out = [0] * len(tgt.basis)
-    for idx, coeff in enumerate(vec):
-        if coeff:
-            k, gi = src.basis[idx]
-            out[tgt_pos[(k + 1, gi)]] += coeff
-    return out
-
-
 @lru_cache(maxsize=None)
 def _simplified_slice(
     module: GradedModulePresentation, deg: int
@@ -162,33 +149,25 @@ def tor1_degree(
         offsets.append(total)
         total += simp.presentation.n_gens
 
-    rel_rows = []
-    for off, (_, simp) in zip(offsets, blocks):
-        mini = simp.presentation
-        for rel in mini.relations.entries:
-            row = [0] * total
-            row[off:off + mini.n_gens] = rel
-            rel_rows.append(row)
-    source = GroupPresentation(total, IntegerMatrix(rel_rows, cols=total))
-
+    # a block's columns are its reduced generators shifted by its offset
+    source = GroupPresentation(total, [
+        {off + c: x for c, x in rel.items()}
+        for off, (_, simp) in zip(offsets, blocks) for rel in simp.presentation.relations
+    ])
     p = module.p
-    image_rows = []
+    images = []
     for bj, (slc, simp) in enumerate(blocks):
-        for t in range(simp.presentation.n_gens):
-            old = list(simp.from_min.row(t))
-            row = [0] * total
-            # p times the identity into block bj
-            mapped = _apply_row([p * c for c in old], simp.to_min)
-            row[offsets[bj]:offsets[bj] + len(mapped)] = mapped
-            if bj >= 1:
-                # -v into block bj - 1, which ends where block bj starts
-                up_slc, up_simp = blocks[bj - 1]
-                shifted = _shift_slice_vector(slc, up_slc, old)
-                row[offsets[bj - 1]:offsets[bj]] = _apply_row(
-                    [-c for c in shifted], up_simp.to_min
-                )
-            image_rows.append(row)
-    images = IntegerMatrix(image_rows, cols=total)
+        if bj:
+            # v times v^k g is v^(k+1) g, in the slice of block bj - 1
+            up_slc, up_simp = blocks[bj - 1]
+            up_pos = {bk: idx for idx, bk in enumerate(up_slc.basis)}
+            v_rows = [up_simp.to_min[up_pos[(k + 1, gi)]] for k, gi in slc.basis]
+        for t, old in enumerate(simp.from_min):
+            # p times the identity into block bj, and -v into block bj - 1
+            row = {offsets[bj] + t: p}
+            if bj:
+                row.update((offsets[bj - 1] + c, -x) for c, x in _row_times(old, v_rows).items())
+            images.append(row)
     return kernel_of_map(AbelianGroupMap(source, source, images))
 
 
