@@ -11,6 +11,7 @@ from .abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
+    IntegerMatrix,
     cokernel_group,
     kernel_of_map,
     parse_group,
@@ -60,6 +61,7 @@ __all__ = [
     "GradedGroup",
     "GradedModulePresentation",
     "GroupPresentation",
+    "IntegerMatrix",
     "KunnethReport",
     "LongExactSequence",
     "SteenrodModule",

@@ -7,7 +7,8 @@ rounded.
 
 There is one row format: a sparse row, a mapping column -> value whose zero
 values are ignored.  Relations, images of generators, coordinate changes and
-vectors are all rows of this kind, and two elimination cores work on them.
+vectors are all rows of this kind (presentations and maps keep read-only
+copies), and two elimination cores work on them.
 :func:`_invariant_factors` computes invariants: every cokernel, and through
 it every group order and element order, goes through this one elimination,
 which keeps no coordinate changes.  :func:`_echelon` computes lattice bases
@@ -20,8 +21,10 @@ coordinate changes of :func:`simplify_presentation`.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import index
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -380,15 +383,6 @@ def _row_times(row: dict[int, int], rows) -> dict[int, int]:
     return out
 
 
-def _check_columns(rows, ncols: int) -> None:
-    if ncols < 0:
-        raise ValueError("negative generator count")
-    for row in rows:
-        for c in row:
-            if not 0 <= c < ncols:
-                raise ValueError(f"column {c} outside 0..{ncols - 1}")
-
-
 def _echelon(rows) -> dict[int, dict[int, int]]:
     """Integer row echelon of the lattice spanned by the sparse ``rows``, as
     {leading column: row} in increasing column order.
@@ -439,16 +433,56 @@ def lattice_member(basis: dict[int, dict[int, int]], vec) -> bool:
 
 # --- presented groups and maps between them ---------------------------------
 
+class _Row(dict):
+    """A row of a presentation or a map: a dict that refuses changes, so rows
+    shared through caches stay as built, and hashes by its entries."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("rows of presentations and maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _Row, (dict(self),)
+
+
+def _frozen_rows(rows, ncols: int) -> tuple[_Row, ...]:
+    """Read-only copies of the sparse ``rows``, zero values dropped, after
+    checking for integer values and columns in ``[0, ncols)``."""
+    if ncols < 0:
+        raise ValueError("negative generator count")
+    out = []
+    for row in rows:
+        if not isinstance(row, Mapping):
+            raise TypeError(f"a row maps columns to values, not a {type(row).__name__}")
+        if row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError(f"row {dict(row)} has a column outside 0..{ncols - 1}")
+        out.append(_Row({index(c): index(v) for c, v in row.items() if v}))
+    return tuple(out)
+
+
+def IntegerMatrix(entries, cols: int | None = None) -> tuple[dict[int, int], ...]:  # noqa: N802
+    """Sparse rows of a dense matrix with rows of one length, ``cols`` if given:
+    ``GroupPresentation(2, IntegerMatrix([[2, 0], [0, 4]]))`` is Z/2 ⊕ Z/4."""
+    rows = [dict(enumerate(row)) for row in entries]
+    width = len(rows[0]) if rows else cols or 0
+    if any(len(row) != width for row in rows) or cols not in (None, width):
+        raise ValueError("rows of unequal lengths, or not cols long")
+    return _frozen_rows(rows, width)
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Z^n_gens modulo the sparse rows of ``relations``."""
+    """Z^n_gens modulo the sparse rows of ``relations``, held as read-only copies."""
 
     n_gens: int
     relations: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(self.relations))
-        _check_columns(self.relations, self.n_gens)
+        object.__setattr__(self, "relations", _frozen_rows(self.relations, self.n_gens))
 
     def group(self) -> FgAbelianGroup:
         return cokernel_group(self.n_gens, self.relations)
@@ -468,6 +502,11 @@ class SimplifiedPresentation:
     presentation: GroupPresentation
     to_min: tuple[dict[int, int], ...]
     from_min: tuple[dict[int, int], ...]
+
+    def __post_init__(self):
+        to_min = _frozen_rows(self.to_min, self.presentation.n_gens)
+        object.__setattr__(self, "to_min", to_min)
+        object.__setattr__(self, "from_min", _frozen_rows(self.from_min, len(to_min)))
 
 
 def simplify_presentation(pres: GroupPresentation) -> SimplifiedPresentation:
@@ -513,10 +552,9 @@ class AbelianGroupMap:
     images: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _frozen_rows(self.images, self.target.n_gens))
         if len(self.images) != self.source.n_gens:
             raise ValueError("need one image row per source generator")
-        _check_columns(self.images, self.target.n_gens)
         basis = _echelon(self.target.relations)
         for rel in self.source.relations:
             if not lattice_member(basis, _row_times(rel, self.images)):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from math import gcd, lcm, prod
 
@@ -11,6 +13,7 @@ from kconn.abelian import (
     AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
+    IntegerMatrix,
     _echelon,
     _solve_against_echelon,
     cokernel_group,
@@ -227,6 +230,58 @@ def test_cokernel_matrix_width_checked():
         AbelianGroupMap(pres(1, []), pres(1, []), [{1: 1}])
     with pytest.raises(ValueError):
         AbelianGroupMap(pres(2, []), pres(1, []), [{0: 1}])
+
+
+def test_presentations_and_maps_hold_read_only_copies():
+    # editing the caller's rows after construction changes nothing, and the
+    # rows of a presentation, a map or a simplification refuse edits
+    rows = [{0: 2, 1: 0}, {1: 4}]
+    images = [{0: 1}, {1: 1}]
+    g = GroupPresentation(2, rows)
+    f = AbelianGroupMap(g, g, images)
+    rows[0][0] = 1
+    rows.append({1: 1})
+    images[0][1] = 1
+    assert g.relations == ({0: 2}, {1: 4})
+    assert g.group() == FgAbelianGroup(0, (2, 4))
+    assert f.images == ({0: 1}, {1: 1})
+    simp = simplify_presentation(GroupPresentation(3, [{0: 1, 2: 3}, {1: 6}]))
+    held = (*g.relations, *f.images, *simp.to_min, *simp.from_min,
+            *simp.presentation.relations)
+    for row in held:
+        for edit in (lambda r: r.__setitem__(0, 5), lambda r: r.__delitem__(0),
+                     lambda r: r.update({0: 5}), lambda r: r.pop(0, None),
+                     lambda r: r.setdefault(0, 5), lambda r: r.clear(),
+                     lambda r: r.popitem(), lambda r: r.__ior__({0: 5})):
+            with pytest.raises(TypeError):
+                edit(row)
+    # equal presentations and maps hash alike, and copies compare equal
+    g2 = GroupPresentation(2, [{0: 2}, {1: 4, 0: 0}])
+    assert hash(g2) == hash(g)
+    assert hash(AbelianGroupMap(g2, g2, [{0: 1}, {1: 1}])) == hash(f)
+    assert copy.deepcopy(simp) == simp and pickle.loads(pickle.dumps(f)) == f
+
+
+@pytest.mark.parametrize("row", [[2, 0], {0: 2.5}, {"0": 2}, {0: "2"}])
+def test_presentation_rows_must_map_integer_columns_to_integers(row):
+    with pytest.raises(TypeError):
+        GroupPresentation(2, [row])
+    with pytest.raises(TypeError):
+        AbelianGroupMap(pres(1, []), pres(2, []), [row])
+
+
+def test_integer_matrix_gives_sparse_rows():
+    # dense input reaches presentations and maps through IntegerMatrix
+    assert IntegerMatrix([[2, 0, 0], [0, 0, -4]]) == ({0: 2}, {2: -4})
+    assert IntegerMatrix([], 2) == ()
+    assert IntegerMatrix([[0, 0]], 2) == ({},)
+    g = GroupPresentation(2, IntegerMatrix([[2, 0], [0, 4]]))
+    assert g.group() == FgAbelianGroup(0, (2, 4))
+    doubling = AbelianGroupMap(g, g, IntegerMatrix([[2, 0], [0, 2]], 2))
+    assert kernel_of_map(doubling) == FgAbelianGroup(0, (2, 2))
+    for entries, cols in (([[1], [1, 2]], None), ([[1, 2]], 3), ([], -1)):
+        with pytest.raises(ValueError):
+            IntegerMatrix(entries, cols)
 
 
 # entries lean to zero and to non-units, so the non-unit stage gets work
