@@ -18,7 +18,6 @@ from .abelian import (
     render_group,
 )
 from .exactseq import (
-    BO_COEFFICIENTS,
     LongExactSequence,
     alternating_order_check,
     bo1_les_consistency,
@@ -29,16 +28,13 @@ from .exactseq import (
     table_group,
 )
 from .kmods import (
-    GradedGroup,
     GradedModulePresentation,
     TruncatedKuRing,
     bu_bzp_group,
-    cofiber_homology,
     ku_smash_check,
     lu_bzp_presentation,
     lu_closed_form,
     realize_degree,
-    shift,
 )
 from .kunneth import (
     KunnethReport,
@@ -56,9 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroupMap",
-    "BO_COEFFICIENTS",
     "FgAbelianGroup",
-    "GradedGroup",
     "GradedModulePresentation",
     "GroupPresentation",
     "IntegerMatrix",
@@ -72,7 +66,6 @@ __all__ = [
     "bo_smash_group",
     "bott_audit",
     "bu_bzp_group",
-    "cofiber_homology",
     "cokernel_group",
     "hom_dim",
     "image_order_solve",
@@ -86,7 +79,6 @@ __all__ = [
     "realize_degree",
     "render_group",
     "run_acceptance",
-    "shift",
     "sq_action",
     "table_group",
     "tensor_degree",

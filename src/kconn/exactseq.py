@@ -218,33 +218,6 @@ def table_group(theory: str, n: int, table: FixtureTable | None = None) -> FgAbe
     return table.lookup(theory, n)[0]
 
 
-@dataclass(frozen=True)
-class BoCoefficients:
-    """Declared fixture: the coefficient ring of orthogonal connective
-    K-theory and the module-structure remarks that are stored but not
-    machine-verified."""
-
-    generator_degrees: tuple[tuple[str, int], ...] = (
-        ("eta", 1),
-        ("alpha", 4),
-        ("beta", 8),
-    )
-    relations: tuple[str, ...] = (
-        "2*eta",
-        "eta^3",
-        "eta*alpha",
-        "alpha^2 - 4*beta",
-    )
-    module_structure_notes: tuple[str, ...] = (
-        "eta-multiplication nontrivial from degrees 8n+1 to 8n+2 and 8n+2 to 8n+3",
-        "alpha-multiplication has kernel of order 4 from 8n+3 to 8n+7, injective from 8n+7 to 8n+11",
-        "beta-multiplication is always injective",
-    )
-
-
-BO_COEFFICIENTS = BoCoefficients()
-
-
 # --- long exact sequences ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -256,8 +229,7 @@ class SequenceNode:
 @dataclass(frozen=True)
 class LongExactSequence:
     """Ordered nodes of an exact sequence with arrow labels as annotations.
-    Zero positions are the nodes whose groups are trivial; checks require the
-    sequence to start and end at such nodes."""
+    Checks require the sequence to start and end at trivial nodes."""
 
     nodes: tuple[SequenceNode, ...]
     arrow_labels: tuple[str, ...] = ()
@@ -265,9 +237,6 @@ class LongExactSequence:
     def __post_init__(self):
         if self.arrow_labels and len(self.arrow_labels) != len(self.nodes) - 1:
             raise ValueError("need one arrow label between consecutive nodes")
-
-    def zero_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, node in enumerate(self.nodes) if node.group.is_trivial())
 
 
 def _require_checkable(seq: LongExactSequence):
@@ -377,12 +346,17 @@ ETA_COVER = (("bo", -1, "eta~"), ("bo1", 0, "c~"), ("bu", -2, "d"))
 def exact_sequence(terms, groups, top: int) -> LongExactSequence:
     """The 3-periodic long exact sequence of ``terms`` (``BOTT``, ``COVER``
     or ``ETA_COVER``) built from degree ``top`` down to the vanishing range;
-    ``groups`` maps each name to its group function."""
+    ``groups`` maps each name to its group function.
+
+    Every group below degree 0 is trivial: a group function is called only
+    for degrees 0 and up, and may raise on a degree it does not cover."""
     nodes: list[SequenceNode] = []
     labels: list[str] = []
     for i in range(top, -2, -1):
         for name, shift, arrow in terms:
-            nodes.append(SequenceNode(f"{name}_{i + shift}", groups[name](i + shift)))
+            n = i + shift
+            group = groups[name](n) if n >= 0 else FgAbelianGroup.trivial()
+            nodes.append(SequenceNode(f"{name}_{n}", group))
             labels.append(arrow)
     nodes, labels = _trim_to_zero(nodes, labels)
     return LongExactSequence(nodes, labels[: len(nodes) - 1])
@@ -392,13 +366,6 @@ def bott_sequence(bo_at, bu_at, top: int) -> LongExactSequence:
     """The long exact sequence relating the orthogonal and unitary theories
     (``BOTT``), built from degree ``top`` down to the vanishing range."""
     return exact_sequence(BOTT, {"bo": bo_at, "bu": bu_at}, top)
-
-
-def _guarded(table_fn):
-    def at(n: int) -> FgAbelianGroup:
-        return FgAbelianGroup.trivial() if n < 0 else table_fn(n)
-
-    return at
 
 
 # --- the decomposition and the audit ---------------------------------------------------
@@ -426,12 +393,13 @@ def bo1_les_consistency(
     override of cover values, used to demonstrate detection)."""
     table = table or load_fixture_table()
     override = bo1_override or {}
-    bo1_at = _guarded(lambda n: table_group("bo1_rp", n, table))
+    if any(n < 0 for n in override):
+        raise ValueError("cover overrides must be in degrees 0 and up")
     groups = {
-        "bo": _guarded(lambda n: table_group("bo_rp", n, table)),
-        "bo1": lambda n: override[n] if n in override else bo1_at(n),
-        "H": _guarded(lambda n: table_group("h_rp", n, table)),
-        "bu": _guarded(lambda n: bu_bzp_group(2, n)),
+        "bo": lambda n: table_group("bo_rp", n, table),
+        "bo1": lambda n: override[n] if n in override else table_group("bo1_rp", n, table),
+        "H": lambda n: table_group("h_rp", n, table),
+        "bu": lambda n: bu_bzp_group(2, n),
     }
     seq_a = exact_sequence(COVER, groups, n_max)
     seq_b = exact_sequence(ETA_COVER, groups, n_max)
@@ -525,17 +493,6 @@ class BottAudit:
         return "\n".join(lines)
 
 
-def _smash_bu_at(n_max: int):
-    values = {m: kunneth_smash_group(2, m, method="closed_form") for m in range(n_max + 1)}
-
-    def at(n: int) -> FgAbelianGroup:
-        if n < 0:
-            return FgAbelianGroup.trivial()
-        return values[n]
-
-    return at
-
-
 def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> BottAudit:
     """Feasibility audit of the Bott sequence.
 
@@ -549,20 +506,16 @@ def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> Bot
         raise ValueError("space must be 'rp' or 'smash'")
     table = table or load_fixture_table()
     if space == "rp":
-        bo_at = _guarded(lambda n: table_group("bo_rp", n, table))
-        bu_at = _guarded(lambda n: bu_bzp_group(2, n))
-        seq = bott_sequence(bo_at, bu_at, n_max)
+        seq = bott_sequence(
+            lambda n: table_group("bo_rp", n, table), lambda n: bu_bzp_group(2, n), n_max
+        )
         feasible = alternating_order_check(seq) and image_order_solve(seq).feasible
         anchor = int(seq.nodes[0].label.split("_")[1])
         return BottAudit("rp", n_max, anchor, feasible, (), ())
 
     computed = {m: bo_smash_group(m, table) for m in range(n_max + 1)}
-    bu_at = _smash_bu_at(n_max)
-
-    def bo_at_base(n: int) -> FgAbelianGroup:
-        return FgAbelianGroup.trivial() if n < 0 else computed[n]
-
-    baseline = bott_sequence(bo_at_base, bu_at, n_max)
+    bu = {m: kunneth_smash_group(2, m, method="closed_form") for m in range(n_max + 1)}
+    baseline = bott_sequence(computed.__getitem__, bu.__getitem__, n_max)
     base_solve = image_order_solve(baseline)
     baseline_ok = alternating_order_check(baseline) and base_solve.feasible
     anchor = int(baseline.nodes[0].label.split("_")[1])
@@ -581,13 +534,7 @@ def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> Bot
                 RowFinding(row.row_name(), "confirmed", degrees, printed_str, computed_str, None, "")
             )
             continue
-
-        def bo_at_sub(n: int, _printed=printed_vals) -> FgAbelianGroup:
-            if n < 0:
-                return FgAbelianGroup.trivial()
-            return _printed.get(n, computed[n])
-
-        seq = bott_sequence(bo_at_sub, bu_at, n_max)
+        seq = bott_sequence({**computed, **printed_vals}.__getitem__, bu.__getitem__, n_max)
         solve = image_order_solve(seq)
         if not solve.feasible:
             position = seq.nodes[solve.infeasible_at].label

@@ -3,8 +3,7 @@
 The classifying-space module over Z[v] (deg v = 2p-2) is held as a truncated
 presentation; degree pieces are realised exactly as cokernels of integer
 relation matrices and compared against the cyclic closed form.  The truncated
-projective-space K-ring check and the integral homology fixture of the circle
-cofiber live here as well.
+projective-space K-ring check lives here as well.
 """
 
 from __future__ import annotations
@@ -129,9 +128,6 @@ class DegreeSlice:
     basis: tuple[tuple[int, int], ...]
     presentation: GroupPresentation
 
-    def index_of(self, k: int, gen: int) -> int:
-        return self.basis.index((k, gen))
-
 
 @lru_cache(maxsize=None)
 def realize_slice(module: GradedModulePresentation, n: int) -> DegreeSlice:
@@ -195,32 +191,6 @@ def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
     copies of the summand theory."""
     parts = [lu_closed_form(p, n - 2 * a) for a in range(p - 1)]
     return FgAbelianGroup.trivial().direct_sum(*parts)
-
-
-@dataclass(frozen=True)
-class GradedGroup:
-    """Groups indexed by a finite degree window; degrees outside the window
-    are undefined, never silently zero."""
-
-    lo: int
-    hi: int
-    groups: tuple[FgAbelianGroup, ...]
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("empty window")
-        if len(self.groups) != self.hi - self.lo + 1:
-            raise ValueError("window size disagrees with the group list")
-
-    def at(self, j: int) -> FgAbelianGroup:
-        if not self.lo <= j <= self.hi:
-            raise ValueError(f"degree {j} outside window [{self.lo}, {self.hi}]")
-        return self.groups[j - self.lo]
-
-
-def shift(graded: GradedGroup, n: int) -> GradedGroup:
-    """Shift convention: the result in degree j is the input in degree j + n."""
-    return GradedGroup(graded.lo - n, graded.hi - n, graded.groups)
 
 
 @dataclass(frozen=True)
@@ -308,10 +278,3 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     )
     return KuSmashCheck(r, v, left_pres.group(), smash, order, generates)
 
-
-def cofiber_homology(n: int) -> FgAbelianGroup:
-    """Integral homology of the cofiber of the circle classifying-space
-    inclusion: a copy of Z in every even non-negative degree."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    return FgAbelianGroup.free(1) if n % 2 == 0 else FgAbelianGroup.trivial()

@@ -153,13 +153,17 @@ class SteenrodModule:
         return [a ^ b for a, b in zip(first, second)]
 
 
+def _checked_module(alg: str, space: str) -> SteenrodModule:
+    if alg not in ("B", "E"):
+        raise ValueError("algebra must be 'B' or 'E'")
+    return SteenrodModule(space)
+
+
 def _image_rows(module: SteenrodModule, alg: str, degree: int) -> list[int]:
     if alg == "B":
         rows = module.sq_matrix(1, degree - 1) + module.sq_matrix(2, degree - 2)
-    elif alg == "E":
-        rows = module.sq_matrix(1, degree - 1) + module.q1_matrix(degree - 3)
     else:
-        raise ValueError("algebra must be 'B' or 'E'")
+        rows = module.sq_matrix(1, degree - 1) + module.q1_matrix(degree - 3)
     return [r for r in rows if r]
 
 
@@ -167,9 +171,7 @@ def hom_dim(alg: str, space: str, degree: int) -> int:
     """Dimension of the module homomorphisms from the degree piece into the
     trivial one-dimensional module: functionals vanishing on the image of the
     positive-degree action."""
-    if degree < 0:
-        return 0
-    module = SteenrodModule(space)
+    module = _checked_module(alg, space)
     k = len(module.basis(degree))
     if k == 0:
         return 0
@@ -178,7 +180,7 @@ def hom_dim(alg: str, space: str, degree: int) -> int:
 
 def hom_basis(alg: str, space: str, degree: int) -> list[int]:
     """Bitmask basis (over the degree monomial basis) of the functionals."""
-    module = SteenrodModule(space)
+    module = _checked_module(alg, space)
     k = len(module.basis(degree))
     if k == 0:
         return []

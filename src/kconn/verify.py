@@ -16,7 +16,10 @@ from itertools import product
 from .abelian import FgAbelianGroup
 from .exactseq import (
     bo1_les_consistency,
+    bo_smash_group,
     bott_audit,
+    bott_sequence,
+    image_order_solve,
     load_fixture_table,
 )
 from .kmods import (
@@ -212,20 +215,12 @@ def _degree_3_instance_forced(table) -> bool:
     """The single degree-3 printed entry is already infeasible: with every
     other group at its corrected value, the sequence bounds the degree-3
     order by 4, below the printed 8."""
-    from .exactseq import bo_smash_group, bott_sequence, image_order_solve
-    from .kunneth import kunneth_smash_group as smash
-
     printed_3 = table.lookup("bo_smash_printed", 3)[0]
 
     def bo_at(n: int) -> FgAbelianGroup:
-        if n == 3:
-            return printed_3
-        return FgAbelianGroup.trivial() if n < 0 else bo_smash_group(n, table)
+        return printed_3 if n == 3 else bo_smash_group(n, table)
 
-    def bu_at(n: int) -> FgAbelianGroup:
-        return FgAbelianGroup.trivial() if n < 0 else smash(2, n, "closed_form")
-
-    seq = bott_sequence(bo_at, bu_at, 13)
+    seq = bott_sequence(bo_at, lambda n: kunneth_smash_group(2, n, "closed_form"), 13)
     return not image_order_solve(seq).feasible
 
 

@@ -299,3 +299,18 @@ def test_cli_golden(capsys, invocation, fmt):
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     want = GOLDEN_CLI[invocation][fmt]
     assert (code, digest) == (want["exit"], want["sha256"])
+
+
+# --- the library as documented ------------------------------------------------
+
+def test_readme_library_block_runs_and_exports_resolve():
+    # the README's library example runs as printed, and every exported name
+    # exists, so the docs and kconn.__all__ cannot drift from the code
+    import kconn
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    missing = [name for name in kconn.__all__ if not hasattr(kconn, name)]
+    assert missing == []

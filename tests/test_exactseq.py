@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kconn.abelian import FgAbelianGroup, render_group
 from kconn.exactseq import (
-    BO_COEFFICIENTS,
     BOTT,
     COVER,
     ETA_COVER,
@@ -206,13 +205,6 @@ def test_h_table_values():
     assert table_group("h_rp", 6) == trivial()
 
 
-def test_coefficient_fixture_is_declared():
-    degrees = dict(BO_COEFFICIENTS.generator_degrees)
-    assert degrees == {"eta": 1, "alpha": 4, "beta": 8}
-    assert "alpha^2 - 4*beta" in BO_COEFFICIENTS.relations
-    assert len(BO_COEFFICIENTS.module_structure_notes) == 3
-
-
 # --- the decomposition --------------------------------------------------------------------
 
 def test_bo_smash_values():
@@ -260,6 +252,12 @@ def test_bo1_les_vacuous():
     assert bo1_les_consistency(0)
 
 
+def test_bo1_les_rejects_negative_override():
+    # the sequences never ask below degree 0, so the key would be ignored
+    with pytest.raises(ValueError, match="degrees 0 and up"):
+        bo1_les_consistency(26, {-1: C(2)})
+
+
 def test_bott_audit_rp():
     audit = bott_audit("rp", 24)
     assert audit.baseline_feasible
@@ -305,12 +303,30 @@ def test_audit_serialisation():
 
 
 def test_bott_sequence_structure():
-    bo_at = lambda n: table_group("bo_rp", n) if n >= 0 else trivial()
-    bu_at = lambda n: bu_bzp_group(2, n) if n >= 0 else trivial()
+    bo_at = lambda n: table_group("bo_rp", n)
+    bu_at = lambda n: bu_bzp_group(2, n)
     seq = bott_sequence(bo_at, bu_at, 10)
     assert seq.nodes[0].group.is_trivial()
     assert seq.nodes[-1].group.is_trivial()
     assert len(seq.arrow_labels) == len(seq.nodes) - 1
+
+
+def test_exact_sequence_owns_the_vanishing_range():
+    # group functions are asked only for degrees 0 and up, every node below
+    # degree 0 is trivial, and a degree a table does not cover still raises
+    asked = []
+
+    def bo_at(n):
+        asked.append(n)
+        return table_group("bo_rp", n)
+
+    seq = exact_sequence(BOTT, {"bo": bo_at, "bu": lambda n: bu_bzp_group(2, n)}, 10)
+    assert min(asked) == 0
+    below = [node for node in seq.nodes if int(node.label.split("_")[1]) < 0]
+    assert below and all(node.group.is_trivial() for node in below)
+    bo = {n: table_group("bo_rp", n) for n in range(9)}
+    with pytest.raises(KeyError):
+        bott_sequence(bo.__getitem__, lambda n: bu_bzp_group(2, n), 10)
 
 
 SHAPES = json.loads(
@@ -327,10 +343,10 @@ def test_sequence_shapes(name, terms):
     # node labels, node groups and arrow labels over the packaged tables,
     # recorded from the three separate builders that exact_sequence replaced
     def at(theory):
-        return lambda n: trivial() if n < 0 else table_group(theory, n)
+        return lambda n: table_group(theory, n)
 
     groups = {"bo": at("bo_rp"), "bo1": at("bo1_rp"), "H": at("h_rp"),
-              "bu": lambda n: trivial() if n < 0 else bu_bzp_group(2, n)}
+              "bu": lambda n: bu_bzp_group(2, n)}
     seq = exact_sequence(terms, groups, SHAPES["top"])
     want = SHAPES["sequences"][name]
     assert [node.label for node in seq.nodes] == want["nodes"]
@@ -346,18 +362,12 @@ def test_bott_audit_rejects_unknown_space():
 def test_degree_3_printed_entry_alone_is_infeasible():
     # with every other group corrected, the printed degree-3 value still
     # breaks the sequence: its order is bounded by 4
-    from kconn.exactseq import bott_sequence
     from kconn.kunneth import kunneth_smash_group
 
     def bo_at(n):
-        if n == 3:
-            return C(8)
-        return trivial() if n < 0 else bo_smash_group(n)
+        return C(8) if n == 3 else bo_smash_group(n)
 
-    def bu_at(n):
-        return trivial() if n < 0 else kunneth_smash_group(2, n, "closed_form")
-
-    seq = bott_sequence(bo_at, bu_at, 13)
+    seq = bott_sequence(bo_at, lambda n: kunneth_smash_group(2, n, "closed_form"), 13)
     res = image_order_solve(seq)
     assert not res.feasible
     assert "bo_3" in seq.nodes[res.infeasible_at].label or "bu_3" in seq.nodes[res.infeasible_at].label

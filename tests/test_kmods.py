@@ -6,22 +6,18 @@ import pytest
 
 from kconn.abelian import FgAbelianGroup, kernel_of_map
 from kconn.kmods import (
-    GradedGroup,
     TruncatedKuRing,
     bu_bzp_group,
-    cofiber_homology,
     ku_smash_check,
     lu_bzp_presentation,
     lu_closed_form,
     realize_degree,
-    shift,
     v_multiplication_map,
 )
 
 from .test_abelian import enumerate_quotient_order, reference_group
 
 C = FgAbelianGroup.cyclic
-Z = FgAbelianGroup.free
 trivial = FgAbelianGroup.trivial
 
 
@@ -128,22 +124,6 @@ def test_bu_order_against_cell_count(p):
         assert bu_bzp_group(p, n).order() == ahss_order(p, n), (p, n)
 
 
-# --- shift ---------------------------------------------------------------------------
-
-def test_shift_convention():
-    a = GradedGroup(2, 4, (trivial(), C(2), trivial()))
-    b = shift(a, 1)
-    assert b.at(2) == C(2)  # result_2 equals input_3
-    assert shift(a, 0).at(3) == a.at(3)
-    assert shift(shift(a, 5), -5).at(3) == a.at(3)
-
-
-def test_shift_window_guard():
-    a = GradedGroup(0, 2, (trivial(), C(2), trivial()))
-    with pytest.raises(ValueError):
-        shift(a, 1).at(2)
-
-
 # --- truncated KU ring -----------------------------------------------------------------
 
 def test_truncated_ring_reduced_group():
@@ -235,16 +215,6 @@ def test_ku_smash_check_against_dense_reference(r, v):
         group = reference_group(n, rows)
         assert chk.smash_group == group
         assert chk.generator_order == group.order() // reference_group(n, rows + [t_t]).order()
-
-
-# --- cofiber homology fixture -------------------------------------------------------------
-
-def test_cofiber_homology():
-    assert cofiber_homology(0) == Z(1)
-    assert cofiber_homology(7) == trivial()
-    assert cofiber_homology(10) == Z(1)
-    with pytest.raises(ValueError):
-        cofiber_homology(-1)
 
 
 def test_ku_smash_check_rejects_bad_truncations():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,18 @@ def test_hom_dim_examples():
     assert hom_dim("B", "smash", 3) == 1
 
 
+@pytest.mark.parametrize("fn", [hom_dim, hom_basis])
+@pytest.mark.parametrize("space", ["rp", "smash"])
+@pytest.mark.parametrize("degree", [-1, 0, 1, 5])
+def test_hom_functions_check_arguments_in_every_degree(fn, space, degree):
+    # checked before the empty-basis early return, so a bad argument fails
+    # alike in a degree with no monomials
+    with pytest.raises(ValueError, match="algebra must be"):
+        fn("X", space, degree)
+    with pytest.raises(ValueError, match="space must be"):
+        fn("B", space + "-bogus", degree)
+
+
 def test_hom_dim_closed_forms():
     for i in range(2, 31):
         expected_b = (i - 1) // 2 if i % 2 else 1 + i // 2
@@ -236,6 +250,12 @@ def test_hom_sequence_full_range():
     for rec in report.records:
         assert rec.closed_forms_ok, rec
         assert rec.exact == (rec.degree != 4), rec
+
+
+def test_hom_sequence_golden_to_200():
+    # recorded before any change to the F2 core; pins every record byte for byte
+    digest = hashlib.sha256(verify_hom_sequence(200).to_json().encode("utf-8")).hexdigest()
+    assert digest == "97c13e820876cb2de5b5ade85f25a72a95c600e06569f9c537664e13c4ad7bd4"
 
 
 def test_expected_dims_table():
