@@ -390,7 +390,9 @@ def bo1_les_consistency(
 ) -> bool:
     """Feasibility of both long exact sequences through the cover theory,
     populated from the fixture tables (with an optional deliberate-fault
-    override of cover values, used to demonstrate detection)."""
+    override of cover values, used to demonstrate detection).  An override
+    in a degree that neither sequence holds a cover node for is refused, as
+    it could not change the answer."""
     table = table or load_fixture_table()
     override = bo1_override or {}
     if any(n < 0 for n in override):
@@ -403,6 +405,10 @@ def bo1_les_consistency(
     }
     seq_a = exact_sequence(COVER, groups, n_max)
     seq_b = exact_sequence(ETA_COVER, groups, n_max)
+    reached = {node.label for seq in (seq_a, seq_b) for node in seq.nodes}
+    unreached = sorted(n for n in override if f"bo1_{n}" not in reached)
+    if unreached:
+        raise ValueError(f"cover overrides in degrees {unreached} lie outside both sequences")
     return (
         alternating_order_check(seq_a)
         and image_order_solve(seq_a).feasible

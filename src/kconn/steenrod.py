@@ -5,6 +5,11 @@ Everything is linear algebra over F2 on monomial bases; rows of action
 matrices are stored as bitmasks.  Hom spaces into the trivial module are
 annihilators of the positive-degree action image, so their dimensions are
 corank computations.
+
+Action rows are built by index arithmetic on the exponents.  Rank, echelon
+form, span membership and nullspace share one reduction: a dict of pivot
+rows keyed by lowest set bit, so a row meets only the pivot owning its
+current lowest bit, and a degree costs about what its sparse rows hold.
 """
 
 from __future__ import annotations
@@ -47,54 +52,69 @@ def sq_action(k: int, mono: Monomial) -> frozenset[Monomial]:
 
 # --- F2 matrices as lists of bitmask rows ------------------------------------
 
-def _f2_basis(rows: list[int]) -> list[int]:
-    """Reduce each row against the rows kept so far and keep it if nonzero;
-    the kept rows have distinct lowest set bits."""
-    basis: list[int] = []
+def _set_bits(x: int):
+    """The set bits of ``x`` as one-bit masks, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
+def _reduce(pivots: dict[int, int], row: int) -> int:
+    """XOR ``row`` with the pivot owning its lowest set bit until that bit has
+    no owner; the result is 0 exactly when ``row`` is in the pivots' span."""
+    while row and (pivot := pivots.get(row & -row)):
+        row ^= pivot
+    return row
+
+
+def _f2_basis(rows: list[int]) -> dict[int, int]:
+    """Pivot dict of the rows' span: each kept row is keyed by its lowest set
+    bit (as a one-bit mask), so the keys are distinct and a row is reduced
+    only against the pivots its own lowest bits meet."""
+    pivots: dict[int, int] = {}
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    return basis
+        if row := _reduce(pivots, row):
+            pivots[row & -row] = row
+    return pivots
 
 
 def f2_rank(rows: list[int]) -> int:
+    """Dimension of the span of the rows."""
     return len(_f2_basis(rows))
 
 
 def f2_echelon(rows: list[int]) -> list[int]:
-    return sorted(_f2_basis(rows), key=lambda r: r & -r)
+    """A basis of the rows' span whose rows have distinct lowest set bits, in
+    ascending order."""
+    pivots = _f2_basis(rows)
+    return [pivots[low] for low in sorted(pivots)]
 
 
 def f2_in_span(echelon: list[int], vec: int) -> bool:
-    for b in echelon:
-        if vec & (b & -b):
-            vec ^= b
-    return vec == 0
+    """Whether ``vec`` lies in the span of an echelon basis (rows with
+    distinct lowest set bits, as ``f2_echelon`` returns)."""
+    return not _reduce({row & -row: row for row in echelon}, vec)
 
 
 def f2_nullspace(rows: list[int], width: int) -> list[int]:
-    """Vectors v (bitmasks of the given width) with row . v even for all rows."""
-    ech = f2_echelon(rows)
-    pivots = {(_lowbit_index(b)): b for b in ech}
-    free_cols = [j for j in range(width) if j not in pivots]
-    out = []
-    for j in free_cols:
-        v = 1 << j
-        # back-substitute pivot coordinates
-        for pj in sorted(pivots, reverse=True):
-            row = pivots[pj]
-            if bin(row & v).count("1") % 2:
-                v ^= 1 << pj
-        out.append(v)
-    return out
-
-
-def _lowbit_index(x: int) -> int:
-    return (x & -x).bit_length() - 1
+    """Vectors v (bitmasks of the given width) with row . v even for all rows:
+    one per free column (a column that is no echelon row's lowest bit), in
+    ascending order.  The vector of free column j sets j and no other free
+    column."""
+    pivots = _f2_basis(rows)
+    mask = sum(pivots)
+    out = {j: 1 << j for j in range(width) if not mask >> j & 1}
+    # from the highest pivot down, clear each row's higher pivot bits; then
+    # the row sets its pivot bit in the vector of each free column it meets
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        for bit in _set_bits((row & mask) ^ low):
+            row ^= pivots[bit]
+        pivots[low] = row
+        for bit in _set_bits(row & ~mask):
+            out[bit.bit_length() - 1] |= low
+    return list(out.values())
 
 
 def f2_compose(first: list[int], then: list[int]) -> list[int]:
@@ -103,11 +123,8 @@ def f2_compose(first: list[int], then: list[int]) -> list[int]:
     out = []
     for row in first:
         acc = 0
-        rem = row
-        while rem:
-            low = rem & -rem
+        for low in _set_bits(row):
             acc ^= then[low.bit_length() - 1]
-            rem ^= low
         out.append(acc)
     return out
 
@@ -134,57 +151,55 @@ class SteenrodModule:
         return tuple((a, degree - a) for a in range(1, degree))
 
     def sq_matrix(self, k: int, degree: int) -> list[int]:
-        """Rows indexed by the degree basis, bits by the degree+k basis."""
-        source = self.basis(degree)
-        target = {m: i for i, m in enumerate(self.basis(degree + k))}
-        rows = []
-        for mono in source:
-            acc = 0
-            for img in sq_action(k, mono):
-                acc ^= 1 << target[img]
-            rows.append(acc)
-        return rows
+        """Rows indexed by the degree basis, bits by the degree+k basis, built
+        by index arithmetic: C(a, i) is odd iff ``a & i == i``, and a smash row
+        of (a, b) sets bit a + i - 1, the index of (a + i, b + j), for each
+        i + j = k with C(a, i) and C(b, j) odd.  A projective row is one bit."""
+        if k not in (1, 2):
+            raise ValueError("only the first two squaring operations are supported")
+        if self.space == "rp":
+            return [int(degree & k == k)] if degree >= 1 else []
+        if k == 1:
+            return [(b & 1) << (a - 1) | (a & 1) << a for a, b in self.basis(degree)]
+        return [
+            (b >> 1 & 1) << (a - 1) | (a & b & 1) << a | (a >> 1 & 1) << (a + 1)
+            for a, b in self.basis(degree)
+        ]
 
     def q1_matrix(self, degree: int) -> list[int]:
-        """Action of the degree-3 exterior generator (the commutator of the
-        two squaring operations) from this degree."""
-        first = f2_compose(self.sq_matrix(2, degree), self.sq_matrix(1, degree + 2))
-        second = f2_compose(self.sq_matrix(1, degree), self.sq_matrix(2, degree + 1))
-        return [a ^ b for a, b in zip(first, second)]
+        """Action of the degree-3 exterior generator, the commutator of the
+        two squaring operations, from this degree.  It is the derivation
+        with x -> x^4, so x^a -> a x^(a+3): a smash row of (a, b) sets bit
+        a + 2 if a is odd and bit a - 1 if b is odd."""
+        if self.space == "rp":
+            return [degree & 1] if degree >= 1 else []
+        return [(a & 1) << (a + 2) | (b & 1) << (a - 1) for a, b in self.basis(degree)]
 
 
-def _checked_module(alg: str, space: str) -> SteenrodModule:
+def _image_rows(alg: str, space: str, degree: int) -> tuple[list[int], int]:
+    """Rows of the positive-degree action into the degree piece, and the
+    dimension of that piece."""
     if alg not in ("B", "E"):
         raise ValueError("algebra must be 'B' or 'E'")
-    return SteenrodModule(space)
-
-
-def _image_rows(module: SteenrodModule, alg: str, degree: int) -> list[int]:
+    module = SteenrodModule(space)
     if alg == "B":
         rows = module.sq_matrix(1, degree - 1) + module.sq_matrix(2, degree - 2)
     else:
         rows = module.sq_matrix(1, degree - 1) + module.q1_matrix(degree - 3)
-    return [r for r in rows if r]
+    return rows, len(module.basis(degree))
 
 
 def hom_dim(alg: str, space: str, degree: int) -> int:
     """Dimension of the module homomorphisms from the degree piece into the
     trivial one-dimensional module: functionals vanishing on the image of the
     positive-degree action."""
-    module = _checked_module(alg, space)
-    k = len(module.basis(degree))
-    if k == 0:
-        return 0
-    return k - f2_rank(_image_rows(module, alg, degree))
+    rows, width = _image_rows(alg, space, degree)
+    return width - f2_rank(rows)
 
 
 def hom_basis(alg: str, space: str, degree: int) -> list[int]:
     """Bitmask basis (over the degree monomial basis) of the functionals."""
-    module = _checked_module(alg, space)
-    k = len(module.basis(degree))
-    if k == 0:
-        return []
-    return f2_nullspace(_image_rows(module, alg, degree), k)
+    return f2_nullspace(*_image_rows(alg, space, degree))
 
 
 @dataclass(frozen=True)
@@ -237,62 +252,45 @@ def verify_hom_sequence(i_max: int) -> HomSequenceReport:
     """
     module = SteenrodModule("smash")
     records = []
+    bl_basis = hom_basis("B", "smash", 0)
     for degree in range(2, i_max + 1, 2):
         b_basis = hom_basis("B", "smash", degree)
         e_basis = hom_basis("E", "smash", degree)
-        bl_basis = hom_basis("B", "smash", degree - 2)
-        e_ech = f2_echelon(list(e_basis))
-        bl_ech = f2_echelon(list(bl_basis))
         # the inclusion is well defined iff every restricted functional is an
-        # exterior one, and injectivity is the independence of the basis
-        included = all(f2_in_span(e_ech, vec) for vec in b_basis)
-        injective = f2_rank(list(b_basis)) == len(b_basis)
+        # exterior one, and injectivity is the independence of the basis (a
+        # nullspace basis is independent: its rank is its length)
+        included = f2_rank(e_basis + b_basis) == len(e_basis)
+        injective = f2_rank(b_basis) == len(b_basis)
         # precomposition with the degree-2 squaring operation, in the ambient
-        # dual coordinates of the lower degree
-        sq2 = module.sq_matrix(2, degree - 2)
-
-        def lam(vec: int) -> int:
-            img = 0
-            for s, row in enumerate(sq2):
-                if bin(row & vec).count("1") % 2:
-                    img |= 1 << s
-            return img
-
-        lam_images = [lam(vec) for vec in e_basis]
-        lands = all(f2_in_span(bl_ech, img) for img in lam_images)
-        onto = f2_rank(list(lam_images)) == len(bl_basis)
+        # dual coordinates of the lower degree: the image of a functional is
+        # the sum of the columns of that operation's matrix it selects
+        lower_width = len(module.basis(degree - 2))
+        sq2_columns = _transpose_bits(module.sq_matrix(2, degree - 2), len(module.basis(degree)))
+        lam_images = f2_compose(e_basis, sq2_columns)
+        lands = f2_rank(bl_basis + lam_images) == len(bl_basis)
+        onto = f2_rank(lam_images) == len(bl_basis)
         # kernel of the composition map, back in ambient coordinates
-        kernel_coords = f2_nullspace(
-            _transpose_bits(lam_images, len(module.basis(degree - 2))),
-            len(e_basis),
-        )
+        kernel_coords = f2_nullspace(_transpose_bits(lam_images, lower_width), len(e_basis))
         kernel_vecs = f2_compose(kernel_coords, e_basis)
-        phi_image = f2_echelon(list(b_basis))
-        kernel_ech = f2_echelon(kernel_vecs)
-        middle = len(phi_image) == len(kernel_ech) and all(
-            f2_in_span(phi_image, kv) for kv in kernel_ech
-        )
+        middle = f2_rank(kernel_vecs) == f2_rank(b_basis + kernel_vecs) == len(b_basis)
         exact = included and injective and lands and onto and middle
         forms = expected_dims(degree)
-        forms_ok = True
-        if forms is not None:
-            forms_ok = (len(b_basis), len(e_basis)) == forms
+        forms_ok = forms is None or (len(b_basis), len(e_basis)) == forms
         records.append(
             HomSequenceRecord(
                 degree, len(b_basis), len(e_basis), len(bl_basis), exact, forms_ok
             )
         )
+        bl_basis = b_basis
     return HomSequenceReport(i_max, tuple(records))
 
 
 def _transpose_bits(rows: list[int], width: int) -> list[int]:
-    out = []
-    for j in range(width):
-        acc = 0
-        for i, row in enumerate(rows):
-            if row >> j & 1:
-                acc |= 1 << i
-        out.append(acc)
+    """Columns of the rows as bitmasks over the row indices."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for low in _set_bits(row):
+            out[low.bit_length() - 1] |= 1 << i
     return out
 
 

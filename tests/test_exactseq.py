@@ -246,6 +246,8 @@ def test_bo1_les_consistency():
 
 def test_bo1_les_detects_perturbed_fixture():
     assert not bo1_les_consistency(26, {3: C(8)})
+    # the top cover node the trimmed sequences keep
+    assert not bo1_les_consistency(26, {25: C(2**40)})
 
 
 def test_bo1_les_vacuous():
@@ -256,6 +258,14 @@ def test_bo1_les_rejects_negative_override():
     # the sequences never ask below degree 0, so the key would be ignored
     with pytest.raises(ValueError, match="degrees 0 and up"):
         bo1_les_consistency(26, {-1: C(2)})
+
+
+@pytest.mark.parametrize("degree", [26, 40])
+def test_bo1_les_rejects_override_outside_both_sequences(degree):
+    # both sequences start below bo1_26 once trimmed to their first zero
+    # node, so these overrides would be ignored and the answer stay True
+    with pytest.raises(ValueError, match=f"degrees \\[{degree}\\] lie outside"):
+        bo1_les_consistency(26, {degree: C(2**40)})
 
 
 def test_bott_audit_rp():

@@ -12,6 +12,8 @@ from kconn.steenrod import (
     expected_dims,
     f2_compose,
     f2_echelon,
+    f2_in_span,
+    f2_nullspace,
     f2_rank,
     hom_basis,
     hom_dim,
@@ -93,6 +95,44 @@ def test_choose_mod2():
     for n, row in enumerate(pascal):
         for k, val in enumerate(row):
             assert choose_mod2(n, k) == val % 2, (n, k)
+
+
+@pytest.mark.parametrize("space", ["rp", "smash"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_sq_matrix_matches_sq_action(space, k):
+    # the action matrices, rebuilt monomial by monomial from the reference
+    # action: row i is the image of the i-th basis monomial in the
+    # degree + k basis
+    mod = SteenrodModule(space)
+    for degree in range(0, 81):
+        target = {m: i for i, m in enumerate(mod.basis(degree + k))}
+        rows = []
+        for mono in mod.basis(degree):
+            acc = 0
+            for img in sq_action(k, mono):
+                acc ^= 1 << target[img]
+            rows.append(acc)
+        assert mod.sq_matrix(k, degree) == rows, (space, k, degree)
+
+
+@pytest.mark.parametrize("space", ["rp", "smash"])
+def test_q1_matrix_is_the_commutator(space):
+    # the exterior generator's matrix, built by index arithmetic, against
+    # its definition Sq1 Sq2 + Sq2 Sq1
+    mod = SteenrodModule(space)
+    for degree in range(0, 81):
+        first = f2_compose(mod.sq_matrix(2, degree), mod.sq_matrix(1, degree + 2))
+        second = f2_compose(mod.sq_matrix(1, degree), mod.sq_matrix(2, degree + 1))
+        assert mod.q1_matrix(degree) == [a ^ b for a, b in zip(first, second)], (space, degree)
+
+
+@pytest.mark.parametrize("space", ["rp", "smash"])
+def test_sq_matrix_rejects_other_operations(space):
+    mod = SteenrodModule(space)
+    for degree in range(1, 20):
+        if mod.basis(degree):
+            with pytest.raises(ValueError):
+                mod.sq_matrix(3, degree)
 
 
 # --- operation relations as matrices ---------------------------------------------
@@ -201,14 +241,16 @@ def test_hom_dim_brute_force_degree_3():
     assert hom_dim("B", "smash", 3) == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 7).flatmap(
-        lambda ncols: st.tuples(
-            st.just(ncols), st.lists(st.integers(0, 2**ncols - 1), max_size=7)
-        )
+# (width, rows): up to 7 rows of bitmasks narrower than width
+f2_rows = st.integers(1, 7).flatmap(
+    lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, 2**width - 1), max_size=7)
     )
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_rows)
 def test_f2_rank_matches_integer_cokernel(shape):
     # the cokernel of a 0/1 matrix over Z, tensored with F2, has dimension
     # ncols - rank mod 2: its free rank plus its even invariant factors
@@ -220,6 +262,57 @@ def test_f2_rank_matches_integer_cokernel(shape):
     assert len(echelon) == f2_rank(rows)
     lows = [row & -row for row in echelon]
     assert lows == sorted(set(lows))
+
+
+def subset_span(rows):
+    # every XOR of a subset of the rows, by brute force
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return span
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_rows)
+def test_f2_nullspace_contract(shape):
+    # one vector per free column: it sets that column, no other non-pivot
+    # column, and has even overlap with every row
+    width, rows = shape
+    null = f2_nullspace(rows, width)
+    pivots = 0
+    for row in f2_echelon(rows):
+        pivots |= row & -row
+    assert len(null) == width - f2_rank(rows)
+    free_bits = [v & ~pivots for v in null]
+    assert all(bits.bit_count() == 1 for bits in free_bits)
+    assert sorted(free_bits) == [1 << j for j in range(width) if not pivots >> j & 1]
+    for v in null:
+        assert v < 1 << width
+        assert all((row & v).bit_count() % 2 == 0 for row in rows), (v, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_rows)
+def test_f2_echelon_spans_input_and_decides_membership(shape):
+    width, rows = shape
+    echelon = f2_echelon(rows)
+    span = subset_span(rows)
+    assert subset_span(echelon) == span
+    for vec in range(2**width):
+        assert f2_in_span(echelon, vec) == (vec in span), (vec, rows)
+
+
+def test_hom_basis_golden_to_160():
+    # recorded before any change to the F2 core; pins the functional bases of
+    # both algebras on both spaces in every degree, odd ones included
+    bases = [
+        hom_basis(alg, space, degree)
+        for alg in "BE"
+        for space in ("rp", "smash")
+        for degree in range(161)
+    ]
+    digest = hashlib.sha256(repr(bases).encode()).hexdigest()
+    assert digest == "65493305eb19ef45eb939690e58859772ccd8e806e16b454c73d44dd9b50968a"
 
 
 # --- exactness of the dual sequence ---------------------------------------------------
