@@ -1,10 +1,12 @@
 """Degree-wise tensor and Tor over the graded coefficient ring.
 
-The torsion term is computed honestly: the two-stage free resolution of each
-cyclic-tower summand is tensored with the classifying-space module and the
-kernel of the induced differential is extracted by exact integer linear
-algebra.  The short exact sequence then assembles the K-homology of the smash
-square, which is cross-checked against the direct-sum decomposition.
+A presentation F1 -> F0 of the first factor, tensored with the second factor
+N, gives one map F1 (x) N -> F0 (x) N, built degree-wise from the reduced
+slices of N.  Its cokernel is the tensor term.  For the free resolution of a
+cyclic-tower summand its kernel is the torsion term, extracted by exact
+integer linear algebra.  The short exact sequence then assembles the
+K-homology of the smash square, which is cross-checked against the
+direct-sum decomposition.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .abelian import (
     FgAbelianGroup,
     GroupPresentation,
     SimplifiedPresentation,
-    _row_times,
     cokernel_group,
     kernel_of_map,
     simplify_presentation,
@@ -29,6 +30,7 @@ from .kmods import (
     is_prime,
     lu_bzp_presentation,
     realize_slice,
+    summand_presentation,
 )
 
 
@@ -36,11 +38,11 @@ from .kmods import (
 class SummandResolution:
     """Two-stage free resolution of one cyclic-tower summand.
 
-    Both stages are free on generators in degrees 2j(p-1) + 2i - 1; the
-    differential sends the stage-one generator j to p times the stage-zero
-    generator j minus v times generator j-1 (no second term at j = 0), and
-    the augmentation sends stage-zero generator j to the module generator in
-    the same degree.
+    It is the presentation ``kmods.summand_presentation(p, index, ...)``
+    read as a map F1 -> F0 of free modules: F0 is free on the generators, in
+    degrees 2j(p-1) + 2i - 1, and F1 on the relations, p g_0 and
+    v g_j - p g_(j+1), one in each generator degree.  The relations are
+    independent over Z[v], so F1 -> F0 is injective and resolves the summand.
     """
 
     p: int
@@ -55,15 +57,6 @@ class SummandResolution:
     def gen_degree(self, j: int) -> int:
         return 2 * j * (self.p - 1) + 2 * self.index - 1
 
-    def stages_through(self, degree: int) -> list[int]:
-        """Indices j with generator degree at most ``degree``."""
-        out = []
-        j = 0
-        while self.gen_degree(j) <= degree:
-            out.append(j)
-            j += 1
-        return out
-
 
 def _ring_compatible(m: GradedModulePresentation, n: GradedModulePresentation):
     if m.p != n.p or m.ring_degree != n.ring_degree:
@@ -71,54 +64,68 @@ def _ring_compatible(m: GradedModulePresentation, n: GradedModulePresentation):
 
 
 @lru_cache(maxsize=None)
-def tensor_degree(
-    m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
-) -> FgAbelianGroup:
-    """Degree-n piece of the tensor product over Z[v], from the standard
-    presentation (generator pairs modulo relation-by-generator rows)."""
-    _ring_compatible(m, n_mod)
-    d = m.ring_degree
-    if n > min(m.truncation_degree, n_mod.truncation_degree) - d:
-        raise ValueError(f"degree {n} outside the safe window of the factors")
-    if n < 0:
-        return FgAbelianGroup.trivial()
-    basis: list[tuple[int, int, int]] = []  # (v-exponent, gen of m, gen of n)
-    pos: dict[tuple[int, int, int], int] = {}
-    for ga, da in enumerate(m.gen_degrees):
-        if da >= n:
-            continue
-        for gb, db in enumerate(n_mod.gen_degrees):
-            rem = n - da - db
-            if rem >= 0 and rem % d == 0:
-                key = (rem // d, ga, gb)
-                pos[key] = len(basis)
-                basis.append(key)
-    rows: list[dict[int, int]] = []  # sparse: column -> coefficient
-    # each factor's relations times each generator of the other factor
-    for rel_mod, other, left in ((m, n_mod, True), (n_mod, m, False)):
-        for rel in rel_mod.relations:
-            rel_deg = rel_mod.relation_degree(rel)
-            for g, dg in enumerate(other.gen_degrees):
-                rem = n - rel_deg - dg
-                if rem < 0 or rem % d:
-                    continue
-                k0 = rem // d
-                row: dict[int, int] = {}
-                for coeff, exp, h in rel:
-                    col = pos[(k0 + exp, h, g) if left else (k0 + exp, g, h)]
-                    row[col] = row.get(col, 0) + coeff
-                rows.append(row)
-    return cokernel_group(len(basis), rows)
-
-
-@lru_cache(maxsize=None)
 def _simplified_slice(
     module: GradedModulePresentation, deg: int
 ) -> tuple[DegreeSlice, SimplifiedPresentation]:
     """One degree slice and its reduced presentation, simplified once and
-    shared by every Tor degree whose blocks include it."""
+    shared by every tensor and Tor degree whose blocks include it."""
     slc = realize_slice(module, deg)
     return slc, simplify_presentation(slc.presentation)
+
+
+def _tensor_map(m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
+    """Degree n of F1 (x) N -> F0 (x) N, where F0 is free on the generators
+    of ``m``, F1 free on its relations, and F1 -> F0 sends each relation to
+    its terms; N is ``n_mod``.
+
+    A generator or relation of ``m`` in degree e <= n contributes one block,
+    the reduced slice of N in degree n - e, so each side is a block-diagonal
+    presentation.  A relation term (c, k, g) sends the old coordinate
+    v^j g_i of its block to c v^(j+k) g_i, read through ``to_min`` of the
+    block of g: that slice lies in degree n - e + kd.  Returns the source
+    and the target, each as its generator count and relation rows, and the
+    images of the source's generators.
+    """
+    rel_degrees = [m.relation_degree(rel) for rel in m.relations]
+    slices = {e: _simplified_slice(n_mod, n - e) for e in {*m.gen_degrees, *rel_degrees} if e <= n}
+
+    def blocks(degrees):
+        out, total = {}, 0
+        for idx, e in enumerate(degrees):
+            if e <= n:
+                out[idx] = (total, *slices[e])
+                total += slices[e][1].presentation.n_gens
+        rows = [{off + c: x for c, x in rel.items()}
+                for off, _, simp in out.values() for rel in simp.presentation.relations]
+        return out, (total, rows)
+
+    rel_blocks, source = blocks(rel_degrees)
+    gen_blocks, target = blocks(m.gen_degrees)
+    images = []
+    for r, (_, slc, simp) in rel_blocks.items():
+        for old in simp.from_min:
+            row: dict[int, int] = {}
+            for q, x in old.items():
+                j, gi = slc.basis[q]
+                for c, k, g in m.relations[r]:
+                    off, g_slc, g_simp = gen_blocks[g]
+                    for col, y in g_simp.to_min[g_slc.basis.index((j + k, gi))].items():
+                        row[off + col] = row.get(off + col, 0) + c * x * y
+            images.append({col: x for col, x in row.items() if x})
+    return source, target, images
+
+
+@lru_cache(maxsize=None)
+def tensor_degree(
+    m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
+) -> FgAbelianGroup:
+    """Degree-n piece of the tensor product over Z[v]: the cokernel of
+    F1 (x) N -> F0 (x) N, by right exactness of the tensor product."""
+    _ring_compatible(m, n_mod)
+    if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
+        raise ValueError(f"degree {n} outside the safe window of the factors")
+    _, (n_gens, relations), images = _tensor_map(m, n_mod, n)
+    return cokernel_group(n_gens, relations + images)
 
 
 @lru_cache(maxsize=None)
@@ -126,49 +133,20 @@ def tor1_degree(
     resolution: SummandResolution, module: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
     """Degree-n piece of the first derived functor against one summand: the
-    kernel of the induced differential on the tensored resolution.
-
-    Stage generator j contributes one block, the reduced presentation of the
-    module slice in degree n - gen_degree(j).  Both stages have the same
-    blocks, so source and target are one block-diagonal presentation.  The
-    differential is p on each block plus -v from block j into block j - 1;
-    as gen_degree(j - 1) + deg v == gen_degree(j), the v-term lands exactly
-    in the previous block's slice.
-    """
-    if module.p != resolution.p:
+    kernel of F1 (x) N -> F0 (x) N for the free resolution F1 -> F0 of the
+    summand, tensored with ``module``."""
+    p, i = resolution.p, resolution.index
+    if module.p != p:
         raise ValueError("resolution and module primes disagree")
-    if module.ring_degree != 2 * (module.p - 1):
+    if module.ring_degree != 2 * (p - 1):
         raise ValueError("module ring degree must be 2p - 2")
-    stages = resolution.stages_through(n)
-    if not stages:
+    if n < resolution.gen_degree(0):
         return FgAbelianGroup.trivial()
-    blocks = [_simplified_slice(module, n - resolution.gen_degree(j)) for j in stages]
-    offsets = []
-    total = 0
-    for _, simp in blocks:
-        offsets.append(total)
-        total += simp.presentation.n_gens
-
-    # a block's columns are its reduced generators shifted by its offset
-    source = GroupPresentation(total, [
-        {off + c: x for c, x in rel.items()}
-        for off, (_, simp) in zip(offsets, blocks) for rel in simp.presentation.relations
-    ])
-    p = module.p
-    images = []
-    for bj, (slc, simp) in enumerate(blocks):
-        if bj:
-            # v times v^k g is v^(k+1) g, in the slice of block bj - 1
-            up_slc, up_simp = blocks[bj - 1]
-            up_pos = {bk: idx for idx, bk in enumerate(up_slc.basis)}
-            v_rows = [up_simp.to_min[up_pos[(k + 1, gi)]] for k, gi in slc.basis]
-        for t, old in enumerate(simp.from_min):
-            # p times the identity into block bj, and -v into block bj - 1
-            row = {offsets[bj] + t: p}
-            if bj:
-                row.update((offsets[bj - 1] + c, -x) for c, x in _row_times(old, v_rows).items())
-            images.append(row)
-    return kernel_of_map(AbelianGroupMap(source, source, images))
+    summand = summand_presentation(p, i, module.truncation_degree)
+    source, target, images = _tensor_map(summand, module, n)
+    return kernel_of_map(
+        AbelianGroupMap(GroupPresentation(*source), GroupPresentation(*target), images)
+    )
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

@@ -91,12 +91,6 @@ def f2_echelon(rows: list[int]) -> list[int]:
     return [pivots[low] for low in sorted(pivots)]
 
 
-def f2_in_span(echelon: list[int], vec: int) -> bool:
-    """Whether ``vec`` lies in the span of an echelon basis (rows with
-    distinct lowest set bits, as ``f2_echelon`` returns)."""
-    return not _reduce({row & -row: row for row in echelon}, vec)
-
-
 def f2_nullspace(rows: list[int], width: int) -> list[int]:
     """Vectors v (bitmasks of the given width) with row . v even for all rows:
     one per free column (a column that is no echelon row's lowest bit), in

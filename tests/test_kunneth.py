@@ -3,6 +3,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kconn import kmods, kunneth
 from kconn.abelian import (
@@ -15,6 +17,7 @@ from kconn.kmods import (
     GradedModulePresentation,
     ku_smash_check,
     lu_bzp_presentation,
+    lu_closed_form,
     realize_degree,
     realize_slice,
     summand_presentation,
@@ -69,6 +72,90 @@ def test_tensor_dimension_count():
             assert tensor_degree(lu, lu, 2 * m) == expected, (p, m)
 
 
+def test_tensor_counts_a_generator_in_degree_n():
+    # Z[v] on one generator: its tensor square is Z[v] again, so every
+    # degree with a generator pair summing to it is Z, the bottom one too
+    free0 = GradedModulePresentation(2, 2, (0,), (), 20)
+    free2 = GradedModulePresentation(2, 2, (2,), (), 20)
+    assert tensor_degree(free0, free0, 0) == FgAbelianGroup.free(1)
+    assert tensor_degree(free2, free0, 2) == FgAbelianGroup.free(1)
+    assert tensor_degree(free0, free2, 2) == FgAbelianGroup.free(1)
+
+
+def reference_tensor(m, n_mod, n):
+    """Degree-n piece of the tensor product from the standard presentation:
+    generators v^k g_a (x) g_b, and each factor's relations times each
+    generator of the other factor."""
+    d = m.ring_degree
+    pos: dict[tuple[int, int, int], int] = {}  # (v-exponent, gen of m, gen of n)
+    for ga, da in enumerate(m.gen_degrees):
+        if da > n:
+            continue
+        for gb, db in enumerate(n_mod.gen_degrees):
+            rem = n - da - db
+            if rem >= 0 and rem % d == 0:
+                pos[(rem // d, ga, gb)] = len(pos)
+    rows = []
+    for rel_mod, other, left in ((m, n_mod, True), (n_mod, m, False)):
+        for rel in rel_mod.relations:
+            for g, dg in enumerate(other.gen_degrees):
+                rem = n - rel_mod.relation_degree(rel) - dg
+                if rem < 0 or rem % d:
+                    continue
+                row: dict[int, int] = {}
+                for coeff, exp, h in rel:
+                    key = (rem // d + exp, h, g) if left else (rem // d + exp, g, h)
+                    row[pos[key]] = row.get(pos[key], 0) + coeff
+                rows.append(row)
+    return cokernel_group(len(pos), rows)
+
+
+WINDOW = 16  # truncation of the random presentations
+
+
+@st.composite
+def small_presentations(draw, d):
+    gens = tuple(draw(st.lists(st.integers(0, 8), min_size=1, max_size=4)))
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        deg = draw(st.integers(min(gens), WINDOW - d))
+        reach = [g for g, e in enumerate(gens) if e <= deg and (deg - e) % d == 0]
+        if not reach:
+            continue
+        picked = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-6, 6).filter(bool),
+                               min_size=len(picked), max_size=len(picked)))
+        rels.append(tuple((c, (deg - gens[g]) // d, g) for c, g in zip(coeffs, picked)))
+    return GradedModulePresentation(2, d, gens, tuple(rels), WINDOW)
+
+
+@st.composite
+def presentation_pairs(draw):
+    d = draw(st.sampled_from([1, 2, 4]))
+    return draw(small_presentations(d)), draw(small_presentations(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentation_pairs())
+def test_tensor_matches_standard_presentation(pair):
+    m, n_mod = pair
+    for n in range(WINDOW - m.ring_degree + 1):
+        assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("left,right", [("lu", "lu"), ("lu", "summand"),
+                                        ("summand", "lu"), ("summand", "summand")])
+def test_tensor_matches_standard_presentation_on_grid(p, left, right):
+    window = 90
+    top = window + 2 * p - 2
+    modules = {"lu": lu_bzp_presentation(p, top),
+               "summand": summand_presentation(p, p - 1, top)}
+    m, n_mod = modules[left], modules[right]
+    for n in range(window + 1):
+        assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
+
+
 def test_tensor_ring_mismatch_rejected():
     lu2 = lu_bzp_presentation(2, 20)
     lu3 = lu_bzp_presentation(3, 20)
@@ -78,54 +165,25 @@ def test_tensor_ring_mismatch_rejected():
 
 # --- the resolution ------------------------------------------------------------
 
-def free_slice(res, stage_degrees, n, d):
-    """Basis (j, k) of the degree-n piece of the free module on generators in
-    the given degrees."""
-    out = []
-    for j, deg in enumerate(stage_degrees):
-        rem = n - deg
-        if rem >= 0 and rem % d == 0:
-            out.append((j, rem // d))
-    return out
-
-
-@pytest.mark.parametrize("p,i", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("p,i", [(2, 1), (3, 1), (3, 2), (5, 3)])
 def test_resolution_exact_and_resolves_summand(p, i):
-    from kconn.abelian import _echelon, lattice_member
-
+    # tor1_degree takes the kernel of F1 (x) N -> F0 (x) N for the relations
+    # of summand_presentation; that kernel is Tor_1 only if the relations
+    # are independent over Z[v], i.e. F1 -> F0 is injective in every degree
     d = 2 * p - 2
     res = SummandResolution(p, i)
-    window = 30
-    summand = summand_presentation(p, i, window + 2 * d)
-    degrees = [res.gen_degree(j) for j in range(window)]
-    for n in range(2 * i - 1, window):
-        basis = free_slice(res, degrees, n, d)
-        if not basis:
-            continue
-        pos = {bk: idx for idx, bk in enumerate(basis)}
-        rows = []
-        for j, k in basis:
-            row = {pos[(j, k)]: p}
-            if j >= 1:
-                row[pos[(j - 1, k + 1)]] = -1
-            rows.append(row)
-        coker = cokernel_group(len(basis), rows)
-        # injectivity of the realised differential: the matrix is square,
-        # so its rows are independent exactly when the cokernel is finite
-        assert coker.free_rank == 0
-        # its cokernel is the realised summand
-        assert coker == realize_degree(summand, n), (p, i, n)
-        # the augmentation kills the image: each image row, read through
-        # v^k b_j -> v^k g_j, lies in the relation lattice of the summand
-        slice_n = realize_slice(summand, n)
-        spos = {bk: idx for idx, bk in enumerate(slice_n.basis)}
-        ech = _echelon(slice_n.presentation.relations)
-        for row in rows:
-            vec = {}
-            for idx, coeff in row.items():
-                j, k = basis[idx]
-                vec[spos[(k, j)]] = vec.get(spos[(k, j)], 0) + coeff
-            assert lattice_member(ech, vec), (p, i, n)
+    window = 60
+    summand = summand_presentation(p, i, window + d)
+    assert summand.gen_degrees == tuple(res.gen_degree(j) for j in range(len(summand.gen_degrees)))
+    assert [summand.relation_degree(rel) for rel in summand.relations] == list(summand.gen_degrees)
+    for n in range(window + 1):
+        slc = realize_slice(summand, n)
+        rows = slc.presentation.relations
+        rank = slc.presentation.n_gens - cokernel_group(slc.presentation.n_gens, rows).free_rank
+        assert rank == len(rows), (p, i, n)
+        # and its cokernel is the summand: Z/p^(k+1) in degree 2k(p-1) + 2i - 1
+        expected = lu_closed_form(p, n) if n >= 2 * i - 1 and (n - 2 * i + 1) % d == 0 else trivial()
+        assert realize_degree(summand, n) == expected, (p, i, n)
 
 
 # --- Tor ------------------------------------------------------------------------
@@ -159,8 +217,7 @@ def test_tor_engine_matches_closed_form():
 
 
 def test_tor_rejects_foreign_ring_degree():
-    # the v-term of the differential lands in the previous stage's block
-    # only when deg v == 2p - 2
+    # the resolution lives over Z[v] with deg v == 2p - 2
     module = GradedModulePresentation(2, 4, (1, 5), (((2, 0, 0),),), 20)
     with pytest.raises(ValueError, match="ring degree"):
         tor1_degree(SummandResolution(2, 1), module, 9)
@@ -206,7 +263,8 @@ def test_tor_slices_are_minimal(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cached_rows_are_never_mutated(p):
     # realize_slice and _simplified_slice hand out lru-cached rows; no
-    # computation that reads them may change them, and a caller cannot
+    # computation that reads them, the tensor and Tor paths included, may
+    # change them, and a caller cannot
     module = kunneth._lu_window(p, 121)
     top = module.truncation_degree - module.ring_degree
     slices = [realize_slice(module, d).presentation.relations for d in range(top + 1)]
@@ -215,6 +273,8 @@ def test_cached_rows_are_never_mutated(p):
     saved = copy.deepcopy((slices, changes))
     for n in range(1, 122, 2):
         tor_part(p, n)
+        tensor_part(p, n - 1)
+        tensor_degree(module, module, n - 1)
         for i in range(1, p):
             tor1_degree(SummandResolution(p, i), module, n - 1)
     ku_smash_check(6, 6)
@@ -300,6 +360,13 @@ def test_wedge_count():
     # p = 2: one class for each split of n + 2 into two positive even parts
     for n in range(0, 30, 2):
         assert wedge_count(2, n) == max(0, n // 2)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_verify_decomposition_large_primes(p):
+    report = verify_bu_decomposition(p, 96)
+    assert report.all_ok
+    assert len(report.records) == 97
 
 
 def test_verify_decomposition_small():
