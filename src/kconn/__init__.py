@@ -19,7 +19,6 @@ from .abelian import (
 )
 from .exactseq import (
     LongExactSequence,
-    alternating_order_check,
     bo1_les_consistency,
     bo_smash_group,
     bott_audit,
@@ -38,7 +37,6 @@ from .kmods import (
 )
 from .kunneth import (
     KunnethReport,
-    SummandResolution,
     kunneth_smash_group,
     tensor_degree,
     tor1_degree,
@@ -59,9 +57,7 @@ __all__ = [
     "KunnethReport",
     "LongExactSequence",
     "SteenrodModule",
-    "SummandResolution",
     "TruncatedKuRing",
-    "alternating_order_check",
     "bo1_les_consistency",
     "bo_smash_group",
     "bott_audit",

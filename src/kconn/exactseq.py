@@ -47,9 +47,7 @@ def _bounded(kind: str, value: int, text: str, n: int) -> int:
 def _parse_linear(text: str) -> tuple[int, int]:
     text = text.strip()
     m = _LINEAR.match(text)
-    if not m or (m.group(1) is None and m.group(2) is None and "n" not in text):
-        raise ValueError(f"cannot parse linear expression {text!r}")
-    if m.group(1) is None and m.group(2) is None:
+    if not m or (m.group(1) is None and m.group(2) is None):
         raise ValueError(f"cannot parse linear expression {text!r}")
     slope = 0
     if "n" in text:
@@ -129,13 +127,6 @@ class FixtureRow:
 @dataclass(frozen=True)
 class FixtureTable:
     rows: tuple[FixtureRow, ...]
-
-    def theories(self) -> tuple[str, ...]:
-        seen = []
-        for row in self.rows:
-            if row.theory not in seen:
-                seen.append(row.theory)
-        return tuple(seen)
 
     def rows_for(self, theory: str) -> tuple[FixtureRow, ...]:
         return tuple(r for r in self.rows if r.theory == theory)
@@ -251,27 +242,6 @@ def _require_checkable(seq: LongExactSequence):
             )
 
 
-def alternating_order_check(seq: LongExactSequence) -> bool:
-    """Multiplicative consequence of exactness: over every zero-bounded
-    stretch the alternating product of the orders is 1."""
-    _require_checkable(seq)
-    num = den = 1
-    parity = 0
-    for node in seq.nodes:
-        if node.group.is_trivial():
-            if num != den:
-                return False
-            num = den = 1
-            parity = 0
-            continue
-        if parity == 0:
-            num *= node.group.order()
-        else:
-            den *= node.group.order()
-        parity ^= 1
-    return num == den
-
-
 @dataclass(frozen=True)
 class ImageOrderResult:
     feasible: bool
@@ -286,7 +256,12 @@ class ImageOrderResult:
 def image_order_solve(seq: LongExactSequence) -> ImageOrderResult:
     """Propagate image orders from the zero ends: the image order out of a
     node is its order divided by the image order coming in.  Infeasible when
-    a division is non-integral or an image order does not divide its target."""
+    a division is non-integral or an image order does not divide its target.
+
+    Feasibility implies the multiplicative consequence of exactness, that over
+    every zero-bounded stretch the alternating product of the orders is 1:
+    the image order out of the last node of a stretch is that alternating
+    product, and it must divide the order 1 of the zero node closing it."""
     _require_checkable(seq)
     orders: list[int] = []
     prev = 1
@@ -409,12 +384,7 @@ def bo1_les_consistency(
     unreached = sorted(n for n in override if f"bo1_{n}" not in reached)
     if unreached:
         raise ValueError(f"cover overrides in degrees {unreached} lie outside both sequences")
-    return (
-        alternating_order_check(seq_a)
-        and image_order_solve(seq_a).feasible
-        and alternating_order_check(seq_b)
-        and image_order_solve(seq_b).feasible
-    )
+    return image_order_solve(seq_a).feasible and image_order_solve(seq_b).feasible
 
 
 @dataclass(frozen=True)
@@ -515,15 +485,14 @@ def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> Bot
         seq = bott_sequence(
             lambda n: table_group("bo_rp", n, table), lambda n: bu_bzp_group(2, n), n_max
         )
-        feasible = alternating_order_check(seq) and image_order_solve(seq).feasible
+        feasible = image_order_solve(seq).feasible
         anchor = int(seq.nodes[0].label.split("_")[1])
         return BottAudit("rp", n_max, anchor, feasible, (), ())
 
     computed = {m: bo_smash_group(m, table) for m in range(n_max + 1)}
     bu = {m: kunneth_smash_group(2, m, method="closed_form") for m in range(n_max + 1)}
     baseline = bott_sequence(computed.__getitem__, bu.__getitem__, n_max)
-    base_solve = image_order_solve(baseline)
-    baseline_ok = alternating_order_check(baseline) and base_solve.feasible
+    baseline_ok = image_order_solve(baseline).feasible
     anchor = int(baseline.nodes[0].label.split("_")[1])
 
     findings = []

@@ -2,11 +2,14 @@
 
 A presentation F1 -> F0 of the first factor, tensored with the second factor
 N, gives one map F1 (x) N -> F0 (x) N, built degree-wise from the reduced
-slices of N.  Its cokernel is the tensor term.  For the free resolution of a
-cyclic-tower summand its kernel is the torsion term, extracted by exact
-integer linear algebra.  The short exact sequence then assembles the
-K-homology of the smash square, which is cross-checked against the
-direct-sum decomposition.
+slices of N.  Its cokernel is the tensor term.  When the relations are
+independent over Z[v], F1 -> F0 is a free resolution and its kernel is the
+torsion term, extracted by exact integer linear algebra.  The presentation
+of the classifying-space module is such a resolution, being the direct sum
+of its cyclic-tower summands, so both terms of each degree come from the one
+map of that module tensored with itself.  The short exact sequence then
+assembles the K-homology of the smash square, which is cross-checked against
+the direct-sum decomposition.
 """
 
 from __future__ import annotations
@@ -34,35 +37,6 @@ from .kmods import (
 )
 
 
-@dataclass(frozen=True)
-class SummandResolution:
-    """Two-stage free resolution of one cyclic-tower summand.
-
-    It is the presentation ``kmods.summand_presentation(p, index, ...)``
-    read as a map F1 -> F0 of free modules: F0 is free on the generators, in
-    degrees 2j(p-1) + 2i - 1, and F1 on the relations, p g_0 and
-    v g_j - p g_(j+1), one in each generator degree.  The relations are
-    independent over Z[v], so F1 -> F0 is injective and resolves the summand.
-    """
-
-    p: int
-    index: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if not 1 <= self.index <= self.p - 1:
-            raise ValueError("summand index out of range")
-
-    def gen_degree(self, j: int) -> int:
-        return 2 * j * (self.p - 1) + 2 * self.index - 1
-
-
-def _ring_compatible(m: GradedModulePresentation, n: GradedModulePresentation):
-    if m.p != n.p or m.ring_degree != n.ring_degree:
-        raise ValueError("presentations live over different graded rings")
-
-
 @lru_cache(maxsize=None)
 def _simplified_slice(
     module: GradedModulePresentation, deg: int
@@ -76,7 +50,8 @@ def _simplified_slice(
 def _tensor_map(m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
     """Degree n of F1 (x) N -> F0 (x) N, where F0 is free on the generators
     of ``m``, F1 free on its relations, and F1 -> F0 sends each relation to
-    its terms; N is ``n_mod``.
+    its terms; N is ``n_mod``.  Both factors must live over one graded ring,
+    and degree n must lie in the safe window of both.
 
     A generator or relation of ``m`` in degree e <= n contributes one block,
     the reduced slice of N in degree n - e, so each side is a block-diagonal
@@ -86,6 +61,10 @@ def _tensor_map(m: GradedModulePresentation, n_mod: GradedModulePresentation, n:
     and the target, each as its generator count and relation rows, and the
     images of the source's generators.
     """
+    if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
+        raise ValueError("presentations live over different graded rings")
+    if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
+        raise ValueError(f"degree {n} outside the safe window of the factors")
     rel_degrees = [m.relation_degree(rel) for rel in m.relations]
     slices = {e: _simplified_slice(n_mod, n - e) for e in {*m.gen_degrees, *rel_degrees} if e <= n}
 
@@ -121,29 +100,19 @@ def tensor_degree(
 ) -> FgAbelianGroup:
     """Degree-n piece of the tensor product over Z[v]: the cokernel of
     F1 (x) N -> F0 (x) N, by right exactness of the tensor product."""
-    _ring_compatible(m, n_mod)
-    if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
-        raise ValueError(f"degree {n} outside the safe window of the factors")
     _, (n_gens, relations), images = _tensor_map(m, n_mod, n)
     return cokernel_group(n_gens, relations + images)
 
 
 @lru_cache(maxsize=None)
 def tor1_degree(
-    resolution: SummandResolution, module: GradedModulePresentation, n: int
+    m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
-    """Degree-n piece of the first derived functor against one summand: the
-    kernel of F1 (x) N -> F0 (x) N for the free resolution F1 -> F0 of the
-    summand, tensored with ``module``."""
-    p, i = resolution.p, resolution.index
-    if module.p != p:
-        raise ValueError("resolution and module primes disagree")
-    if module.ring_degree != 2 * (p - 1):
-        raise ValueError("module ring degree must be 2p - 2")
-    if n < resolution.gen_degree(0):
-        return FgAbelianGroup.trivial()
-    summand = summand_presentation(p, i, module.truncation_degree)
-    source, target, images = _tensor_map(summand, module, n)
+    """Degree-n piece of the first derived functor over Z[v]: the kernel of
+    F1 (x) N -> F0 (x) N.  That kernel is Tor_1 only when the relations of
+    ``m`` are independent over Z[v], so that F1 -> F0 is a free resolution;
+    the caller guarantees it."""
+    source, target, images = _tensor_map(m, n_mod, n)
     return kernel_of_map(
         AbelianGroupMap(GroupPresentation(*source), GroupPresentation(*target), images)
     )
@@ -179,8 +148,9 @@ def tor_summand_group(p: int, i: int, internal_degree: int, method: str = "resol
         raise ValueError(f"unknown Tor method {method!r}")
     if internal_degree < 0:
         return FgAbelianGroup.trivial()
-    module = _lu_window(p, internal_degree)
-    return tor1_degree(SummandResolution(p, i), module, internal_degree)
+    lu = _lu_window(p, internal_degree)
+    summand = summand_presentation(p, i, lu.truncation_degree)
+    return tor1_degree(summand, lu, internal_degree)
 
 
 def wedge_count(p: int, n: int) -> int:
@@ -209,15 +179,20 @@ def tensor_part(p: int, n: int) -> FgAbelianGroup:
 
 
 def tor_part(p: int, n: int, method: str = "resolution") -> FgAbelianGroup:
-    """Torsion half of the smash answer in total degree n: summand Tor pieces
-    at internal degree n - 1 - 2a; nonzero only in odd degrees."""
+    """Torsion half of the smash answer in total degree n: the Tor term of the
+    classifying-space module with itself at internal degree n - 1 - 2a over
+    the shifted summand copies; nonzero only in odd degrees.  The closed form
+    reads each internal degree as the sum of its summand pieces."""
     parts = []
     for a in range(p - 1):
         internal = n - 1 - 2 * a
         if internal < 0:
             continue
-        for i in range(1, p):
-            parts.append(tor_summand_group(p, i, internal, method))
+        if method == "resolution":
+            lu = _lu_window(p, internal)
+            parts.append(tor1_degree(lu, lu, internal))
+        else:
+            parts.extend(tor_summand_group(p, i, internal, method) for i in range(1, p))
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 

@@ -14,7 +14,6 @@ from kconn.exactseq import (
     GroupExpression,
     LongExactSequence,
     SequenceNode,
-    alternating_order_check,
     bo1_les_consistency,
     bo_smash_group,
     bott_audit,
@@ -137,6 +136,26 @@ def test_table_group_rejects_negative_degree():
 
 # --- checks ------------------------------------------------------------------------
 
+def alternating_order_check(seq: LongExactSequence) -> bool:
+    """Reference for the multiplicative consequence of exactness: over every
+    zero-bounded stretch the alternating product of the orders is 1."""
+    num = den = 1
+    parity = 0
+    for node in seq.nodes:
+        if node.group.is_trivial():
+            if num != den:
+                return False
+            num = den = 1
+            parity = 0
+            continue
+        if parity == 0:
+            num *= node.group.order()
+        else:
+            den *= node.group.order()
+        parity ^= 1
+    return num == den
+
+
 def test_alternating_order_pass():
     assert alternating_order_check(seq_of(trivial(), C(2), C(4), C(2), trivial()))
 
@@ -154,9 +173,20 @@ def test_alternating_order_multiple_segments():
 
 def test_check_preconditions():
     with pytest.raises(ValueError):
-        alternating_order_check(seq_of(C(2), C(2), trivial()))
+        image_order_solve(seq_of(C(2), C(2), trivial()))
     with pytest.raises(ValueError):
-        alternating_order_check(seq_of(trivial(), FgAbelianGroup.free(1), trivial()))
+        image_order_solve(seq_of(trivial(), FgAbelianGroup.free(1), trivial()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]), max_size=6))
+def test_feasible_implies_alternating_product_one(orders):
+    # the image order out of the last node of a zero-bounded stretch is the
+    # stretch's alternating product, and it must divide the order 1 of the
+    # zero node closing it, so image_order_solve needs no separate check
+    seq = seq_of(trivial(), *(C(k) if k > 1 else trivial() for k in orders), trivial())
+    if image_order_solve(seq).feasible:
+        assert alternating_order_check(seq)
 
 
 def test_image_order_solve_all_zero():

@@ -24,7 +24,6 @@ from kconn.kmods import (
     v_multiplication_map,
 )
 from kconn.kunneth import (
-    SummandResolution,
     decomposition_crosscheck,
     kunneth_smash_group,
     tensor_degree,
@@ -165,40 +164,47 @@ def test_tensor_ring_mismatch_rejected():
 
 # --- the resolution ------------------------------------------------------------
 
-@pytest.mark.parametrize("p,i", [(2, 1), (3, 1), (3, 2), (5, 3)])
+@pytest.mark.parametrize("p,i", [(2, 1), (3, 1), (3, 2), (5, 3),
+                                 (2, "lu"), (3, "lu"), (5, "lu"), (7, "lu")])
 def test_resolution_exact_and_resolves_summand(p, i):
     # tor1_degree takes the kernel of F1 (x) N -> F0 (x) N for the relations
-    # of summand_presentation; that kernel is Tor_1 only if the relations
-    # are independent over Z[v], i.e. F1 -> F0 is injective in every degree
+    # of its first factor; that kernel is Tor_1 only if the relations are
+    # independent over Z[v], i.e. F1 -> F0 is injective in every degree.
+    # tor_part relies on it for lu, the direct sum of the summands.
     d = 2 * p - 2
-    res = SummandResolution(p, i)
     window = 60
-    summand = summand_presentation(p, i, window + d)
-    assert summand.gen_degrees == tuple(res.gen_degree(j) for j in range(len(summand.gen_degrees)))
-    assert [summand.relation_degree(rel) for rel in summand.relations] == list(summand.gen_degrees)
+    if i == "lu":
+        module = lu_bzp_presentation(p, window + d)
+        assert module.gen_degrees == tuple(range(1, window + d + 1, 2))
+    else:
+        module = summand_presentation(p, i, window + d)
+        assert module.gen_degrees == tuple(
+            2 * j * (p - 1) + 2 * i - 1 for j in range(len(module.gen_degrees)))
+        assert [module.relation_degree(rel) for rel in module.relations] == list(module.gen_degrees)
     for n in range(window + 1):
-        slc = realize_slice(summand, n)
+        slc = realize_slice(module, n)
         rows = slc.presentation.relations
         rank = slc.presentation.n_gens - cokernel_group(slc.presentation.n_gens, rows).free_rank
         assert rank == len(rows), (p, i, n)
-        # and its cokernel is the summand: Z/p^(k+1) in degree 2k(p-1) + 2i - 1
-        expected = lu_closed_form(p, n) if n >= 2 * i - 1 and (n - 2 * i + 1) % d == 0 else trivial()
-        assert realize_degree(summand, n) == expected, (p, i, n)
+        # and its cokernel is the module: Z/p^(k+1) in degree 2k(p-1) + 2i - 1
+        in_summand = i == "lu" or n >= 2 * i - 1 and (n - 2 * i + 1) % d == 0
+        expected = lu_closed_form(p, n) if in_summand else trivial()
+        assert realize_degree(module, n) == expected, (p, i, n)
 
 
 # --- Tor ------------------------------------------------------------------------
 
 def test_tor_examples():
     lu2 = lu_bzp_presentation(2, 20)
-    assert tor1_degree(SummandResolution(2, 1), lu2, 4) == C(4)
+    assert tor1_degree(summand_presentation(2, 1, 20), lu2, 4) == C(4)
     lu3 = lu_bzp_presentation(3, 30)
-    assert tor1_degree(SummandResolution(3, 2), lu3, 8) == C(9)
+    assert tor1_degree(summand_presentation(3, 2, 30), lu3, 8) == C(9)
 
 
 def test_tor_odd_internal_degree_trivial():
     lu2 = lu_bzp_presentation(2, 20)
     for n in range(1, 12, 2):
-        assert tor1_degree(SummandResolution(2, 1), lu2, n) == trivial()
+        assert tor1_degree(summand_presentation(2, 1, 20), lu2, n) == trivial()
 
 
 def test_tor_closed_form_values():
@@ -216,11 +222,25 @@ def test_tor_engine_matches_closed_form():
                 ), (p, i, internal)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tor_of_lu_is_the_sum_over_summands(p):
+    # tor_part takes one kernel of lu (x) lu per internal degree; lu is the
+    # direct sum of its summands, so that kernel splits into the summand
+    # kernels, each of which has its closed form
+    lu = kunneth._lu_window(p, 121)
+    for k in range(0, 122, 2):
+        by_summand = [tor1_degree(summand_presentation(p, i, lu.truncation_degree), lu, k)
+                      for i in range(1, p)]
+        closed = [tor_closed_form(p, i, k) for i in range(1, p)]
+        assert tor1_degree(lu, lu, k) == trivial().direct_sum(*by_summand), (p, k)
+        assert by_summand == closed, (p, k)
+
+
 def test_tor_rejects_foreign_ring_degree():
     # the resolution lives over Z[v] with deg v == 2p - 2
     module = GradedModulePresentation(2, 4, (1, 5), (((2, 0, 0),),), 20)
-    with pytest.raises(ValueError, match="ring degree"):
-        tor1_degree(SummandResolution(2, 1), module, 9)
+    with pytest.raises(ValueError, match="different graded rings"):
+        tor1_degree(summand_presentation(2, 1, 20), module, 9)
 
 
 def _clear_caches(*modules):
@@ -275,8 +295,9 @@ def test_cached_rows_are_never_mutated(p):
         tor_part(p, n)
         tensor_part(p, n - 1)
         tensor_degree(module, module, n - 1)
+        tor1_degree(module, module, n - 1)
         for i in range(1, p):
-            tor1_degree(SummandResolution(p, i), module, n - 1)
+            tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
     ku_smash_check(6, 6)
     kernel_of_map(v_multiplication_map(module, 2 * p - 1))
     assert (slices, changes) == saved
@@ -315,11 +336,14 @@ def test_tensor_threads_match_serial():
 
 def test_tor_truncation_stability():
     # enlarging the window never changes the answer below the old safe bound
-    res = SummandResolution(2, 1)
     small = lu_bzp_presentation(2, 40)
     large = lu_bzp_presentation(2, 96)
+    small_summand = summand_presentation(2, 1, 40)
+    large_summand = summand_presentation(2, 1, 96)
     for internal in range(0, 20, 2):
-        assert tor1_degree(res, small, internal) == tor1_degree(res, large, internal)
+        assert (tor1_degree(small_summand, small, internal)
+                == tor1_degree(large_summand, large, internal))
+        assert tor1_degree(small, small, internal) == tor1_degree(large, large, internal)
 
 
 # --- smash assembly ----------------------------------------------------------------
@@ -395,7 +419,7 @@ def test_decomposition_crosscheck_values():
 def test_tor_insufficient_window_rejected():
     tiny = lu_bzp_presentation(2, 6)
     with pytest.raises(ValueError):
-        tor1_degree(SummandResolution(2, 1), tiny, 10)
+        tor1_degree(summand_presentation(2, 1, 6), tiny, 10)
 
 
 def test_kunneth_negative_degree_rejected():
