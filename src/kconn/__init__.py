@@ -8,7 +8,6 @@ and F2); answers are reported in invariant-factor canonical form.
 """
 
 from .abelian import (
-    AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
     IntegerMatrix,
@@ -49,7 +48,6 @@ from .verify import run_acceptance
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroupMap",
     "FgAbelianGroup",
     "GradedModulePresentation",
     "GroupPresentation",

@@ -7,15 +7,16 @@ rounded.
 
 There is one row format: a sparse row, a mapping column -> value whose zero
 values are ignored.  Relations, images of generators, coordinate changes and
-vectors are all rows of this kind (presentations and maps keep read-only
-copies), and two elimination cores work on them.
-:func:`_invariant_factors` computes invariants: every cokernel, and through
-it every group order and element order, goes through this one elimination,
-which keeps no coordinate changes.  :func:`_echelon` computes lattice bases
-as {leading column: row}, against which :func:`_solve_against_echelon`
-writes a vector: one echelon per kernel (:func:`kernel_of_map`), one per
-well-definedness check of :class:`AbelianGroupMap`, and one for the
-coordinate changes of :func:`simplify_presentation`.
+vectors are all rows of this kind (presentations keep read-only copies, and
+:func:`kernel_of_map` takes a map as its source, target and image rows), and
+two elimination cores work on them.  :func:`_invariant_factors` computes
+invariants: every cokernel, and through it every group order and element
+order, goes through this one elimination, which keeps no coordinate changes.
+:func:`_echelon` computes lattice bases as {leading column: row}, against
+which :func:`_solve_against_echelon` writes a vector: one echelon per kernel
+(:func:`kernel_of_map`, whose solve also checks that the map is well
+defined), and one for the coordinate changes of
+:func:`simplify_presentation`.
 """
 
 from __future__ import annotations
@@ -426,19 +427,14 @@ def _solve_against_echelon(basis: dict[int, dict[int, int]], vec) -> dict[int, i
     return coeffs
 
 
-def lattice_member(basis: dict[int, dict[int, int]], vec) -> bool:
-    """Membership of the sparse ``vec`` in the lattice of an echelon basis."""
-    return _solve_against_echelon(basis, vec) is not None
-
-
-# --- presented groups and maps between them ---------------------------------
+# --- presented groups and the kernel of a map ------------------------------
 
 class _Row(dict):
-    """A row of a presentation or a map: a dict that refuses changes, so rows
-    shared through caches stay as built, and hashes by its entries."""
+    """A row of a presentation: a dict that refuses changes, so rows shared
+    through caches stay as built, and hashes by its entries."""
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("rows of presentations and maps are read-only")
+        raise TypeError("rows of presentations are read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
@@ -538,54 +534,32 @@ def simplify_presentation(pres: GroupPresentation) -> SimplifiedPresentation:
     return SimplifiedPresentation(mini, to_min_rows, tuple({j: 1} for j in keep))
 
 
-@dataclass(frozen=True)
-class AbelianGroupMap:
-    """Homomorphism between presented groups, given on generators.
-
-    Row i of ``images`` is the image of source generator i written in target
-    generators.  Construction verifies that every source relation lands in
-    the relation lattice of the target, i.e. that the map is well defined.
-    """
-
-    source: GroupPresentation
-    target: GroupPresentation
-    images: tuple[dict[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", _frozen_rows(self.images, self.target.n_gens))
-        if len(self.images) != self.source.n_gens:
-            raise ValueError("need one image row per source generator")
-        basis = _echelon(self.target.relations)
-        for rel in self.source.relations:
-            if not lattice_member(basis, _row_times(rel, self.images)):
-                raise ValueError("images do not respect the source relations")
-
-
-def kernel_generators(f: AbelianGroupMap) -> dict[int, dict[int, int]]:
-    """Echelon basis, in source generators, of the preimage of the target
-    relation lattice: lifts of a generating set of ker(f).
+def kernel_of_map(source: GroupPresentation, target: GroupPresentation, images) -> FgAbelianGroup:
+    """Canonical form of the kernel of the map from ``source`` to ``target``
+    that sends source generator i to the sparse row ``images[i]`` of target
+    generators.
 
     One echelon of the rows [images | identity] and [target relations | 0]:
     its rows led past the target columns have a zero image part, and their
-    identity parts are the basis.
+    identity parts are a basis of the preimage P of the target relation
+    lattice.  The kernel is P modulo the source relations.  Writing each
+    source relation in that basis is also the one check that the map is
+    well defined, since a relation r lies in P exactly when its image does
+    in the target relation lattice.
     """
-    nt = f.target.n_gens
-    rows = [{**img, nt + i: 1} for i, img in enumerate(f.images)]
-    ech = _echelon(rows + list(f.target.relations))
-    return {j - nt: {c - nt: v for c, v in row.items()} for j, row in ech.items() if j >= nt}
-
-
-def kernel_of_map(f: AbelianGroupMap) -> FgAbelianGroup:
-    """Canonical form of the kernel: the preimage of the target relation
-    lattice modulo the source relations, which it contains."""
-    basis = kernel_generators(f)
-    index = {j: k for k, j in enumerate(basis)}
+    nt = target.n_gens
+    images = _frozen_rows(images, nt)
+    if len(images) != source.n_gens:
+        raise ValueError("need one image row per source generator")
+    ech = _echelon([{**img, nt + i: 1} for i, img in enumerate(images)] + list(target.relations))
+    basis = {j - nt: {c - nt: v for c, v in row.items()} for j, row in ech.items() if j >= nt}
+    slot = {j: k for k, j in enumerate(basis)}
     rows = []
-    for rel in f.source.relations:
+    for rel in source.relations:
         coeffs = _solve_against_echelon(basis, rel)
         if coeffs is None:
-            raise ValueError("source relations are not contained in the preimage lattice")
-        rows.append({index[j]: q for j, q in coeffs.items()})
+            raise ValueError("images do not respect the source relations")
+        rows.append({slot[j]: q for j, q in coeffs.items()})
     return cokernel_group(len(basis), rows)
 
 

@@ -10,7 +10,6 @@ rather than silently corrected.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -432,9 +431,6 @@ class BottAudit:
             ],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = [

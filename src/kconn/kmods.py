@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (
-    AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
     _order_from_quotient,
@@ -34,6 +33,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ def lu_bzp_presentation(p: int, max_degree: int) -> GradedModulePresentation:
     """The reduced classifying-space module of Z/p over Z[v], deg v = 2p-2:
     one generator in every odd degree, p-torsion relations on the bottom
     p-1 generators, and v * g_n = p * g_{n + 2p-2} thereafter."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if max_degree < 1:
         raise ValueError("degree bound must be at least 1")
     d = 2 * p - 2
@@ -101,8 +104,7 @@ def lu_bzp_presentation(p: int, max_degree: int) -> GradedModulePresentation:
 def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresentation:
     """The cyclic-tower direct summand of the classifying-space module whose
     generators sit in degrees 2k(p-1) + 2i - 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if not 1 <= i <= p - 1:
         raise ValueError("summand index out of range")
     d = 2 * p - 2
@@ -163,21 +165,10 @@ def realize_degree(module: GradedModulePresentation, n: int) -> FgAbelianGroup:
     return realize_slice(module, n).presentation.group()
 
 
-def v_multiplication_map(module: GradedModulePresentation, n: int) -> AbelianGroupMap:
-    """Multiplication by v from the degree-n slice to the slice in degree
-    n + deg(v), as a map of presented groups."""
-    src = realize_slice(module, n)
-    tgt = realize_slice(module, n + module.ring_degree)
-    tgt_pos = {bk: idx for idx, bk in enumerate(tgt.basis)}
-    images = [{tgt_pos[(k + 1, gi)]: 1} for k, gi in src.basis]
-    return AbelianGroupMap(src.presentation, tgt.presentation, images)
-
-
 def lu_closed_form(p: int, n: int) -> FgAbelianGroup:
     """Closed form of the classifying-space module in degree n: the group is
     Z/p^(k+1) when n = 2k(p-1) + 2i - 1 with 1 <= i <= p-1, trivial else."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if n < 1 or n % 2 == 0:
         return FgAbelianGroup.trivial()
     h = (n + 1) // 2  # h = k(p-1) + i with i in [1, p-1]
@@ -189,6 +180,7 @@ def lu_closed_form(p: int, n: int) -> FgAbelianGroup:
 def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
     """Reduced bu of B Z/p in degree n, reassembled from the p-1 shifted
     copies of the summand theory."""
+    check_prime(p)
     parts = [lu_closed_form(p, n - 2 * a) for a in range(p - 1)]
     return FgAbelianGroup.trivial().direct_sum(*parts)
 

@@ -14,12 +14,10 @@ the direct-sum decomposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import (
-    AbelianGroupMap,
     FgAbelianGroup,
     GroupPresentation,
     SimplifiedPresentation,
@@ -30,7 +28,7 @@ from .abelian import (
 from .kmods import (
     DegreeSlice,
     GradedModulePresentation,
-    is_prime,
+    check_prime,
     lu_bzp_presentation,
     realize_slice,
     summand_presentation,
@@ -113,16 +111,13 @@ def tor1_degree(
     ``m`` are independent over Z[v], so that F1 -> F0 is a free resolution;
     the caller guarantees it."""
     source, target, images = _tensor_map(m, n_mod, n)
-    return kernel_of_map(
-        AbelianGroupMap(GroupPresentation(*source), GroupPresentation(*target), images)
-    )
+    return kernel_of_map(GroupPresentation(*source), GroupPresentation(*target), images)
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     """Closed form of the summand Tor piece: cyclic of order p^(t+1) where
     the internal degree 2m satisfies 2m - 2i + 1 = 2t(p-1) + 2j - 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_prime(p)
     if not 1 <= i <= p - 1:
         raise ValueError("summand index out of range")
     if internal_degree % 2 or internal_degree < 2 * i - 1:
@@ -139,15 +134,21 @@ def _lu_window(p: int, need: int) -> GradedModulePresentation:
     return lu_bzp_presentation(p, width)
 
 
+def _check_tor_args(p: int, method: str) -> None:
+    """Reject a p that is not prime and an unknown Tor method, in every
+    degree, before any degree has a chance to answer 0."""
+    check_prime(p)
+    if method not in ("resolution", "closed_form"):
+        raise ValueError(f"unknown Tor method {method!r}")
+
+
 def tor_summand_group(p: int, i: int, internal_degree: int, method: str = "resolution") -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution
-    kernel or the certified closed form."""
+    kernel or the certified closed form.  Below the bottom generator the
+    resolution's map is empty, so its kernel is 0."""
+    _check_tor_args(p, method)
     if method == "closed_form":
         return tor_closed_form(p, i, internal_degree)
-    if method != "resolution":
-        raise ValueError(f"unknown Tor method {method!r}")
-    if internal_degree < 0:
-        return FgAbelianGroup.trivial()
     lu = _lu_window(p, internal_degree)
     summand = summand_presentation(p, i, lu.truncation_degree)
     return tor1_degree(summand, lu, internal_degree)
@@ -183,6 +184,7 @@ def tor_part(p: int, n: int, method: str = "resolution") -> FgAbelianGroup:
     classifying-space module with itself at internal degree n - 1 - 2a over
     the shifted summand copies; nonzero only in odd degrees.  The closed form
     reads each internal degree as the sum of its summand pieces."""
+    _check_tor_args(p, method)
     parts = []
     for a in range(p - 1):
         internal = n - 1 - 2 * a
@@ -202,6 +204,7 @@ def kunneth_smash_group(p: int, n: int, method: str = "resolution") -> FgAbelian
     shifted Tor term the odd ones, so no extension problem arises."""
     if n < 0:
         raise ValueError("degree must be non-negative")
+    _check_tor_args(p, method)
     if n % 2 == 0:
         return tensor_part(p, n)
     return tor_part(p, n, method)
@@ -245,9 +248,6 @@ class KunnethReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
     def to_text(self) -> str:
         lines = [f"smash K-homology check, p={self.p}, degrees 0..{self.n_max}"]
         header = f"{'n':>4}  {'tensor':<18}{'tor[n-1]':<18}{'assembled':<18}{'crosscheck':<18}verdict"
@@ -266,6 +266,7 @@ def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:
     plus the elementary wedge part."""
     from .kmods import bu_bzp_group
 
+    check_prime(p)
     parts = [bu_bzp_group(p, n - 2 * i) for i in range(1, p)]
     parts.append(
         FgAbelianGroup.from_cyclic_orders(0, [p] * wedge_count(p, n))
@@ -276,6 +277,7 @@ def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:
 def verify_bu_decomposition(p: int, n_max: int, method: str = "resolution") -> KunnethReport:
     """Degree-wise comparison of the assembled smash groups against the
     direct-sum decomposition; failures are recorded verdicts, not errors."""
+    _check_tor_args(p, method)
     records = []
     for n in range(n_max + 1):
         tens = tensor_part(p, n) if n % 2 == 0 else FgAbelianGroup.trivial()

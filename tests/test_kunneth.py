@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kconn import kmods, kunneth
 from kconn.abelian import (
     FgAbelianGroup,
+    GroupPresentation,
     cokernel_group,
     kernel_of_map,
     simplify_presentation,
@@ -21,7 +22,6 @@ from kconn.kmods import (
     realize_degree,
     realize_slice,
     summand_presentation,
-    v_multiplication_map,
 )
 from kconn.kunneth import (
     decomposition_crosscheck,
@@ -35,6 +35,8 @@ from kconn.kunneth import (
     verify_bu_decomposition,
     wedge_count,
 )
+
+from .test_abelian import cone_kernel, v_multiplication_map
 
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
@@ -236,6 +238,18 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
         assert by_summand == closed, (p, k)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tor_maps_agree_with_the_mapping_cone(p):
+    # every internal degree k <= 121: the even k are the Tor maps of the
+    # sweep over odd n <= 121, and the odd k, whose Tor is 0, come along;
+    # the kernel equals H_1 of the mapping cone, read off two cokernels
+    for k in range(122):
+        lu = kunneth._lu_window(p, k)
+        source, target, images = kunneth._tensor_map(lu, lu, k)
+        source, target = GroupPresentation(*source), GroupPresentation(*target)
+        assert kernel_of_map(source, target, images) == cone_kernel(source, target, images), (p, k)
+
+
 def test_tor_rejects_foreign_ring_degree():
     # the resolution lives over Z[v] with deg v == 2p - 2
     module = GradedModulePresentation(2, 4, (1, 5), (((2, 0, 0),),), 20)
@@ -299,7 +313,7 @@ def test_cached_rows_are_never_mutated(p):
         for i in range(1, p):
             tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
     ku_smash_check(6, 6)
-    kernel_of_map(v_multiplication_map(module, 2 * p - 1))
+    kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
     assert (slices, changes) == saved
     row = next(row for rows in slices for row in rows)
     with pytest.raises(TypeError):
@@ -425,3 +439,40 @@ def test_tor_insufficient_window_rejected():
 def test_kunneth_negative_degree_rejected():
     with pytest.raises(ValueError):
         kunneth_smash_group(2, -1)
+
+
+@pytest.mark.parametrize("call,args,message", [
+    (kunneth_smash_group, (1, 3), "prime"),
+    (kunneth_smash_group, (0, 5, "closed_form"), "prime"),
+    (kunneth_smash_group, (1, 2), "prime"),
+    (kmods.bu_bzp_group, (1, 3), "prime"),
+    (tor_part, (1, 3), "prime"),
+    (decomposition_crosscheck, (1, 4), "prime"),
+    (verify_bu_decomposition, (1, 0), "prime"),
+    (tor_summand_group, (4, 1, -1), "prime"),
+    (tor_summand_group, (4, 1, -1, "closed_form"), "prime"),
+    (tor_summand_group, (2, 5, -1), "summand index"),
+    (tor_summand_group, (2, 5, -1, "closed_form"), "summand index"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_bad_prime_or_summand_rejected_in_every_degree(call, args, message):
+    # p and i are checked before any degree can answer 0
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
+@pytest.mark.parametrize("call,args", [
+    (kunneth_smash_group, (2, 4, "bogus")),
+    (kunneth_smash_group, (2, 5, "bogus")),
+    (tor_part, (2, 0, "bogus")),
+    (verify_bu_decomposition, (2, 0, "bogus")),
+    (tor_summand_group, (2, 1, -1, "bogus")),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_unknown_tor_method_rejected_in_every_degree(call, args):
+    with pytest.raises(ValueError, match="unknown Tor method"):
+        call(*args)
+
+
+def test_tor_summand_below_the_bottom_generator_is_trivial():
+    for method in ("resolution", "closed_form"):
+        assert tor_summand_group(3, 2, -1, method) == trivial()
+        assert tor_summand_group(3, 2, 2, method) == trivial()
