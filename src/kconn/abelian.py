@@ -10,13 +10,14 @@ values are ignored.  Relations, images of generators, coordinate changes and
 vectors are all rows of this kind (presentations keep read-only copies, and
 :func:`kernel_of_map` takes a map as its source, target and image rows), and
 two elimination cores work on them.  :func:`_invariant_factors` computes
-invariants: every cokernel, and through it every group order and element
-order, goes through this one elimination, which keeps no coordinate changes.
-:func:`_echelon` computes lattice bases as {leading column: row}, against
-which :func:`_solve_against_echelon` writes a vector: one echelon per kernel
-(:func:`kernel_of_map`, whose solve also checks that the map is well
-defined), and one for the coordinate changes of
-:func:`simplify_presentation`.
+invariants: every cokernel, and through it every group order, element order
+and the homology of the Kunneth complexes, goes through this one
+elimination, which keeps no coordinate changes.  :func:`_echelon` computes
+lattice bases as {leading column: row}, against which
+:func:`_solve_against_echelon` writes a vector.  It serves two library
+functions that no other module calls: :func:`kernel_of_map`, one echelon
+per kernel, whose solve also checks that the map is well defined, and
+:func:`simplify_presentation`, one echelon for its coordinate changes.
 """
 
 from __future__ import annotations

@@ -74,6 +74,12 @@ class GradedModulePresentation:
                 degs.add(exp * self.ring_degree + self.gen_degrees[gi])
             if len(degs) != 1:
                 raise ValueError("inhomogeneous relation")
+        # the dataclass hash, taken once: lru caches look a module up per degree
+        fields = (self.p, self.ring_degree, self.gen_degrees, self.relations, self.truncation_degree)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def relation_degree(self, rel: Relation) -> int:
         coeff, exp, gi = rel[0]

@@ -1,117 +1,192 @@
 """Degree-wise tensor and Tor over the graded coefficient ring.
 
-A presentation F1 -> F0 of the first factor, tensored with the second factor
-N, gives one map F1 (x) N -> F0 (x) N, built degree-wise from the reduced
-slices of N.  Its cokernel is the tensor term.  When the relations are
-independent over Z[v], F1 -> F0 is a free resolution and its kernel is the
-torsion term, extracted by exact integer linear algebra.  The presentation
-of the classifying-space module is such a resolution, being the direct sum
-of its cyclic-tower summands, so both terms of each degree come from the one
-map of that module tensored with itself.  The short exact sequence then
-assembles the K-homology of the smash square, which is cross-checked against
-the direct-sum decomposition.
+Both are homology of one complex per degree, Tot = F (x) G'.  F presents the
+first factor m, free over Z[v]; G' is the presentation F' of the second
+factor N after an algebraic Morse reduction (Skoldberg, Trans. AMS 358,
+2006): a relation whose strictly highest v-exponent term is +-1 on a
+generator g is matched with g, at most one relation per generator.  The
+matched cells v^k r, v^(k+a) g span an acyclic, v-stable subcomplex M, so
+G' = F'/M is a complex of Z[v]-modules quasi-isomorphic to F', free over Z
+on the critical cells, with boundary d' = NF o d.  H0 of Tot is m (x) N.
+H1 is Tor_1(m, N) when the relations of both factors are independent over
+Z[v], as for the classifying-space module, the direct sum of its
+cyclic-tower summands: for N this is checked, for m the caller guarantees
+it.  No kernel is computed (as in Dumas, Saunders & Villard, J. Symbolic
+Comput. 32, 2001): Tot0 is free, so ker d1 is a direct summand of Tot1, and
+H1 has the torsion of coker d2 and its free rank less rank d1.  The short
+exact sequence then assembles the K-homology of the smash square, which is
+cross-checked against the direct-sum decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .abelian import (
-    FgAbelianGroup,
-    GroupPresentation,
-    SimplifiedPresentation,
-    cokernel_group,
-    kernel_of_map,
-    simplify_presentation,
-)
+from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
-    DegreeSlice,
     GradedModulePresentation,
     check_prime,
     lu_bzp_presentation,
-    realize_slice,
     summand_presentation,
 )
 
+Row = tuple[tuple[int, int], ...]  # sparse (column, value) pairs
+
 
 @lru_cache(maxsize=None)
-def _simplified_slice(
-    module: GradedModulePresentation, deg: int
-) -> tuple[DegreeSlice, SimplifiedPresentation]:
-    """One degree slice and its reduced presentation, simplified once and
-    shared by every tensor and Tor degree whose blocks include it."""
-    slc = realize_slice(module, deg)
-    return slc, simplify_presentation(slc.presentation)
+def _matching(module: GradedModulePresentation) -> dict[int, tuple[int, int, int]]:
+    """{generator g: (relation, a, unit)} for each relation whose one term of
+    highest v-exponent a is unit * v^a g, +-1, at most one per generator."""
+    match: dict[int, tuple[int, int, int]] = {}
+    for r, rel in enumerate(module.relations):
+        top = max(k for _, k, _ in rel)
+        tops = [(c, g) for c, k, g in rel if k == top]
+        if len(tops) == 1 and tops[0][0] in (1, -1) and tops[0][1] not in match:
+            match[tops[0][1]] = (r, top, tops[0][0])
+    return match
 
 
-def _tensor_map(m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
-    """Degree n of F1 (x) N -> F0 (x) N, where F0 is free on the generators
-    of ``m``, F1 free on its relations, and F1 -> F0 sends each relation to
-    its terms; N is ``n_mod``.  Both factors must live over one graded ring,
-    and degree n must lie in the safe window of both.
+class _Slice(NamedTuple):
+    """Degree e of G'.  ``cells`` are the critical 0-cells (k, g), standing
+    for v^k g; ``nf`` writes every 0-cell of degree e over them; ``cells1``
+    indexes the critical 1-cells (k, r), standing for v^k r, whose reduced
+    boundaries are ``boundary``; ``rank`` is the rank of that boundary."""
 
-    A generator or relation of ``m`` in degree e <= n contributes one block,
-    the reduced slice of N in degree n - e, so each side is a block-diagonal
-    presentation.  A relation term (c, k, g) sends the old coordinate
-    v^j g_i of its block to c v^(j+k) g_i, read through ``to_min`` of the
-    block of g: that slice lies in degree n - e + kd.  Returns the source
-    and the target, each as its generator count and relation rows, and the
-    images of the source's generators.
-    """
-    if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
-        raise ValueError("presentations live over different graded rings")
-    if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
-        raise ValueError(f"degree {n} outside the safe window of the factors")
-    rel_degrees = [m.relation_degree(rel) for rel in m.relations]
-    slices = {e: _simplified_slice(n_mod, n - e) for e in {*m.gen_degrees, *rel_degrees} if e <= n}
+    cells: tuple[tuple[int, int], ...]
+    nf: MappingProxyType[tuple[int, int], Row]
+    cells1: MappingProxyType[tuple[int, int], int]
+    boundary: tuple[Row, ...]
+    rank: int
 
-    def blocks(degrees):
-        out, total = {}, 0
-        for idx, e in enumerate(degrees):
-            if e <= n:
-                out[idx] = (total, *slices[e])
-                total += slices[e][1].presentation.n_gens
-        rows = [{off + c: x for c, x in rel.items()}
-                for off, _, simp in out.values() for rel in simp.presentation.relations]
-        return out, (total, rows)
 
-    rel_blocks, source = blocks(rel_degrees)
-    gen_blocks, target = blocks(m.gen_degrees)
-    images = []
-    for r, (_, slc, simp) in rel_blocks.items():
-        for old in simp.from_min:
-            row: dict[int, int] = {}
-            for q, x in old.items():
-                j, gi = slc.basis[q]
-                for c, k, g in m.relations[r]:
-                    off, g_slc, g_simp = gen_blocks[g]
-                    for col, y in g_simp.to_min[g_slc.basis.index((j + k, gi))].items():
-                        row[off + col] = row.get(off + col, 0) + c * x * y
-            images.append({col: x for col, x in row.items() if x})
-    return source, target, images
+@lru_cache(maxsize=None)
+def _reduced_slice(module: GradedModulePresentation, e: int) -> _Slice:
+    """Degree e of the Morse reduction G' of ``module``, shared by every
+    tensor and Tor degree whose blocks include it.  0-cells are reduced by
+    increasing v-exponent: the other terms of a matched cell's relation have
+    smaller exponents in the same degree, so they are in normal form."""
+    match, d = _matching(module), module.ring_degree
+    cells, nf = [], {}
+    for j, g in sorted(((e - deg) // d, g) for g, deg in enumerate(module.gen_degrees)
+                       if deg <= e and (e - deg) % d == 0):
+        if g not in match or j < match[g][1]:
+            nf[j, g] = ((len(cells), 1),)
+            cells.append((j, g))
+            continue
+        r, a, unit = match[g]
+        row: dict[int, int] = {}
+        for c, b, h in module.relations[r]:
+            for col, x in nf[j - a + b, h] if b < a else ():
+                row[col] = row.get(col, 0) - unit * c * x
+        nf[j, g] = tuple((col, x) for col, x in row.items() if x)
+    matched = {r for r, _, _ in match.values()}
+    cells1, boundary = {}, []
+    for r, rel in enumerate(module.relations):
+        rem = e - module.relation_degree(rel)
+        if r not in matched and rem >= 0 and rem % d == 0:
+            row = {}
+            for c, b, h in rel:
+                for col, x in nf[rem // d + b, h]:
+                    row[col] = row.get(col, 0) + c * x
+            cells1[rem // d, r] = len(boundary)
+            boundary.append(tuple((col, x) for col, x in row.items() if x))
+    rank = len(cells) - cokernel_group(len(cells), [dict(b) for b in boundary]).free_rank
+    return _Slice(tuple(cells), MappingProxyType(nf), MappingProxyType(cells1),
+                  tuple(boundary), rank)
+
+
+def _offsets(blocks: dict[int, _Slice], field: str, start: int = 0):
+    """Where the ``field`` block of each generator or relation starts, from
+    ``start`` on, and where the last one ends."""
+    out = {}
+    for i, slc in blocks.items():
+        out[i], start = start, start + len(getattr(slc, field))
+    return out, start
+
+
+class _Tot:
+    """Degree n of Tot = F (x) G' for the presentation F of ``m`` and the
+    reduction G' of ``n_mod``.  A generator or relation of ``m`` in degree
+    e <= n contributes blocks from the slice of G' in degree n - e.  Tot1's
+    basis is F1 (x) G'0, then F0 (x) G'1.  Both factors must live over one
+    graded ring, and degree n must lie in the safe window of both."""
+
+    def __init__(self, m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
+        if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
+            raise ValueError("presentations live over different graded rings")
+        if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
+            raise ValueError(f"degree {n} outside the safe window of the factors")
+        rel_degrees = [m.relation_degree(rel) for rel in m.relations]
+        self.m, self.slices = m, {e: _reduced_slice(n_mod, n - e)
+                                  for e in {*m.gen_degrees, *rel_degrees} if e <= n}
+        self.gens = {g: self.slices[e] for g, e in enumerate(m.gen_degrees) if e <= n}
+        self.rels = {r: self.slices[e] for r, e in enumerate(rel_degrees) if e <= n}
+        self.gen0, self.n0 = _offsets(self.gens, "cells")
+        self.rel0, n_rel0 = _offsets(self.rels, "cells")
+        self.gen1, self.n1 = _offsets(self.gens, "cells1", n_rel0)
+
+    def d1_rank_bound(self) -> int:
+        """The rank of the block-diagonal rows g (x) y of d1: a lower bound
+        on rank d1, and rank d1 itself when it reaches dim Tot0."""
+        return sum(slc.rank for slc in self.gens.values())
+
+    def d1(self) -> list[dict[int, int]]:
+        """d1(r (x) x) = sum of c g (x) NF(v^k x) over the terms (c, k, g) of
+        r, and d1(g (x) y) = g (x) d'y."""
+        rows = []
+        for r, slc in self.rels.items():
+            for j, h in slc.cells:
+                row: dict[int, int] = {}
+                for c, k, g in self.m.relations[r]:
+                    for col, x in self.gens[g].nf[j + k, h]:
+                        row[self.gen0[g] + col] = row.get(self.gen0[g] + col, 0) + c * x
+                rows.append(row)
+        return rows + [{self.gen0[g] + col: x for col, x in b}
+                       for g, slc in self.gens.items() for b in slc.boundary]
+
+    def d2(self) -> list[dict[int, int]]:
+        """d2(r (x) y) = sum of c g (x) v^k y over the terms (c, k, g) of r,
+        less r (x) d'y; v^k y is critical, since G' is v-stable."""
+        rows = []
+        for r, slc in self.rels.items():
+            for (j, t), i in slc.cells1.items():
+                row = {self.rel0[r] + col: -x for col, x in slc.boundary[i]}
+                for c, k, g in self.m.relations[r]:
+                    col = self.gen1[g] + self.gens[g].cells1[j + k, t]
+                    row[col] = row.get(col, 0) + c
+                rows.append(row)
+        return rows
 
 
 @lru_cache(maxsize=None)
 def tensor_degree(
     m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
-    """Degree-n piece of the tensor product over Z[v]: the cokernel of
-    F1 (x) N -> F0 (x) N, by right exactness of the tensor product."""
-    _, (n_gens, relations), images = _tensor_map(m, n_mod, n)
-    return cokernel_group(n_gens, relations + images)
+    """Degree-n piece of the tensor product over Z[v]: H0 of Tot, the
+    cokernel of d1."""
+    tot = _Tot(m, n_mod, n)
+    return cokernel_group(tot.n0, tot.d1())
 
 
 @lru_cache(maxsize=None)
 def tor1_degree(
     m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
-    """Degree-n piece of the first derived functor over Z[v]: the kernel of
-    F1 (x) N -> F0 (x) N.  That kernel is Tor_1 only when the relations of
-    ``m`` are independent over Z[v], so that F1 -> F0 is a free resolution;
-    the caller guarantees it."""
-    source, target, images = _tensor_map(m, n_mod, n)
-    return kernel_of_map(GroupPresentation(*source), GroupPresentation(*target), images)
+    """Degree-n piece of the first derived functor over Z[v]: H1 of Tot, read
+    off coker d2 and rank d1.  It is Tor_1 only when the relations of ``m``
+    are independent over Z[v]; the caller guarantees it.  Raises
+    ``ValueError`` when those of ``n_mod`` are not, as a slice shows."""
+    tot = _Tot(m, n_mod, n)
+    if any(s.rank < len(s.cells1) for s in tot.slices.values()):
+        raise ValueError("relations of the second factor are dependent over Z[v]")
+    h1 = cokernel_group(tot.n1, tot.d2())
+    # the block-diagonal bound is rank d1 when it reaches dim Tot0
+    exact = tot.d1_rank_bound() == tot.n0
+    rank_d1 = tot.n0 if exact else tot.n0 - tensor_degree(m, n_mod, n).free_rank
+    return FgAbelianGroup(h1.free_rank - rank_d1, h1.invariant_factors)
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
@@ -144,8 +219,8 @@ def _check_tor_args(p: int, method: str) -> None:
 
 def tor_summand_group(p: int, i: int, internal_degree: int, method: str = "resolution") -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution
-    kernel or the certified closed form.  Below the bottom generator the
-    resolution's map is empty, so its kernel is 0."""
+    or the certified closed form.  Below the bottom generator the complex
+    is empty, so its H1 is 0."""
     _check_tor_args(p, method)
     if method == "closed_form":
         return tor_closed_form(p, i, internal_degree)

@@ -6,13 +6,16 @@ import pytest
 
 from kconn.abelian import FgAbelianGroup, kernel_of_map
 from kconn.kmods import (
+    GradedModulePresentation,
     TruncatedKuRing,
     bu_bzp_group,
     ku_smash_check,
     lu_bzp_presentation,
     lu_closed_form,
     realize_degree,
+    realize_slice,
 )
+from kconn.kunneth import tensor_degree
 
 from .test_abelian import (
     enumerate_quotient_order,
@@ -237,3 +240,34 @@ def test_presentation_rejects_inhomogeneous_relation():
             relations=(((1, 0, 0), (1, 0, 1)),),  # degree 1 + degree 3 terms
             truncation_degree=5,
         )
+
+
+class _CountingInt(int):
+    """An int that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountingInt.hashes += 1
+        return int.__hash__(self)
+
+
+def _tower(coeff):
+    return GradedModulePresentation(2, 2, (1, 3), (((coeff, 0, 0),), ((1, 1, 0), (-2, 0, 1))), 20)
+
+
+def test_module_hash_is_the_dataclass_hash_taken_once():
+    a, b = _tower(2), _tower(2)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((2, 2, (1, 3), a.relations, 20))
+    assert a != _tower(4)
+    # a cache lookup hashes the key, and the key's relations are not hashed
+    # again: the module hashed them once, when it was built
+    counted = _tower(_CountingInt(2))
+    assert _CountingInt.hashes == 1
+    for n in range(1, 9):
+        realize_slice(counted, n)
+        realize_slice(counted, n)
+        tensor_degree(counted, counted, n)
+    assert _CountingInt.hashes == 1
+    assert hash(counted) == hash(a)

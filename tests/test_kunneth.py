@@ -1,6 +1,7 @@
 import copy
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,68 @@ def reference_tensor(m, n_mod, n):
     return cokernel_group(len(pos), rows)
 
 
+@lru_cache(maxsize=None)
+def _reference_slice(module, deg):
+    slc = realize_slice(module, deg)
+    return slc, simplify_presentation(slc.presentation)
+
+
+def reference_tensor_map(m, n_mod, n):
+    """Degree n of F1 (x) N -> F0 (x) N, built from the simplified slices of
+    N, as (source, target, images) for kernel_of_map: the engine the tensor
+    and Tor terms were computed by before the Morse-reduced complex.
+
+    A generator or relation of ``m`` in degree e <= n contributes one block,
+    the simplified slice of N in degree n - e.  A relation term (c, k, g)
+    sends the old coordinate v^j g_i of its block to c v^(j+k) g_i, read
+    through ``to_min`` of the block of g."""
+    rel_degrees = [m.relation_degree(rel) for rel in m.relations]
+    slices = {e: _reference_slice(n_mod, n - e) for e in {*m.gen_degrees, *rel_degrees} if e <= n}
+
+    def blocks(degrees):
+        out, total = {}, 0
+        for idx, e in enumerate(degrees):
+            if e <= n:
+                out[idx] = (total, *slices[e])
+                total += slices[e][1].presentation.n_gens
+        rows = [{off + c: x for c, x in rel.items()}
+                for off, _, simp in out.values() for rel in simp.presentation.relations]
+        return out, GroupPresentation(total, rows)
+
+    rel_blocks, source = blocks(rel_degrees)
+    gen_blocks, target = blocks(m.gen_degrees)
+    images = []
+    for r, (_, slc, simp) in rel_blocks.items():
+        for old in simp.from_min:
+            row: dict[int, int] = {}
+            for q, x in old.items():
+                j, gi = slc.basis[q]
+                for c, k, g in m.relations[r]:
+                    off, g_slc, g_simp = gen_blocks[g]
+                    for col, y in g_simp.to_min[g_slc.basis.index((j + k, gi))].items():
+                        row[off + col] = row.get(off + col, 0) + c * x * y
+            images.append({col: x for col, x in row.items() if x})
+    return source, target, images
+
+
+def reference_tor(m, n_mod, n):
+    """Tor_1 as the kernel of F1 (x) N -> F0 (x) N, by the kernel echelon."""
+    return kernel_of_map(*reference_tensor_map(m, n_mod, n))
+
+
+def assert_composes_to_zero(tot, where):
+    """d1 o d2 == 0 for the complex ``tot``: each row of d2, a combination of
+    Tot1's basis, sent through the rows of d1."""
+    d1 = tot.d1()
+    assert len(d1) == tot.n1, where
+    for row in tot.d2():
+        image: dict[int, int] = {}
+        for i, c in row.items():
+            for col, x in d1[i].items():
+                image[col] = image.get(col, 0) + c * x
+        assert not any(image.values()), (where, row)
+
+
 WINDOW = 16  # truncation of the random presentations
 
 
@@ -141,6 +204,48 @@ def presentation_pairs(draw):
 def test_tensor_matches_standard_presentation(pair):
     m, n_mod = pair
     for n in range(WINDOW - m.ring_degree + 1):
+        assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
+        # G' is a complex whether or not the relations are independent
+        assert_composes_to_zero(kunneth._Tot(m, n_mod, n), n)
+
+
+@st.composite
+def tower_sums(draw, d):
+    """Direct sums of towers over Z[v]: a bottom relation c g_0 (or none, so
+    that the tower has a free part), then u v^a g_(j-1) - c_j g_j for
+    j >= 1, with u a unit or not.  Each tower's relations are triangular
+    with nonzero diagonal, so independent."""
+    gens: list[int] = []
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(0, 6))
+        gens.append(deg)
+        if draw(st.integers(0, 3)):
+            rels.append(((draw(st.integers(-8, 8).filter(bool)), 0, len(gens) - 1),))
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(st.integers(0, 2))
+            if deg + a * d > WINDOW:
+                break
+            deg += a * d
+            gens.append(deg)
+            top = draw(st.sampled_from([1, -1, 1, -1, 2, -3]))
+            rels.append(((top, a, len(gens) - 2),
+                         (-draw(st.integers(-9, 9).filter(bool)), 0, len(gens) - 1)))
+    return GradedModulePresentation(2, d, tuple(gens), tuple(rels), WINDOW)
+
+
+@st.composite
+def tower_pairs(draw):
+    d = draw(st.sampled_from([1, 2, 4]))
+    return draw(tower_sums(d)), draw(tower_sums(d))
+
+
+@settings(max_examples=180, deadline=None)
+@given(tower_pairs())
+def test_tor_and_tensor_match_the_reference_engines_on_towers(pair):
+    m, n_mod = pair
+    for n in range(WINDOW - m.ring_degree + 1):
+        assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
 
 
@@ -238,16 +343,29 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
         assert by_summand == closed, (p, k)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tor_complexes_compose_to_zero(p):
+    # every internal degree k <= 121, lu (x) lu and each summand (x) lu
+    for k in range(122):
+        lu = kunneth._lu_window(p, k)
+        assert_composes_to_zero(kunneth._Tot(lu, lu, k), (p, k))
+        for i in range(1, p):
+            summand = summand_presentation(p, i, lu.truncation_degree)
+            assert_composes_to_zero(kunneth._Tot(summand, lu, k), (p, i, k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_tor_maps_agree_with_the_mapping_cone(p):
     # every internal degree k <= 121: the even k are the Tor maps of the
     # sweep over odd n <= 121, and the odd k, whose Tor is 0, come along;
-    # the kernel equals H_1 of the mapping cone, read off two cokernels
+    # H_1 of the reduced complex equals the kernel of F1 (x) N -> F0 (x) N,
+    # taken by the kernel echelon and as H_1 of its mapping cone
     for k in range(122):
         lu = kunneth._lu_window(p, k)
-        source, target, images = kunneth._tensor_map(lu, lu, k)
-        source, target = GroupPresentation(*source), GroupPresentation(*target)
-        assert kernel_of_map(source, target, images) == cone_kernel(source, target, images), (p, k)
+        source, target, images = reference_tensor_map(lu, lu, k)
+        kernel = kernel_of_map(source, target, images)
+        assert kernel == cone_kernel(source, target, images), (p, k)
+        assert tor1_degree(lu, lu, k) == kernel, (p, k)
 
 
 def test_tor_rejects_foreign_ring_degree():
@@ -264,47 +382,53 @@ def _clear_caches(*modules):
                 value.cache_clear()
 
 
-def test_tor_simplifies_each_slice_once(monkeypatch):
-    seen = []
-
-    def record(pres):
-        seen.append(pres)
-        return simplify_presentation(pres)
-
-    monkeypatch.setattr(kunneth, "simplify_presentation", record)
+def test_tor_reduces_each_slice_once():
+    # every reduced slice a sweep needs is built once, shared across the
+    # degrees whose blocks include it, and kept for the next sweep
     _clear_caches(kunneth)
     try:
         for n in range(1, 42, 2):
             tor_part(2, n)
+        first = kunneth._reduced_slice.cache_info()
+        for n in range(1, 42, 2):
+            kunneth.tor1_degree.__wrapped__(kunneth._lu_window(2, n - 1),
+                                            kunneth._lu_window(2, n - 1), n - 1)
+        second = kunneth._reduced_slice.cache_info()
     finally:
         _clear_caches(kunneth)
-    assert seen
-    assert len(set(seen)) == len(seen)
+    assert first.misses == first.currsize > 0
+    assert first.hits > first.misses
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tor_slices_are_minimal(p):
-    # simplify_presentation is reduced, not minimal in general; on the slices
-    # the Tor path uses it must keep one generator per cyclic summand, or the
-    # block matrices of tor1_degree grow
+    # the Morse reduction need not be minimal; on the slices the Tor path
+    # uses it must keep one critical 0-cell per cyclic summand, or the
+    # blocks of the complex grow, and its H_0 is the slice of lu
     module = kunneth._lu_window(p, 121)
     for deg in range(122):
-        _, simp = kunneth._simplified_slice(module, deg)
-        g = simp.presentation.group()
-        assert simp.presentation.n_gens == g.free_rank + len(g.invariant_factors), deg
+        slc = kunneth._reduced_slice(module, deg)
+        g = cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
+        assert g == realize_degree(module, deg) == lu_closed_form(p, deg), deg
+        assert len(slc.cells) == g.free_rank + len(g.invariant_factors), deg
+        assert slc.rank == len(slc.cells1), deg
+
+
+def _reduced_data(slc):
+    return slc.cells, dict(slc.nf), dict(slc.cells1), slc.boundary, slc.rank
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cached_rows_are_never_mutated(p):
-    # realize_slice and _simplified_slice hand out lru-cached rows; no
+    # realize_slice and _reduced_slice hand out lru-cached rows; no
     # computation that reads them, the tensor and Tor paths included, may
     # change them, and a caller cannot
     module = kunneth._lu_window(p, 121)
     top = module.truncation_degree - module.ring_degree
     slices = [realize_slice(module, d).presentation.relations for d in range(top + 1)]
-    simps = [kunneth._simplified_slice(module, d)[1] for d in range(top + 1)]
-    changes = [(s.to_min, s.from_min, s.presentation.relations) for s in simps]
-    saved = copy.deepcopy((slices, changes))
+    reduced = [kunneth._reduced_slice(module, d) for d in range(top + 1)]
+    saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced]))
     for n in range(1, 122, 2):
         tor_part(p, n)
         tensor_part(p, n - 1)
@@ -314,10 +438,56 @@ def test_cached_rows_are_never_mutated(p):
             tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
     ku_smash_check(6, 6)
     kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
-    assert (slices, changes) == saved
+    assert (slices, [_reduced_data(s) for s in reduced]) == saved
     row = next(row for rows in slices for row in rows)
     with pytest.raises(TypeError):
         row[0] = 7
+    slc = reduced[2 * p - 1]
+    with pytest.raises(TypeError):
+        slc.nf[0, 0] = ()
+    with pytest.raises(TypeError):
+        slc.cells1[0, 0] = 1
+
+
+def test_matching_collision_keeps_one_relation_per_generator():
+    # v g0 - 2 g1 and v g0 - 4 g1 both have the unit top term v g0; the
+    # first is matched with g0, and the second stays a critical 1-cell
+    n_mod = GradedModulePresentation(2, 2, (0, 2), (((1, 1, 0), (-2, 0, 1)),
+                                                    ((1, 1, 0), (-4, 0, 1))), 20)
+    assert kunneth._matching(n_mod) == {0: (0, 1, 1)}
+    assert kunneth._reduced_slice(n_mod, 4).cells1 == {(1, 1): 0}
+    for m in (lu_bzp_presentation(2, 20), n_mod):
+        for n in range(19):
+            assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
+            assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
+
+
+def test_tor_rank_of_d1_from_the_bound_or_the_tensor_term():
+    # lu (x) lu: the blocks g (x) y reach dim Tot0 in every degree
+    lu = lu_bzp_presentation(2, 40)
+    for n in range(39):
+        tot = kunneth._Tot(lu, lu, n)
+        assert tot.d1_rank_bound() == tot.n0, n
+    # N free on one generator has no 1-cells, so the bound is 0 and rank d1
+    # comes from the tensor term; Tor_1 with a free module is 0
+    free = GradedModulePresentation(2, 2, (0,), (), 40)
+    fallback = 0
+    for n in range(39):
+        tot = kunneth._Tot(lu, free, n)
+        fallback += tot.d1_rank_bound() < tot.n0
+        assert tor1_degree(lu, free, n) == trivial() == reference_tor(lu, free, n), n
+        assert tensor_degree(lu, free, n) == realize_degree(lu, n), n
+    assert fallback == 19  # every odd degree
+
+
+def test_tor_rejects_dependent_relations_of_the_second_factor():
+    # 2 g and 4 g are dependent over Z[v]; H_1 would see the syzygy, so
+    # tor1_degree refuses, while the tensor term needs no independence
+    lu = lu_bzp_presentation(2, 20)
+    dependent = GradedModulePresentation(2, 2, (1,), (((2, 0, 0),), ((4, 0, 0),)), 20)
+    with pytest.raises(ValueError, match="dependent"):
+        tor1_degree(lu, dependent, 4)
+    assert tensor_degree(lu, dependent, 4) == reference_tensor(lu, dependent, 4) == C(2)
 
 
 def serial_and_threaded(call, queries, *modules):
