@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -36,13 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _group_record(degree: int, group: FgAbelianGroup, **extra) -> dict:
-    rec = {
-        "degree": degree,
-        "group": render_group(group),
-        "canonical": group.to_json_dict(),
-    }
-    rec.update(extra)
-    return rec
+    return {"degree": degree, "group": render_group(group),
+            "canonical": group.to_json_dict(), **extra}
 
 
 _GROUP_CSV = ["degree", "group", "rank", "invariants"]
@@ -56,17 +52,19 @@ def _cell(rec: dict, col: str):
     return rec.get(col, "")
 
 
-def _emit(args, command: str, params: dict, records: list[dict], columns: list[str],
+def _emit(args, records: list[dict], columns: list[str],
           text: str | None = None, report: dict | None = None) -> None:
     """Write ``records`` to stdout in the format ``args.format`` asks for.
 
-    JSON wraps them with the command and its parameters, and a ``report``
-    when one is given.  CSV writes the ``columns`` of each record, or of each
-    of the report's findings when there is a report.  Text is ``text`` when
-    it is given, else the columns as an aligned table.
+    JSON wraps them with the verb and its parameters, every option of the
+    verb but ``--format`` and ``--fixtures``, and a ``report`` when one is
+    given.  CSV writes the ``columns`` of each record, or of each of the
+    report's findings when there is a report.  Text is ``text`` when it is
+    given, else the columns as an aligned table.
     """
     if args.format == "json":
-        doc: dict = {"command": command, "parameters": params, "records": records}
+        params = {k: v for k, v in vars(args).items() if k not in ("verb", "format", "fixtures")}
+        doc: dict = {"command": args.verb, "parameters": params, "records": records}
         if report is not None:
             doc["report"] = report
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -85,9 +83,42 @@ def _emit(args, command: str, params: dict, records: list[dict], columns: list[s
             sys.stdout.write(line.rstrip() + "\n")
 
 
-def _require_prime(parser: _Parser, p: int):
-    if not is_prime(p):
-        parser.error(f"--p must be a prime number, got {p}")
+# --- verb handlers: each returns (exit code, records, columns, text, report) -----
+
+def _nonzero_degrees(group_at):
+    """A handler listing the nontrivial groups ``group_at(args, n)`` for
+    n = 0..--max."""
+
+    def run(args):
+        groups = ((n, group_at(args, n)) for n in range(args.max + 1))
+        records = [_group_record(n, g) for n, g in groups if not g.is_trivial()]
+        return EXIT_OK, records, _GROUP_CSV, None, None
+
+    return run
+
+
+def _tor(args):
+    groups = ((internal, i, tor_closed_form(args.p, i, internal))
+              for internal in range(0, args.max + 1, 2) for i in range(1, args.p))
+    records = [_group_record(d, g, summand=i) for d, i, g in groups if not g.is_trivial()]
+    return EXIT_OK, records, ["summand", *_GROUP_CSV], None, None
+
+
+def _hom_dim(args):
+    records = [
+        {
+            "degree": degree,
+            "dim_b": hom_dim("B", args.space, degree),
+            "dim_e": hom_dim("E", args.space, degree),
+        }
+        for degree in range(2, args.max + 1, 2)
+    ]
+    return EXIT_OK, records, ["degree", "dim_b", "dim_e"], None, None
+
+
+def _x_count(args):
+    value = x_count(args.n)
+    return EXIT_OK, [{"n": args.n, "count": value}], ["n", "count"], f"{value}\n", None
 
 
 def _fixture_verb(handler):
@@ -95,147 +126,104 @@ def _fixture_verb(handler):
     query that takes a table expression past its bounds, or a theory or
     degree the file does not cover exits 1 with one line on stderr."""
 
-    def run(args, parser: _Parser) -> int:
+    def run(args):
         try:
             return handler(args, load_fixture_table(args.fixtures))
         except (OSError, ValueError) as exc:
-            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+            message = str(exc)
         except KeyError as exc:  # str() of a KeyError quotes its message
-            parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc.args[0]}\n")
+            message = exc.args[0]
+        sys.stderr.write(f"kconn: error: {message}\n")
+        sys.exit(EXIT_USAGE)
 
     return run
 
 
-# --- verb handlers ----------------------------------------------------------------
-
-def _cmd_lu(args, parser) -> int:
-    _require_prime(parser, args.p)
-    records = []
-    for n in range(args.max + 1):
-        g = lu_closed_form(args.p, n)
-        if not g.is_trivial():
-            records.append(_group_record(n, g))
-    _emit(args, "lu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
-    return EXIT_OK
-
-
-def _cmd_bu(args, parser) -> int:
-    _require_prime(parser, args.p)
-    records = []
-    for n in range(args.max + 1):
-        g = bu_bzp_group(args.p, n)
-        if not g.is_trivial():
-            records.append(_group_record(n, g))
-    _emit(args, "bu", {"p": args.p, "max": args.max}, records, _GROUP_CSV)
-    return EXIT_OK
-
-
-def _cmd_smash_bu(args, parser) -> int:
-    _require_prime(parser, args.p)
-    method = "closed_form" if args.tor_method == "closed-form" else "resolution"
-    records = []
-    for n in range(args.max + 1):
-        g = kunneth_smash_group(args.p, n, method=method)
-        if not g.is_trivial():
-            records.append(_group_record(n, g))
-    params = {"p": args.p, "max": args.max, "tor_method": args.tor_method}
-    _emit(args, "smash-bu", params, records, _GROUP_CSV)
-    return EXIT_OK
-
-
-def _cmd_tor(args, parser) -> int:
-    _require_prime(parser, args.p)
-    records = []
-    for internal in range(0, args.max + 1, 2):
-        for i in range(1, args.p):
-            g = tor_closed_form(args.p, i, internal)
-            if not g.is_trivial():
-                records.append(_group_record(internal, g, summand=i))
-    columns = ["summand", "degree", "group", "rank", "invariants"]
-    _emit(args, "tor", {"p": args.p, "max": args.max}, records, columns)
-    return EXIT_OK
-
-
-def _cmd_hom_dim(args, parser) -> int:
-    records = []
-    for degree in range(2, args.max + 1, 2):
-        records.append(
-            {
-                "degree": degree,
-                "dim_b": hom_dim("B", args.space, degree),
-                "dim_e": hom_dim("E", args.space, degree),
-            }
-        )
-    params = {"space": args.space, "max": args.max}
-    _emit(args, "hom-dim", params, records, ["degree", "dim_b", "dim_e"])
-    return EXIT_OK
-
-
-def _cmd_x_count(args, parser) -> int:
-    value = x_count(args.n)
-    records = [{"n": args.n, "count": value}]
-    _emit(args, "x-count", {"n": args.n}, records, ["n", "count"], text=f"{value}\n")
-    return EXIT_OK
-
-
 @_fixture_verb
-def _cmd_bo_tables(args, table: FixtureTable) -> int:
+def _bo_tables(args, table: FixtureTable):
     records = []
     for theory, fixture_theory in (("bo", "bo_rp"), ("bo1", "bo1_rp"), ("H", "h_rp")):
         for n in range(args.max + 1):
             group, row = table.lookup(fixture_theory, n)
             records.append(_group_record(n, group, theory=theory, source=row.source))
-    columns = ["theory", "degree", "group", "rank", "invariants", "source"]
-    _emit(args, "bo-tables", {"max": args.max}, records, columns)
-    return EXIT_OK
+    return EXIT_OK, records, ["theory", *_GROUP_CSV, "source"], None, None
 
 
 @_fixture_verb
-def _cmd_bo_smash(args, table: FixtureTable) -> int:
-    records = []
-    for m in range(args.max + 1):
-        g = bo_smash_group(m, table)
-        records.append(
-            _group_record(m, g, source="computed: cover theory plus wedge classes")
-        )
-    columns = ["degree", "group", "rank", "invariants", "source"]
-    _emit(args, "bo-smash", {"max": args.max}, records, columns)
-    return EXIT_OK
+def _bo_smash(args, table: FixtureTable):
+    source = "computed: cover theory plus wedge classes"
+    records = [_group_record(m, bo_smash_group(m, table), source=source)
+               for m in range(args.max + 1)]
+    return EXIT_OK, records, [*_GROUP_CSV, "source"], None, None
 
 
 @_fixture_verb
-def _cmd_audit(args, table: FixtureTable) -> int:
+def _audit(args, table: FixtureTable):
     audit = bott_audit(args.space, args.max, table)
-    params = {"space": args.space, "max": args.max}
-    columns = ["row", "status", "corrected", "detail"]
-    _emit(args, "audit", params, [], columns, text=audit.to_text() + "\n",
-          report=audit.to_json_dict())
+    report = {**dataclasses.asdict(audit), "has_errata": audit.has_errata}
     if not audit.baseline_feasible:
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_AUDIT_FINDINGS if audit.has_errata else EXIT_OK
+        code = EXIT_VERIFICATION_FAILED
+    else:
+        code = EXIT_AUDIT_FINDINGS if audit.has_errata else EXIT_OK
+    columns = ["row", "status", "corrected", "detail"]
+    return code, [], columns, audit.to_text() + "\n", report
 
 
-def _cmd_verify_all(args, parser) -> int:
-    results = run_acceptance()
+def _verify_all(args):
     records = [
-        {
-            "criterion": r.number,
-            "title": r.title,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
+        {"criterion": r.number, "title": r.title, "passed": r.passed, "detail": r.detail}
+        for r in run_acceptance()
     ]
     text = ""
     for r in records:
         mark = "PASS" if r["passed"] else "FAIL"
         detail = f" [{r['detail']}]" if r["detail"] else ""
         text += f"{mark} criterion {r['criterion']}: {r['title']}{detail}\n"
-    _emit(args, "verify-all", {}, records, ["criterion", "title", "passed", "detail"], text=text)
-    return EXIT_OK if all(r["passed"] for r in records) else EXIT_VERIFICATION_FAILED
+    code = EXIT_OK if all(r["passed"] for r in records) else EXIT_VERIFICATION_FAILED
+    return code, records, ["criterion", "title", "passed", "detail"], text, None
 
 
-# --- parser -----------------------------------------------------------------------
+# --- the verb table -----------------------------------------------------------------
+
+def _max(default: int = 40, **extra) -> tuple[str, dict]:
+    return "--max", {"type": int, "default": default, **extra}
+
+
+_P = ("--p", {"type": int, "default": 2})
+_SPACE = ("--space", {"choices": ("rp", "smash"), "default": "smash"})
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text",
+                        "help": "output format (default: text)"})
+_FIXTURES = ("--fixtures", {"default": None, "metavar": "FILE",
+                            "help": "path to a fixture tables file (default: packaged tables, "
+                                    "or $KCONN_FIXTURES/tables.txt)"})
+_TOR_METHOD = ("--tor-method", {
+    "choices": ("resolution", "closed-form"), "default": "resolution",
+    "help": "odd degrees via the resolution kernel (default) or the closed form"})
+
+# verb -> (help, options in the order --help lists them, handler)
+VERBS = {
+    "lu": ("closed-form table of the summand theory of B Z/p", (_P, _max(), _FORMAT),
+           _nonzero_degrees(lambda args, n: lu_closed_form(args.p, n))),
+    "bu": ("reduced bu of B Z/p, reassembled degree table", (_P, _max(), _FORMAT),
+           _nonzero_degrees(lambda args, n: bu_bzp_group(args.p, n))),
+    "smash-bu": ("bu of the smash square of B Z/p", (_P, _max(), _TOR_METHOD, _FORMAT),
+                 _nonzero_degrees(lambda args, n: kunneth_smash_group(
+                     args.p, n, method=args.tor_method.replace("-", "_")))),
+    "tor": ("torsion summand table (closed form)",
+            (_P, _max(help="internal degree bound"), _FORMAT), _tor),
+    "hom-dim": ("functional dimensions over the two subalgebras",
+                (_SPACE, _max(help="even cohomological degree bound"), _FORMAT), _hom_dim),
+    "x-count": ("wedge pair count at one parameter",
+                (("--n", {"type": int, "required": True}), _FORMAT), _x_count),
+    "bo-tables": ("fixture tables: bo, its cover, and homology",
+                  (_max(), _FORMAT, _FIXTURES), _bo_tables),
+    "bo-smash": ("bo of the smash square via the decomposition",
+                 (_max(), _FORMAT, _FIXTURES), _bo_smash),
+    "audit": ("Bott-sequence feasibility audit",
+              (_SPACE, _max(24), _FORMAT, _FIXTURES), _audit),
+    "verify-all": ("run the complete acceptance battery", (_FORMAT,), _verify_all),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(
@@ -246,84 +234,10 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-
-    def add_common(p, with_fixtures=False):
-        p.add_argument(
-            "--format",
-            choices=("text", "csv", "json"),
-            default="text",
-            help="output format (default: text)",
-        )
-        if with_fixtures:
-            p.add_argument(
-                "--fixtures",
-                default=None,
-                metavar="FILE",
-                help="path to a fixture tables file (default: packaged tables, "
-                "or $KCONN_FIXTURES/tables.txt)",
-            )
-
-    p = sub.add_parser("lu", help="closed-form table of the summand theory of B Z/p")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--max", type=int, default=40)
-    add_common(p)
-    p.set_defaults(handler=_cmd_lu)
-
-    p = sub.add_parser("bu", help="reduced bu of B Z/p, reassembled degree table")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--max", type=int, default=40)
-    add_common(p)
-    p.set_defaults(handler=_cmd_bu)
-
-    p = sub.add_parser("smash-bu", help="bu of the smash square of B Z/p")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--max", type=int, default=40)
-    p.add_argument(
-        "--tor-method",
-        choices=("resolution", "closed-form"),
-        default="resolution",
-        help="odd degrees via the resolution kernel (default) or the closed form",
-    )
-    add_common(p)
-    p.set_defaults(handler=_cmd_smash_bu)
-
-    p = sub.add_parser("tor", help="torsion summand table (closed form)")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--max", type=int, default=40, help="internal degree bound")
-    add_common(p)
-    p.set_defaults(handler=_cmd_tor)
-
-    p = sub.add_parser("hom-dim", help="functional dimensions over the two subalgebras")
-    p.add_argument("--space", choices=("rp", "smash"), default="smash")
-    p.add_argument("--max", type=int, default=40, help="even cohomological degree bound")
-    add_common(p)
-    p.set_defaults(handler=_cmd_hom_dim)
-
-    p = sub.add_parser("x-count", help="wedge pair count at one parameter")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_x_count)
-
-    p = sub.add_parser("bo-tables", help="fixture tables: bo, its cover, and homology")
-    p.add_argument("--max", type=int, default=40)
-    add_common(p, with_fixtures=True)
-    p.set_defaults(handler=_cmd_bo_tables)
-
-    p = sub.add_parser("bo-smash", help="bo of the smash square via the decomposition")
-    p.add_argument("--max", type=int, default=40)
-    add_common(p, with_fixtures=True)
-    p.set_defaults(handler=_cmd_bo_smash)
-
-    p = sub.add_parser("audit", help="Bott-sequence feasibility audit")
-    p.add_argument("--space", choices=("rp", "smash"), default="smash")
-    p.add_argument("--max", type=int, default=24)
-    add_common(p, with_fixtures=True)
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("verify-all", help="run the complete acceptance battery")
-    add_common(p)
-    p.set_defaults(handler=_cmd_verify_all)
-
+    for verb, (help_text, options, _) in VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        for flag, spec in options:
+            verb_parser.add_argument(flag, **spec)
     return parser
 
 
@@ -331,9 +245,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for attr in ("max", "n"):
-        if getattr(args, attr, None) is not None and getattr(args, attr) < 0:
+        if vars(args).get(attr, 0) < 0:
             parser.error(f"--{attr} must be non-negative")
-    return args.handler(args, parser)
+    if "p" in vars(args) and not is_prime(args.p):
+        parser.error(f"--p must be a prime number, got {args.p}")
+    code, records, columns, text, report = VERBS[args.verb][2](args)
+    _emit(args, records, columns, text, report)
+    return code
 
 
 if __name__ == "__main__":

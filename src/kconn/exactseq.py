@@ -23,10 +23,11 @@ from .steenrod import x_count
 
 FIXTURE_ENV = "KCONN_FIXTURES"
 
-# Largest exponent or multiplicity a group expression may evaluate to.  The
-# packaged rows reach 24 at the degrees the golden grids and the benchmark
-# query; unbounded, a row such as ``(Z/2)^(n)`` at n = 200000 stalls a load
-# or a query.
+# Largest base, exponent or multiplicity a group expression may evaluate to.
+# The packaged rows reach 24 at the degrees the golden grids and the
+# benchmark query; unbounded, a row such as ``(Z/2)^(n)`` at n = 200000, or a
+# base with a large prime factor, which the canonical form factors by trial
+# division, stalls a load or a query.
 MAX_EXPONENT = 4096
 
 
@@ -74,19 +75,19 @@ class GroupExpression:
             return FgAbelianGroup.free(1)
         m = _CYCLIC_POWER.match(text)
         if m:
-            base = int(m.group(1) or m.group(3))
+            base = _bounded("base", int(m.group(1) or m.group(3)), text, n)
             slope, const = _parse_linear(m.group(2) or m.group(4))
             exp = _bounded("exponent", slope * n + const, text, n)
             return FgAbelianGroup.cyclic(base**exp)
         m = _ELEMENTARY.match(text)
         if m:
-            base = int(m.group(1) or m.group(3))
+            base = _bounded("base", int(m.group(1) or m.group(3)), text, n)
             slope, const = _parse_linear(m.group(2) or m.group(4))
             count = _bounded("multiplicity", slope * n + const, text, n)
             return FgAbelianGroup.from_cyclic_orders(0, [base] * count)
         m = re.match(r"^Z/(\d+)$", text)
         if m:
-            return FgAbelianGroup.cyclic(int(m.group(1)))
+            return FgAbelianGroup.cyclic(_bounded("base", int(m.group(1)), text, n))
         raise ValueError(f"cannot parse group expression {text!r}")
 
 
@@ -174,6 +175,9 @@ def parse_fixture_text(text: str) -> FixtureTable:
             row.expression.evaluate(row.min_n)
         except ValueError as exc:
             raise ValueError(f"fixture line {lineno}: {exc}") from None
+        for field in ("residue", "modulus", "min_n"):
+            if getattr(row, field) < 0:
+                raise ValueError(f"fixture line {lineno}: negative {field} {getattr(row, field)}")
         rows.append(row)
     return FixtureTable(tuple(rows))
 
@@ -410,28 +414,6 @@ class BottAudit:
     def has_errata(self) -> bool:
         return any(f.status != "confirmed" for f in self.findings)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "n_max": self.n_max,
-            "anchor": self.anchor,
-            "baseline_feasible": self.baseline_feasible,
-            "has_errata": self.has_errata,
-            "findings": [
-                {
-                    "row": f.row,
-                    "status": f.status,
-                    "degrees": list(f.degrees),
-                    "printed": list(f.printed),
-                    "computed": list(f.computed),
-                    "corrected": f.corrected,
-                    "detail": f.detail,
-                }
-                for f in self.findings
-            ],
-            "notes": list(self.notes),
-        }
-
     def to_text(self) -> str:
         lines = [
             f"Bott-sequence audit: space={self.space}, degrees 0..{self.n_max}",
@@ -501,9 +483,8 @@ def bott_audit(space: str, n_max: int, table: FixtureTable | None = None) -> Bot
         printed_str = tuple(render_group(printed_vals[m]) for m in degrees)
         computed_str = tuple(render_group(computed[m]) for m in degrees)
         if not mismatched:
-            findings.append(
-                RowFinding(row.row_name(), "confirmed", degrees, printed_str, computed_str, None, "")
-            )
+            findings.append(RowFinding(row.row_name(), "confirmed", degrees, printed_str,
+                                       computed_str, None, ""))
             continue
         seq = bott_sequence({**computed, **printed_vals}.__getitem__, bu.__getitem__, n_max)
         solve = image_order_solve(seq)

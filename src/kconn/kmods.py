@@ -75,7 +75,8 @@ class GradedModulePresentation:
             if len(degs) != 1:
                 raise ValueError("inhomogeneous relation")
         # the dataclass hash, taken once: lru caches look a module up per degree
-        fields = (self.p, self.ring_degree, self.gen_degrees, self.relations, self.truncation_degree)
+        fields = (self.p, self.ring_degree, self.gen_degrees, self.relations,
+                  self.truncation_degree)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:

@@ -217,7 +217,8 @@ def _check_tor_args(p: int, method: str) -> None:
         raise ValueError(f"unknown Tor method {method!r}")
 
 
-def tor_summand_group(p: int, i: int, internal_degree: int, method: str = "resolution") -> FgAbelianGroup:
+def tor_summand_group(p: int, i: int, internal_degree: int,
+                      method: str = "resolution") -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution
     or the certified closed form.  Below the bottom generator the complex
     is empty, so its H1 is 0."""
@@ -304,36 +305,6 @@ class KunnethReport:
     @property
     def all_ok(self) -> bool:
         return all(r.ok for r in self.records)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n_max": self.n_max,
-            "all_ok": self.all_ok,
-            "records": [
-                {
-                    "degree": r.degree,
-                    "tensor": r.tensor.to_json_dict(),
-                    "tor": r.tor.to_json_dict(),
-                    "assembled": r.assembled.to_json_dict(),
-                    "crosscheck": r.crosscheck.to_json_dict(),
-                    "ok": r.ok,
-                }
-                for r in self.records
-            ],
-        }
-
-    def to_text(self) -> str:
-        lines = [f"smash K-homology check, p={self.p}, degrees 0..{self.n_max}"]
-        header = f"{'n':>4}  {'tensor':<18}{'tor[n-1]':<18}{'assembled':<18}{'crosscheck':<18}verdict"
-        lines.append(header)
-        for r in self.records:
-            lines.append(
-                f"{r.degree:>4}  {str(r.tensor):<18}{str(r.tor):<18}"
-                f"{str(r.assembled):<18}{str(r.crosscheck):<18}"
-                + ("ok" if r.ok else "MISMATCH")
-            )
-        return "\n".join(lines)
 
 
 def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:

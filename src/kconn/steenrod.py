@@ -14,7 +14,6 @@ current lowest bit, and a degree costs about what its sparse rows hold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 Monomial = tuple[int, ...]  # (a,) for one factor, (a, b) for the smash
@@ -221,9 +220,6 @@ class HomSequenceReport:
             "all_ok": self.all_ok,
             "records": [r.__dict__ for r in self.records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def expected_dims(degree: int) -> tuple[int, int] | None:

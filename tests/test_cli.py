@@ -206,6 +206,26 @@ def test_query_past_expression_bound_exits_1(tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize(
+    "row,base,verb",
+    [
+        ("(Z/1000000000000000003)^(1)", 1000000000000000003, ("bo-tables", "--max", "2")),
+        ("Z/1000000007^(2)", 1000000007, ("bo-smash", "--max", "4")),
+    ],
+)
+def test_huge_fixture_base_exits_1(tmp_path, capsys, row, base, verb):
+    # a base with a large prime factor is refused at load, before the
+    # canonical form would factor it by trial division
+    huge = tmp_path / "tables.txt"
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    huge.write_text(packaged.replace("bo_rp | 1 | 8 | Z/2 ", f"bo_rp | 1 | 8 | {row} "),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, *verb, "--fixtures", str(huge))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("kconn: error: fixture line ")
+    assert err.endswith(f": base {base} in {row!r} at n=0 exceeds {MAX_EXPONENT}\n")
+
+
+@pytest.mark.parametrize(
     "dropped,message",
     [
         ("h_rp |", "no fixture rows for theory 'h_rp'"),

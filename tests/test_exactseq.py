@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kconn.abelian import FgAbelianGroup, render_group
+from kconn.cli import main
 from kconn.exactseq import (
     BOTT,
     COVER,
@@ -81,6 +82,14 @@ def test_fixture_parser_and_validity():
         ("demo | 1 | 4 | (Z/2)^(n) | 200000 | src",
          f"multiplicity 200000 in '(Z/2)^(n)' at n=200000 exceeds {MAX_EXPONENT}"),
         ("demo | 1 | 4 | Z/2^(n+1) | 4096 | src", "exponent 4097 in 'Z/2^(n+1)' at n=4096"),
+        # a base is bounded too: the canonical form factors it by trial division
+        ("demo | 1 | 4 | (Z/1000000000000000003)^(1) | 0 | src",
+         "base 1000000000000000003 in '(Z/1000000000000000003)^(1)' at n=0 exceeds"),
+        ("demo | 1 | 4 | Z/1000000007^(2) | 0 | src", "base 1000000007 in 'Z/1000000007^(2)'"),
+        ("demo | 1 | 4 | Z/4097 | 0 | src", f"base 4097 in 'Z/4097' at n=0 exceeds {MAX_EXPONENT}"),
+        ("demo | 9 | 8 | Z/2 | -1 | src", "negative min_n -1"),
+        ("demo | 1 | -8 | Z/2 | 0 | src", "negative modulus -8"),
+        ("demo | -3 | 8 | Z/2 | 0 | src", "negative residue -3"),
     ],
 )
 def test_fixture_errors_name_their_line(line, message):
@@ -96,8 +105,10 @@ def test_expressions_at_the_bound_load():
     text = (
         f"demo | 1 | 4 | (Z/2)^(n) | {MAX_EXPONENT} | src\n"
         f"demo | 2 | 4 | Z/3^(2n) | {MAX_EXPONENT // 2} | src\n"
+        f"demo | 3 | 4 | Z/{MAX_EXPONENT} | 0 | src\n"
     )
     table = parse_fixture_text(text)
+    assert table.lookup("demo", 3)[0] == C(MAX_EXPONENT)
     g, _ = table.lookup("demo", 1 + 4 * MAX_EXPONENT)
     assert g == FgAbelianGroup(0, (2,) * MAX_EXPONENT)
     g, _ = table.lookup("demo", 2 + 4 * (MAX_EXPONENT // 2))
@@ -106,9 +117,10 @@ def test_expressions_at_the_bound_load():
 
 _FIELD_TEXT = st.text(alphabet="Zn0123456789/^()+-| #x.", max_size=8)
 _INT = st.integers(-2, 12).map(str)
-_NUMBER = st.one_of(_INT, _INT, st.just("-"), _FIELD_TEXT)
+_NUMBER = st.one_of(_INT, _INT, st.just("-"), st.just("1000000007"), _FIELD_TEXT)
 _GROUP = st.one_of(
-    st.sampled_from(["0", "Z", "Z/2", "Z/2^(4n+3)", "(Z/2)^(2n+1)", "Z/3^2", "(Z/2)^3"]),
+    st.sampled_from(["0", "Z", "Z/2", "Z/2^(4n+3)", "(Z/2)^(2n+1)", "Z/3^2", "(Z/2)^3",
+                     "Z/1000000007^(n)", "(Z/2)^(1000000007n)"]),
     _FIELD_TEXT,
 )
 _ROW = st.tuples(st.sampled_from(["bo_rp", "demo"]), _NUMBER, _NUMBER, _GROUP, _NUMBER,
@@ -120,9 +132,8 @@ _LINE = st.one_of(_ROW, _ROW, _ROW, _FIELD_TEXT)
 @given(st.lists(_LINE, min_size=1, max_size=3))
 def test_fixture_parser_fuzz(lines):
     # whatever the lines hold, the parser either loads them or raises a
-    # ValueError that names the offending line; the fields stay short
-    # because a loaded expression is evaluated, and a huge exponent costs
-    # time and memory rather than raising
+    # ValueError that names the offending line; a huge base, exponent or
+    # multiplicity raises too, because each is bounded by MAX_EXPONENT
     try:
         parse_fixture_text("\n".join(lines))
     except ValueError as exc:
@@ -333,10 +344,17 @@ def test_bott_audit_notes_cover_column():
     assert any("8n+7" in note for note in audit.notes)
 
 
-def test_audit_serialisation():
+def test_audit_serialisation(capsys):
+    # the CLI reports the audit as plain data: every field, plus has_errata
     audit = bott_audit("smash", 16)
-    data = audit.to_json_dict()
-    assert data["has_errata"] is True
+    assert main(["audit", "--space", "smash", "--max", "16", "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["has_errata"] is True
+    assert (report["space"], report["n_max"], report["anchor"]) == ("smash", 16, audit.anchor)
+    assert report["baseline_feasible"] is audit.baseline_feasible
+    assert [f["row"] for f in report["findings"]] == [f.row for f in audit.findings]
+    assert [f["degrees"] for f in report["findings"]] == [list(f.degrees) for f in audit.findings]
+    assert report["notes"] == list(audit.notes)
     text = audit.to_text()
     assert "errata" in text
     assert "corrected" in text

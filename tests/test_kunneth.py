@@ -586,13 +586,6 @@ def test_verify_decomposition_small():
     assert vac.all_ok and len(vac.records) == 1
 
 
-def test_report_serialisation():
-    report = verify_bu_decomposition(2, 6)
-    data = report.to_json_dict()
-    assert data["all_ok"] is True
-    assert len(data["records"]) == 7
-    text = report.to_text()
-    assert "verdict" in text
 
 def test_decomposition_crosscheck_values():
     assert decomposition_crosscheck(2, 2) == C(2)

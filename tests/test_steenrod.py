@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -346,7 +347,8 @@ def test_hom_sequence_full_range():
 
 def test_hom_sequence_golden_to_200():
     # recorded before any change to the F2 core; pins every record byte for byte
-    digest = hashlib.sha256(verify_hom_sequence(200).to_json().encode("utf-8")).hexdigest()
+    text = json.dumps(verify_hom_sequence(200).to_json_dict(), sort_keys=True, indent=2)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == "97c13e820876cb2de5b5ade85f25a72a95c600e06569f9c537664e13c4ad7bd4"
 
 
