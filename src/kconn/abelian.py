@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import index
+
+from ._record import Record
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -44,8 +45,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Canonical form of a finitely generated abelian group.
 
     ``free_rank`` copies of Z plus cyclic parts Z/d_1 + ... + Z/d_k where the
@@ -471,8 +471,7 @@ def IntegerMatrix(entries, cols: int | None = None) -> tuple[dict[int, int], ...
     return _frozen_rows(rows, width)
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """Z^n_gens modulo the sparse rows of ``relations``, held as read-only copies."""
 
     n_gens: int
@@ -485,8 +484,7 @@ class GroupPresentation:
         return cokernel_group(self.n_gens, self.relations)
 
 
-@dataclass(frozen=True)
-class SimplifiedPresentation:
+class SimplifiedPresentation(Record):
     """A reduced presentation together with the coordinate changes.
 
     ``to_min`` maps old coordinates to reduced ones (row i is the image of

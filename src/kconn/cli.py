@@ -2,18 +2,20 @@
 
 Exit codes: 0 success, 1 malformed input, 2 verification failure, 3 audit
 findings (the expected outcome of the smash audit, distinguishing errata in
-the printed tables from a computation failure).  Output is deterministic and
-byte-identical across runs for identical inputs.
+the printed tables from a computation failure), 141 standard output closed
+before the output was written (``kconn lu --max 4000 | head -1``).  Output is
+deterministic and byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
+import os
 import sys
 
+from ._record import as_dict
 from .abelian import FgAbelianGroup, render_group
 from .exactseq import FixtureTable, bott_audit, bo_smash_group, load_fixture_table
 from .kmods import bu_bzp_group, is_prime, lu_closed_form
@@ -25,6 +27,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION_FAILED = 2
 EXIT_AUDIT_FINDINGS = 3
+# the shell's status for a process that SIGPIPE ends
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +164,7 @@ def _bo_smash(args, table: FixtureTable):
 @_fixture_verb
 def _audit(args, table: FixtureTable):
     audit = bott_audit(args.space, args.max, table)
-    report = {**dataclasses.asdict(audit), "has_errata": audit.has_errata}
+    report = {**as_dict(audit), "has_errata": audit.has_errata}
     if not audit.baseline_feasible:
         code = EXIT_VERIFICATION_FAILED
     else:
@@ -250,7 +254,14 @@ def main(argv=None) -> int:
     if "p" in vars(args) and not is_prime(args.p):
         parser.error(f"--p must be a prime number, got {args.p}")
     code, records, columns, text, report = VERBS[args.verb][2](args)
-    _emit(args, records, columns, text, report)
+    try:
+        _emit(args, records, columns, text, report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so that the
+        # interpreter's own flush at exit neither fails nor prints
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

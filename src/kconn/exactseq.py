@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from ._record import Record
 from .abelian import FgAbelianGroup, render_group
 from .kmods import bu_bzp_group
 from .kunneth import kunneth_smash_group
@@ -44,6 +44,15 @@ def _bounded(kind: str, value: int, text: str, n: int) -> int:
     return value
 
 
+def _base(digits: str, text: str, n: int) -> int:
+    """The base of a cyclic factor: Z/0 would read as Z, so a typo would add
+    a free summand instead of failing."""
+    base = _bounded("base", int(digits), text, n)
+    if base == 0:
+        raise ValueError(f"base 0 in {text!r} at n={n}")
+    return base
+
+
 def _parse_linear(text: str) -> tuple[int, int]:
     text = text.strip()
     m = _LINEAR.match(text)
@@ -60,8 +69,7 @@ _CYCLIC_POWER = re.compile(r"^Z/(\d+)\^\(([^)]+)\)$|^Z/(\d+)\^(\d+)$")
 _ELEMENTARY = re.compile(r"^\(Z/(\d+)\)\^\(([^)]+)\)$|^\(Z/(\d+)\)\^(\d+)$")
 
 
-@dataclass(frozen=True)
-class GroupExpression:
+class GroupExpression(Record):
     """A group depending linearly on the residue-class parameter n, e.g.
     ``Z/2^(4n+3)`` or ``(Z/2)^(2n+1)``."""
 
@@ -75,26 +83,25 @@ class GroupExpression:
             return FgAbelianGroup.free(1)
         m = _CYCLIC_POWER.match(text)
         if m:
-            base = _bounded("base", int(m.group(1) or m.group(3)), text, n)
+            base = _base(m.group(1) or m.group(3), text, n)
             slope, const = _parse_linear(m.group(2) or m.group(4))
             exp = _bounded("exponent", slope * n + const, text, n)
             return FgAbelianGroup.cyclic(base**exp)
         m = _ELEMENTARY.match(text)
         if m:
-            base = _bounded("base", int(m.group(1) or m.group(3)), text, n)
+            base = _base(m.group(1) or m.group(3), text, n)
             slope, const = _parse_linear(m.group(2) or m.group(4))
             count = _bounded("multiplicity", slope * n + const, text, n)
             return FgAbelianGroup.from_cyclic_orders(0, [base] * count)
         m = re.match(r"^Z/(\d+)$", text)
         if m:
-            return FgAbelianGroup.cyclic(_bounded("base", int(m.group(1)), text, n))
+            return FgAbelianGroup.cyclic(_base(m.group(1), text, n))
         raise ValueError(f"cannot parse group expression {text!r}")
 
 
 # --- fixture tables ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(Record):
     theory: str
     residue: int
     modulus: int
@@ -124,8 +131,7 @@ class FixtureRow:
         return tag
 
 
-@dataclass(frozen=True)
-class FixtureTable:
+class FixtureTable(Record):
     rows: tuple[FixtureRow, ...]
 
     def rows_for(self, theory: str) -> tuple[FixtureRow, ...]:
@@ -214,14 +220,12 @@ def table_group(theory: str, n: int, table: FixtureTable | None = None) -> FgAbe
 
 # --- long exact sequences ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceNode:
+class SequenceNode(Record):
     label: str
     group: FgAbelianGroup
 
 
-@dataclass(frozen=True)
-class LongExactSequence:
+class LongExactSequence(Record):
     """Ordered nodes of an exact sequence with arrow labels as annotations.
     Checks require the sequence to start and end at trivial nodes."""
 
@@ -245,8 +249,7 @@ def _require_checkable(seq: LongExactSequence):
             )
 
 
-@dataclass(frozen=True)
-class ImageOrderResult:
+class ImageOrderResult(Record):
     feasible: bool
     image_orders: tuple[int, ...]
     infeasible_at: int | None = None
@@ -390,8 +393,7 @@ def bo1_les_consistency(
     return image_order_solve(seq_a).feasible and image_order_solve(seq_b).feasible
 
 
-@dataclass(frozen=True)
-class RowFinding:
+class RowFinding(Record):
     row: str
     status: str  # "confirmed" | "infeasible_as_printed" | "mismatch_but_feasible"
     degrees: tuple[int, ...]
@@ -401,8 +403,7 @@ class RowFinding:
     detail: str
 
 
-@dataclass(frozen=True)
-class BottAudit:
+class BottAudit(Record):
     space: str
     n_max: int
     anchor: int

@@ -8,9 +8,9 @@ projective-space K-ring check lives here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .abelian import (
     FgAbelianGroup,
     GroupPresentation,
@@ -40,8 +40,7 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True)
-class GradedModulePresentation:
+class GradedModulePresentation(Record):
     """Generators and homogeneous relations over Z[v], truncated at a degree.
 
     ``gen_degrees[i]`` is the internal degree of generator i; every relation
@@ -74,7 +73,7 @@ class GradedModulePresentation:
                 degs.add(exp * self.ring_degree + self.gen_degrees[gi])
             if len(degs) != 1:
                 raise ValueError("inhomogeneous relation")
-        # the dataclass hash, taken once: lru caches look a module up per degree
+        # the hash of the field tuple, taken once: lru caches look a module up per degree
         fields = (self.p, self.ring_degree, self.gen_degrees, self.relations,
                   self.truncation_degree)
         object.__setattr__(self, "_hash", hash(fields))
@@ -128,8 +127,7 @@ def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresent
     return GradedModulePresentation(p, d, tuple(degrees), tuple(rels), max_degree)
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Record):
     """Degree-n piece of a presentation as a presented abelian group, with the
     monomial basis v^k * g recorded as (k, generator) labels."""
 
@@ -192,8 +190,7 @@ def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
-@dataclass(frozen=True)
-class TruncatedKuRing:
+class TruncatedKuRing(Record):
     """Reduced K-ring of a truncated even projective space: Z[t]/(t^2 + 2t,
     t^(r+1)) spanned additively by t, t^2, ..., t^r."""
 
@@ -227,8 +224,7 @@ class TruncatedKuRing:
         return element_order(self.presentation(), vec)
 
 
-@dataclass(frozen=True)
-class KuSmashCheck:
+class KuSmashCheck(Record):
     """Outcome of the truncated-projective-space product check."""
 
     r: int

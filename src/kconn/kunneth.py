@@ -20,11 +20,11 @@ cross-checked against the direct-sum decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
+from ._record import Record
 from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
     GradedModulePresentation,
@@ -286,8 +286,7 @@ def kunneth_smash_group(p: int, n: int, method: str = "resolution") -> FgAbelian
     return tor_part(p, n, method)
 
 
-@dataclass(frozen=True)
-class KunnethRecord:
+class KunnethRecord(Record):
     degree: int
     tensor: FgAbelianGroup
     tor: FgAbelianGroup
@@ -296,8 +295,7 @@ class KunnethRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class KunnethReport:
+class KunnethReport(Record):
     p: int
     n_max: int
     records: tuple[KunnethRecord, ...]

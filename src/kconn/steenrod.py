@@ -14,7 +14,7 @@ current lowest bit, and a degree costs about what its sparse rows hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 Monomial = tuple[int, ...]  # (a,) for one factor, (a, b) for the smash
 
@@ -124,8 +124,7 @@ def f2_compose(first: list[int], then: list[int]) -> list[int]:
 
 # --- the two modules -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SteenrodModule:
+class SteenrodModule(Record):
     """Monomial basis of the reduced mod-2 cohomology of projective space
     ("rp") or of the smash square ("smash"), with action matrices between
     adjacent degrees."""
@@ -195,8 +194,7 @@ def hom_basis(alg: str, space: str, degree: int) -> list[int]:
     return f2_nullspace(*_image_rows(alg, space, degree))
 
 
-@dataclass(frozen=True)
-class HomSequenceRecord:
+class HomSequenceRecord(Record):
     degree: int
     dim_b: int
     dim_e: int
@@ -205,8 +203,7 @@ class HomSequenceRecord:
     closed_forms_ok: bool
 
 
-@dataclass(frozen=True)
-class HomSequenceReport:
+class HomSequenceReport(Record):
     i_max: int
     records: tuple[HomSequenceRecord, ...]
 

@@ -10,9 +10,9 @@ cannot be exact; the dimension closed forms it also demands all hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .abelian import FgAbelianGroup
 from .exactseq import (
     bo1_les_consistency,
@@ -40,8 +40,7 @@ from .kunneth import (
 from .steenrod import hom_dim, verify_hom_sequence, x_count
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     title: str
     passed: bool

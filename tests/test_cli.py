@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,8 @@ except ImportError:  # pragma: no cover
 from importlib import resources
 
 from .expectations import CRITERION_5_DETAIL
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +102,26 @@ def test_nonprime_p_exits_1(capsys):
 def test_negative_bound_exits_1(capsys):
     code, _, err = run_cli(capsys, "bu", "--max", "-3")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("lu", "--max", "4000"),
+                                  ("bo-tables", "--max", "1000", "--format", "csv")])
+def test_a_closed_stdout_exits_141_quietly(argv):
+    # as `kconn lu --max 4000 | head -1` does: the reader takes one line of
+    # output far larger than a pipe holds and goes away
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "kconn.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert first.startswith((b"degree ", b"theory,"))
+    assert (proc.returncode, err) == (141, b"")
 
 
 # --- formats ----------------------------------------------------------------------
@@ -182,6 +207,7 @@ def test_fixture_override_flag(tmp_path, capsys):
     [
         ("bo_rp | three | 8 | Z/2 | 0 | src", "fixture line 2: residue 'three' is not an integer"),
         ("bo_rp | 3 | 8 | Z/2^(4m+3) | 0 | src", "fixture line 2: cannot parse"),
+        ("bo_rp | 3 | 8 | Z/0^(n) | 0 | src", "fixture line 2: base 0 in 'Z/0^(n)' at n=0"),
     ],
 )
 def test_malformed_fixture_exits_1(tmp_path, capsys, verb, line, message):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,14 @@ def test_group_expressions():
     assert GroupExpression("Z/2^(n)").evaluate(3) == C(8)
     with pytest.raises(ValueError):
         GroupExpression("Q/Z").evaluate(0)
+
+
+@pytest.mark.parametrize("text", ["Z/0", "(Z/0)^(2)", "Z/0^(n)"])
+def test_a_zero_base_is_refused_at_every_n(text):
+    # Z/0 would read as Z, a free summand; Z/0^(n) as 0 at n = 0, Z after
+    for n in range(4):
+        with pytest.raises(ValueError, match=rf"^base 0 in '{re.escape(text)}' at n={n}$"):
+            GroupExpression(text).evaluate(n)
 
 
 def test_fixture_parser_and_validity():

@@ -12,6 +12,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PROBE = """
 import sys
+# a stdlib module kconn imports, which loads inspect itself on some Python
+# versions: only what kconn adds is checked
+import importlib.resources
+slow = {"dataclasses", "inspect"}
+preloaded = slow & set(sys.modules)
 import kconn.kunneth
 loaded = [m for m in ("kconn.exactseq", "kconn.steenrod", "kconn.verify", "json")
           if m in sys.modules]
@@ -21,12 +26,16 @@ exec("from kconn import *", namespace)
 # each name is the object of the module that defines it
 wrong = [name for name in kconn.__all__ if namespace[name]
          is not getattr(importlib.import_module(namespace[name].__module__), name)]
+import kconn.cli
 print(json.dumps({"loaded": loaded, "wrong": wrong, "bound": sorted(set(namespace) & set(kconn.__all__)),
-                  "dir": sorted(set(kconn.__all__) - set(dir(kconn)))}))
+                  "dir": sorted(set(kconn.__all__) - set(dir(kconn))),
+                  "slow": sorted(slow & set(sys.modules) - preloaded)}))
 """
 
 
 def test_kunneth_loads_only_what_it_needs_and_star_binds_every_name():
+    # and no kconn module loads dataclasses, or the inspect it imports: they
+    # would add about 15 ms to the start of every process
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
@@ -38,6 +47,7 @@ def test_kunneth_loads_only_what_it_needs_and_star_binds_every_name():
     assert result["wrong"] == []
     assert result["bound"] == sorted(kconn.__all__)
     assert result["dir"] == []
+    assert result["slow"] == []
 
 
 def test_unknown_name_is_an_attribute_error():
