@@ -3,7 +3,11 @@
 Presented abelian groups, kernels and cokernels, and the invariant-factor
 canonical form that every other module reports its answers in.  All
 arithmetic uses Python's arbitrary-precision integers; nothing is ever
-rounded.
+rounded, and a rank, order, column or entry that is not an integer raises
+``TypeError``.  One routine, :func:`_chain`, builds every canonical form by
+gcd and lcm alone, so no order is ever factored; cokernels, cyclic groups,
+direct sums and parsed renderings all reach it through its one caller,
+:meth:`FgAbelianGroup.from_cyclic_orders`.
 
 There is one row format: a sparse row, a mapping column -> value whose zero
 values are ignored.  Relations, images of generators, coordinate changes and
@@ -57,9 +61,10 @@ class FgAbelianGroup(Record):
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        rank, factors = index(self.free_rank), tuple(map(index, self.invariant_factors))
+        if rank < 0:
             raise ValueError("negative free rank")
-        factors = tuple(int(d) for d in self.invariant_factors)
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d <= 1:
@@ -78,36 +83,13 @@ class FgAbelianGroup(Record):
 
     @classmethod
     def cyclic(cls, n: int) -> "FgAbelianGroup":
-        if n == 0:
-            return cls(1, ())
-        n = abs(n)
-        return cls(0, ()) if n == 1 else cls(0, (n,))
+        return cls.from_cyclic_orders(0, [n])
 
     @classmethod
     def from_cyclic_orders(cls, free_rank: int, orders) -> "FgAbelianGroup":
         """Canonicalise an arbitrary list of cyclic orders (0 meaning Z)."""
-        by_prime: dict[int, list[int]] = {}
-        rank = free_rank
-        for d in orders:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-                continue
-            if d == 1:
-                continue
-            for p, e in _factorize(d).items():
-                by_prime.setdefault(p, []).append(e)
-        if not by_prime:
-            return cls(rank, ())
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        width = max(len(v) for v in by_prime.values())
-        factors = []
-        for slot in range(width):
-            d = prod(p ** exps[slot] for p, exps in by_prime.items() if slot < len(exps))
-            factors.append(d)
-        factors.reverse()
-        return cls(rank, tuple(factors))
+        orders = [abs(index(d)) for d in orders]
+        return cls(index(free_rank) + orders.count(0), tuple(_chain(d for d in orders if d)))
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
         rank = self.free_rank + sum(g.free_rank for g in others)
@@ -140,17 +122,24 @@ class FgAbelianGroup(Record):
         return render_group(self)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _chain(orders) -> list[int]:
+    """The invariant factors 1 < d_1 | ... | d_k of the sum of the Z/d over
+    the positive ``orders``.  Each order, smallest first, enters the chain
+    at the top by Z/a + Z/x = Z/lcm(a, x) + Z/gcd(a, x): the factor takes
+    the lcm, and the gcd carries down until it is a multiple of the next
+    factor, where it is inserted.  Orders of a p-group enter in order, so
+    each one is appended."""
+    chain: list[int] = []
+    for x in sorted(orders):
+        i = len(chain)
+        while x > 1 and i and x % chain[i - 1]:
+            a = chain[i - 1]
+            g = gcd(a, x)
+            chain[i - 1], x = a // g * x, g
+            i -= 1
+        if x > 1:
+            chain.insert(i, x)
+    return chain
 
 
 # --- rendering and parsing -------------------------------------------------
@@ -209,23 +198,9 @@ def parse_group(text: str) -> FgAbelianGroup:
 
 # --- invariant factors of a row lattice (sparse, no transforms) ------------
 
-def _chain_normalize(values: list[int]) -> list[int]:
-    vals = [abs(x) for x in values if x]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i]:
-                    g = gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] // g * vals[j]
-                    changed = True
-    vals.sort()
-    return vals
-
-
 def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
-    """(rank, invariant factors > 1) of the lattice spanned by the rows.
+    """(rank, diagonal) of the lattice spanned by the rows: Z^ncols modulo
+    it is Z^(ncols - rank) plus the Z/d over the positive diagonal entries.
 
     ``entries`` yields one iterable of (column, value) pairs per row, with
     columns in ``[0, ncols)``; zero values and empty rows are ignored.
@@ -237,18 +212,18 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
     by their least |value|); the pivot's column is cleared by row
     operations, then its row is reduced by column operations, and any
     nonzero remainder is a smaller pivot that takes over.  An isolated pivot
-    is one diagonal entry, and the diagonal is brought into
-    divisibility-chain form at the end.
+    is one diagonal entry.
     """
     rows: dict[int, dict[int, int]] = {}
     col_index: dict[int, set[int]] = {}
     for rid, pairs in enumerate(entries):
         row = {}
         for c, v in pairs:
+            c = index(c)
             if not 0 <= c < ncols:
                 raise ValueError(f"relation column {c} outside 0..{ncols - 1}")
             if v:
-                row[c] = int(v)
+                row[c] = index(v)
         if row:
             rows[rid] = row
             for c in row:
@@ -345,17 +320,15 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
                 buckets.setdefault(least(other), []).append(other)
             else:
                 rows.pop(other, None)
-    factors = _chain_normalize(diag)
-    rank = unit_rank + len(factors)
-    return rank, [d for d in factors if d > 1]
+    return unit_rank + len(diag), diag
 
 
 def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     """Canonical form of Z^generators modulo the lattice of ``relations``,
     sparse rows with columns in ``[0, generators)``; zero values and empty
     rows are ignored."""
-    rank, factors = _invariant_factors((row.items() for row in relations), generators)
-    return FgAbelianGroup(generators - rank, tuple(factors))
+    rank, diag = _invariant_factors((row.items() for row in relations), generators)
+    return FgAbelianGroup.from_cyclic_orders(generators - rank, diag)
 
 
 # --- sparse rows and lattice bases -------------------------------------------

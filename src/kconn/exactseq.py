@@ -25,9 +25,9 @@ FIXTURE_ENV = "KCONN_FIXTURES"
 
 # Largest base, exponent or multiplicity a group expression may evaluate to.
 # The packaged rows reach 24 at the degrees the golden grids and the
-# benchmark query; unbounded, a row such as ``(Z/2)^(n)`` at n = 200000, or a
-# base with a large prime factor, which the canonical form factors by trial
-# division, stalls a load or a query.
+# benchmark query.  Together the three bound the size of an evaluated group;
+# unbounded, a row such as ``(Z/2)^(n)`` at n = 200000 stalls a load or a
+# query.
 MAX_EXPONENT = 4096
 
 

@@ -136,7 +136,6 @@ class DegreeSlice(Record):
     presentation: GroupPresentation
 
 
-@lru_cache(maxsize=None)
 def realize_slice(module: GradedModulePresentation, n: int) -> DegreeSlice:
     if n > module.truncation_degree - module.ring_degree:
         raise ValueError(

@@ -202,7 +202,6 @@ def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     return FgAbelianGroup.cyclic(p ** (t + 1))
 
 
-@lru_cache(maxsize=None)
 def _lu_window(p: int, need: int) -> GradedModulePresentation:
     # bucket windows so repeated queries share one presentation
     width = ((need + 2 * (2 * p - 2) + 2) // 64 + 1) * 64

@@ -1,8 +1,12 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,6 +31,8 @@ from kconn.kmods import lu_bzp_presentation, realize_slice
 Z = FgAbelianGroup.free
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # --- independent oracles -----------------------------------------------------
@@ -135,7 +141,33 @@ def reference_group(n, rows):
         divisors.append(d)
     orders = [b // a for a, b in zip(divisors, divisors[1:])]
     rank = len(orders)
-    return FgAbelianGroup.from_cyclic_orders(n - rank, orders)
+    return factored_group(n - rank, orders)
+
+
+def factored_group(free_rank, orders):
+    """The canonical form of Z^free_rank plus the Z/d over ``orders`` (0 is a
+    copy of Z), built prime by prime: factor each order by trial division,
+    and make the k-th largest invariant factor the product of every prime's
+    k-th largest power.  Shares no code with the library's gcd/lcm chain."""
+    powers: dict[int, list[int]] = {}
+    for d in map(abs, orders):
+        if d == 0:
+            free_rank += 1
+        p = 2
+        while p * p <= d:
+            e = 0
+            while d % p == 0:
+                d, e = d // p, e + 1
+            if e:
+                powers.setdefault(p, []).append(p**e)
+            p += 1
+        if d > 1:
+            powers.setdefault(d, []).append(d)
+    for column in powers.values():
+        column.sort(reverse=True)
+    width = max(map(len, powers.values()), default=0)
+    factors = [prod(c[k] for c in powers.values() if k < len(c)) for k in range(width)]
+    return FgAbelianGroup(free_rank, tuple(reversed(factors)))
 
 
 # --- cokernels ---------------------------------------------------------------
@@ -332,6 +364,51 @@ def test_from_cyclic_orders_ignores_input_order(free_rank, orders, data):
     assert FgAbelianGroup.from_cyclic_orders(free_rank, shuffled) == (
         FgAbelianGroup.from_cyclic_orders(free_rank, orders)
     )
+
+
+# orders of both signs, 0, +-1 and several primes at once
+_SIGNED_ORDERS = st.lists(st.integers(-360, 360), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), _SIGNED_ORDERS)
+@example(0, [2] * 4096)
+@example(0, [6, 10, 15] * 4)
+@example(1, [0, 1, -1, -4, 4, 9, -27, 5])
+def test_canonical_form_matches_the_prime_by_prime_construction(free_rank, orders):
+    expected = factored_group(free_rank, orders)
+    assert FgAbelianGroup.from_cyclic_orders(free_rank, orders) == expected
+    n = free_rank + len(orders)
+    assert cokernel_group(n, [{i: d} for i, d in enumerate(orders)]) == expected
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FgAbelianGroup(0, (2.5,)), id="float_factor"),
+    pytest.param(lambda: FgAbelianGroup(0, ("4",)), id="str_factor"),
+    pytest.param(lambda: FgAbelianGroup(1.5, ()), id="float_rank"),
+    pytest.param(lambda: FgAbelianGroup.from_cyclic_orders(0, [4.9]), id="float_order"),
+    pytest.param(lambda: FgAbelianGroup.from_cyclic_orders(1.0, [4]), id="float_free_rank"),
+    pytest.param(lambda: FgAbelianGroup.cyclic(2.0), id="float_cyclic"),
+    pytest.param(lambda: cokernel_group(1, [{0: 2.5}]), id="float_relation"),
+    pytest.param(lambda: cokernel_group(2, [{0.5: 2}]), id="float_column"),
+])
+def test_non_integer_inputs_raise_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param('parse_group("Z/2305843009213693951")', id="parse_group"),
+    pytest.param("cokernel_group(1, [{0: 2**61 - 1}]).direct_sum(FgAbelianGroup.trivial())",
+                 id="cokernel_direct_sum"),
+])
+def test_a_large_prime_order_is_never_factored(call):
+    # 2^61 - 1 is prime: trial division would take minutes to find that out
+    probe = ("from kconn.abelian import FgAbelianGroup, cokernel_group, parse_group\n"
+             f"assert {call} == FgAbelianGroup(0, (2**61 - 1,))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=10)
 
 
 def test_invalid_chain_rejected():

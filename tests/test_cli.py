@@ -239,8 +239,7 @@ def test_query_past_expression_bound_exits_1(tmp_path, capsys, verb):
     ],
 )
 def test_huge_fixture_base_exits_1(tmp_path, capsys, row, base, verb):
-    # a base with a large prime factor is refused at load, before the
-    # canonical form would factor it by trial division
+    # a base past the bound is refused at load, before any group is built
     huge = tmp_path / "tables.txt"
     packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
     huge.write_text(packaged.replace("bo_rp | 1 | 8 | Z/2 ", f"bo_rp | 1 | 8 | {row} "),

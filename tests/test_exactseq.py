@@ -91,7 +91,7 @@ def test_fixture_parser_and_validity():
         ("demo | 1 | 4 | (Z/2)^(n) | 200000 | src",
          f"multiplicity 200000 in '(Z/2)^(n)' at n=200000 exceeds {MAX_EXPONENT}"),
         ("demo | 1 | 4 | Z/2^(n+1) | 4096 | src", "exponent 4097 in 'Z/2^(n+1)' at n=4096"),
-        # a base is bounded too: the canonical form factors it by trial division
+        # a base is bounded too, as it bounds the size of an evaluated group
         ("demo | 1 | 4 | (Z/1000000000000000003)^(1) | 0 | src",
          "base 1000000000000000003 in '(Z/1000000000000000003)^(1)' at n=0 exceeds"),
         ("demo | 1 | 4 | Z/1000000007^(2) | 0 | src", "base 1000000007 in 'Z/1000000007^(2)'"),

@@ -421,9 +421,9 @@ def _reduced_data(slc):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cached_rows_are_never_mutated(p):
-    # realize_slice and _reduced_slice hand out lru-cached rows; no
-    # computation that reads them, the tensor and Tor paths included, may
-    # change them, and a caller cannot
+    # realize_slice builds rows from the cached module, and _reduced_slice
+    # hands out lru-cached rows; no computation that reads them, the tensor
+    # and Tor paths included, may change them, and a caller cannot
     module = kunneth._lu_window(p, 121)
     top = module.truncation_degree - module.ring_degree
     slices = [realize_slice(module, d).presentation.relations for d in range(top + 1)]
