@@ -187,12 +187,13 @@ def parse_group(text: str) -> FgAbelianGroup:
         m = _TOKEN.match(token.strip())
         if not m:
             raise ValueError(f"cannot parse group term {token!r}")
-        if m.group("mod"):
-            orders.append(int(m.group("mod")))
-        elif m.group("bmod"):
-            orders.extend([int(m.group("bmod"))] * int(m.group("bexp")))
-        else:
+        modulus = m.group("mod") or m.group("bmod")
+        if modulus is None:
             rank += int(m.group("rank") or 1)
+        elif int(modulus) == 0:
+            raise ValueError(f"zero modulus in group term {token!r}")
+        else:
+            orders.extend([int(modulus)] * int(m.group("bexp") or 1))
     return FgAbelianGroup.from_cyclic_orders(rank, orders)
 
 
@@ -404,8 +405,8 @@ def _solve_against_echelon(basis: dict[int, dict[int, int]], vec) -> dict[int, i
 # --- presented groups and the kernel of a map ------------------------------
 
 class _Row(dict):
-    """A row of a presentation: a dict that refuses changes, so rows shared
-    through caches stay as built, and hashes by its entries."""
+    """A row of a presentation: a dict that refuses changes, since
+    presentations are frozen, hashable values, and hashes by its entries."""
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("rows of presentations are read-only")

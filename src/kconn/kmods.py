@@ -11,13 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .abelian import (
-    FgAbelianGroup,
-    GroupPresentation,
-    _order_from_quotient,
-    cokernel_group,
-    element_order,
-)
+from .abelian import FgAbelianGroup, GroupPresentation, _order_from_quotient, cokernel_group
 
 # a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
 Term = tuple[int, int, int]
@@ -45,8 +39,9 @@ class GradedModulePresentation(Record):
 
     ``gen_degrees[i]`` is the internal degree of generator i; every relation
     is a tuple of (coefficient, v-exponent, generator index) terms landing in
-    a single degree.  Only the window up to ``truncation_degree`` is
-    materialised; degree realisations guard against relations escaping it.
+    a single degree, ``relation_degrees[r]`` for relation r.  Only the window
+    up to ``truncation_degree`` is materialised; degree realisations guard
+    against relations escaping it.
     """
 
     p: int
@@ -61,6 +56,7 @@ class GradedModulePresentation(Record):
         for deg in self.gen_degrees:
             if deg > self.truncation_degree:
                 raise ValueError("generator outside the truncation window")
+        degrees = []
         for rel in self.relations:
             if not rel:
                 raise ValueError("empty relation")
@@ -73,17 +69,17 @@ class GradedModulePresentation(Record):
                 degs.add(exp * self.ring_degree + self.gen_degrees[gi])
             if len(degs) != 1:
                 raise ValueError("inhomogeneous relation")
-        # the hash of the field tuple, taken once: lru caches look a module up per degree
+            degrees.append(degs.pop())
+        # derived values, not fields: the degree of each relation, and the
+        # hash of the field tuple, taken once since lru caches look a module
+        # up per degree
+        object.__setattr__(self, "relation_degrees", tuple(degrees))
         fields = (self.p, self.ring_degree, self.gen_degrees, self.relations,
                   self.truncation_degree)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def relation_degree(self, rel: Relation) -> int:
-        coeff, exp, gi = rel[0]
-        return exp * self.ring_degree + self.gen_degrees[gi]
 
 
 @lru_cache(maxsize=None)
@@ -109,22 +105,21 @@ def lu_bzp_presentation(p: int, max_degree: int) -> GradedModulePresentation:
 @lru_cache(maxsize=None)
 def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresentation:
     """The cyclic-tower direct summand of the classifying-space module whose
-    generators sit in degrees 2k(p-1) + 2i - 1."""
+    generators sit in degrees 2k(p-1) + 2i - 1: that residue class of the
+    generators of :func:`lu_bzp_presentation`, and the relations on them,
+    re-indexed in order."""
     check_prime(p)
     if not 1 <= i <= p - 1:
         raise ValueError("summand index out of range")
-    d = 2 * p - 2
-    degrees = []
-    deg = 2 * i - 1
-    while deg <= max_degree:
-        degrees.append(deg)
-        deg += d
-    if not degrees:
+    if max_degree < 2 * i - 1:
         raise ValueError("window below the bottom generator")
-    rels: list[Relation] = [((p, 0, 0),)]
-    for j in range(len(degrees) - 1):
-        rels.append(((1, 1, j), (-p, 0, j + 1)))
-    return GradedModulePresentation(p, d, tuple(degrees), tuple(rels), max_degree)
+    lu = lu_bzp_presentation(p, max_degree)
+    gens = [g for g, deg in enumerate(lu.gen_degrees) if deg % lu.ring_degree == 2 * i - 1]
+    new = {g: j for j, g in enumerate(gens)}
+    rels = tuple(tuple((c, k, new[g]) for c, k, g in rel)
+                 for rel in lu.relations if rel[0][2] in new)
+    return GradedModulePresentation(p, lu.ring_degree, tuple(lu.gen_degrees[g] for g in gens),
+                                    rels, max_degree)
 
 
 class DegreeSlice(Record):
@@ -149,8 +144,8 @@ def realize_slice(module: GradedModulePresentation, n: int) -> DegreeSlice:
             basis.append((rem // d, gi))
     pos = {bk: idx for idx, bk in enumerate(basis)}
     rows: list[dict[int, int]] = []  # sparse: column -> coefficient
-    for rel in module.relations:
-        rem = n - module.relation_degree(rel)
+    for rel, deg in zip(module.relations, module.relation_degrees):
+        rem = n - deg
         if rem < 0 or rem % d:
             continue
         k0 = rem // d
@@ -189,38 +184,11 @@ def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
-class TruncatedKuRing(Record):
-    """Reduced K-ring of a truncated even projective space: Z[t]/(t^2 + 2t,
-    t^(r+1)) spanned additively by t, t^2, ..., t^r."""
-
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
-
-    def presentation(self) -> GroupPresentation:
-        """Z^r on t, t^2, ..., t^r (column a is t^(a+1)) modulo the ring's
-        relations."""
-        r = self.truncation
-        rows = [{a: 2, a + 1: 1} for a in range(r - 1)]  # t^(a+2) = -2 t^(a+1)
-        rows.append({r - 1: 2})  # t^(r+1) = 0 forces 2 t^r = 0
-        return GroupPresentation(r, rows)
-
-    def multiply(self, left, right) -> dict[int, int]:
-        """Product of two sparse vectors on t, ..., t^r (column a is t^(a+1))."""
-        out: dict[int, int] = {}
-        for a, ca in left.items():
-            for b, cb in right.items():
-                if a + b + 1 < self.truncation:
-                    out[a + b + 1] = out.get(a + b + 1, 0) + ca * cb
-        return {k: c for k, c in out.items() if c}
-
-    def reduced_group(self) -> FgAbelianGroup:
-        return self.presentation().group()
-
-    def element_order(self, vec) -> int | None:
-        return element_order(self.presentation(), vec)
+def _ku_ring_relations(r: int) -> list[dict[int, int]]:
+    """Relation rows of the reduced K-ring of a truncated even projective
+    space, Z[t]/(t^2 + 2t, t^(r+1)), on t, t^2, ..., t^r (column a is
+    t^(a+1)): t^(a+2) = -2 t^(a+1), and t^(r+1) = 0 forces 2 t^r = 0."""
+    return [{a: 2, a + 1: 1} for a in range(r - 1)] + [{r - 1: 2}]
 
 
 class KuSmashCheck(Record):
@@ -257,12 +225,10 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
-    left_pres = TruncatedKuRing(r).presentation()
-    right_pres = TruncatedKuRing(v).presentation()
-    rows = [{a * v + b: c for a, c in rel.items()}
-            for rel in left_pres.relations for b in range(v)]
+    left = _ku_ring_relations(r)
+    rows = [{a * v + b: c for a, c in rel.items()} for rel in left for b in range(v)]
     rows += [{a * v + b: c for b, c in rel.items()}
-             for rel in right_pres.relations for a in range(r)]
+             for rel in _ku_ring_relations(v) for a in range(r)]
     smash = cokernel_group(r * v, rows)
     order = _order_from_quotient(smash, cokernel_group(r * v, rows + [{0: 1}]))
     generates = (
@@ -270,5 +236,5 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
         and len(smash.invariant_factors) <= 1
         and order == smash.order()
     )
-    return KuSmashCheck(r, v, left_pres.group(), smash, order, generates)
+    return KuSmashCheck(r, v, cokernel_group(r, left), smash, order, generates)
 

@@ -28,6 +28,7 @@ from ._record import Record
 from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
     GradedModulePresentation,
+    bu_bzp_group,
     check_prime,
     lu_bzp_presentation,
     summand_presentation,
@@ -84,8 +85,8 @@ def _reduced_slice(module: GradedModulePresentation, e: int) -> _Slice:
         nf[j, g] = tuple((col, x) for col, x in row.items() if x)
     matched = {r for r, _, _ in match.values()}
     cells1, boundary = {}, []
-    for r, rel in enumerate(module.relations):
-        rem = e - module.relation_degree(rel)
+    for r, (rel, deg) in enumerate(zip(module.relations, module.relation_degrees)):
+        rem = e - deg
         if r not in matched and rem >= 0 and rem % d == 0:
             row = {}
             for c, b, h in rel:
@@ -119,11 +120,10 @@ class _Tot:
             raise ValueError("presentations live over different graded rings")
         if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
             raise ValueError(f"degree {n} outside the safe window of the factors")
-        rel_degrees = [m.relation_degree(rel) for rel in m.relations]
         self.m, self.slices = m, {e: _reduced_slice(n_mod, n - e)
-                                  for e in {*m.gen_degrees, *rel_degrees} if e <= n}
+                                  for e in {*m.gen_degrees, *m.relation_degrees} if e <= n}
         self.gens = {g: self.slices[e] for g, e in enumerate(m.gen_degrees) if e <= n}
-        self.rels = {r: self.slices[e] for r, e in enumerate(rel_degrees) if e <= n}
+        self.rels = {r: self.slices[e] for r, e in enumerate(m.relation_degrees) if e <= n}
         self.gen0, self.n0 = _offsets(self.gens, "cells")
         self.rel0, n_rel0 = _offsets(self.rels, "cells")
         self.gen1, self.n1 = _offsets(self.gens, "cells1", n_rel0)
@@ -307,8 +307,6 @@ class KunnethReport(Record):
 def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:
     """Right-hand side of the decomposition: shifted classifying-space copies
     plus the elementary wedge part."""
-    from .kmods import bu_bzp_group
-
     check_prime(p)
     parts = [bu_bzp_group(p, n - 2 * i) for i in range(1, p)]
     parts.append(

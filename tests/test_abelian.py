@@ -769,3 +769,10 @@ def test_render(group, text):
 def test_parse_roundtrip(free_rank, orders):
     g = FgAbelianGroup.from_cyclic_orders(free_rank, orders)
     assert parse_group(render_group(g)) == g
+
+
+@pytest.mark.parametrize("text", ["Z/0", "(Z/0)^2", "Z ⊕ Z/0", "Z/00 ⊕ Z/2"])
+def test_parse_refuses_a_zero_modulus(text):
+    # render_group never writes one, and Z/0 would otherwise read as Z
+    with pytest.raises(ValueError, match="zero modulus"):
+        parse_group(text)

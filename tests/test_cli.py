@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kconn import cli
 from kconn.cli import main
 from kconn.abelian import parse_group
 from kconn.exactseq import MAX_EXPONENT
@@ -102,6 +103,27 @@ def test_nonprime_p_exits_1(capsys):
 def test_negative_bound_exits_1(capsys):
     code, _, err = run_cli(capsys, "bu", "--max", "-3")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bu", "--p", "2305843009213693951", "--max", "3"), "--p must be at most 256"),
+    (("smash-bu", "--p", "1000003", "--max", "4"), "--p must be at most 256"),
+    (("lu", "--p", "257", "--max", "0"), "--p must be at most 256"),
+    (("x-count", "--n", "100000000000"), "--n must be at most 1000000"),
+    (("x-count", "--n", "1000001"), "--n must be at most 1000000"),
+])
+def test_inputs_past_their_bound_exit_1(capsys, argv, message):
+    # refused before any work: the prime check would take trial division to
+    # the square root, and x_count enumerates up to n
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "usage:" in err and message in err
+
+
+def test_inputs_at_their_bound_are_accepted(capsys, monkeypatch):
+    assert run_cli(capsys, "lu", "--p", "251", "--max", "0") == (0, "degree  group  rank  invariants\n", "")
+    monkeypatch.setattr(cli, "x_count", lambda n: n)  # the enumeration is not under test
+    assert run_cli(capsys, "x-count", "--n", "1000000") == (0, "1000000\n", "")
 
 
 @pytest.mark.parametrize("argv", [("lu", "--max", "4000"),

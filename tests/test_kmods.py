@@ -4,16 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from kconn.abelian import FgAbelianGroup, kernel_of_map
+from kconn.abelian import FgAbelianGroup, GroupPresentation, cokernel_group, element_order, kernel_of_map
 from kconn.kmods import (
     GradedModulePresentation,
-    TruncatedKuRing,
+    _ku_ring_relations,
     bu_bzp_group,
     ku_smash_check,
     lu_bzp_presentation,
     lu_closed_form,
     realize_degree,
     realize_slice,
+    summand_presentation,
 )
 from kconn.kunneth import tensor_degree
 
@@ -131,12 +132,61 @@ def test_bu_order_against_cell_count(p):
         assert bu_bzp_group(p, n).order() == ahss_order(p, n), (p, n)
 
 
+# --- the cyclic-tower summands ----------------------------------------------------------
+
+def explicit_summand(p, i, max_degree):
+    """The summand on degrees 2k(p-1) + 2i - 1, written out directly: p g_0
+    and v g_j - p g_(j+1).  Test-local, and builds no module from lu."""
+    d = 2 * p - 2
+    degrees = tuple(range(2 * i - 1, max_degree + 1, d))
+    rels = [((p, 0, 0),)] + [((1, 1, j), (-p, 0, j + 1)) for j in range(len(degrees) - 1)]
+    return GradedModulePresentation(p, d, degrees, tuple(rels), max_degree)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_summand_is_a_residue_class_of_lu(p):
+    for i in range(1, p):
+        for window in range(2 * i - 1, 130):
+            summand = summand_presentation(p, i, window)
+            assert summand == explicit_summand(p, i, window), (p, i, window)
+            assert hash(summand) == hash(explicit_summand(p, i, window))
+
+
+def test_summand_rejects_bad_input():
+    with pytest.raises(ValueError, match="p must be prime"):
+        summand_presentation(4, 1, 9)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="summand index out of range"):
+            summand_presentation(3, i, 9)
+    for window in (0, 2):
+        with pytest.raises(ValueError, match="window below the bottom generator"):
+            summand_presentation(3, 2, window)
+
+
+def test_relation_degrees_are_stored():
+    m = lu_bzp_presentation(3, 13)
+    assert m.relation_degrees == tuple(
+        k * m.ring_degree + m.gen_degrees[g] for (_, k, g), *_ in m.relations)
+    assert "relation_degrees" not in m._fields
+
+
 # --- truncated KU ring -----------------------------------------------------------------
 
+def ku_ring_multiply(r, left, right):
+    """Product of two sparse vectors on t, ..., t^r (column a is t^(a+1)) in
+    Z[t] / t^(r+1)."""
+    out: dict[int, int] = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            if a + b + 1 < r:
+                out[a + b + 1] = out.get(a + b + 1, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
 def test_truncated_ring_reduced_group():
-    assert TruncatedKuRing(2).reduced_group() == C(4)
-    assert TruncatedKuRing(1).reduced_group() == C(2)
-    assert TruncatedKuRing(5).reduced_group() == C(32)
+    assert cokernel_group(2, _ku_ring_relations(2)) == C(4)
+    assert cokernel_group(1, _ku_ring_relations(1)) == C(2)
+    assert cokernel_group(5, _ku_ring_relations(5)) == C(32)
 
 
 def test_truncated_ring_relations_hold():
@@ -144,17 +194,16 @@ def test_truncated_ring_relations_hold():
     from kconn.abelian import _echelon
 
     for r in [1, 2, 3, 5]:
-        ring = TruncatedKuRing(r)
         t = {0: 1}
-        diff = dict(ring.multiply(t, t))  # t^2 - (-2t)
+        diff = dict(ku_ring_multiply(r, t, t))  # t^2 - (-2t)
         diff[0] = diff.get(0, 0) + 2
-        assert lattice_member(_echelon(ring.presentation().relations), diff)
-        assert ring.multiply({r - 1: 1}, t) == {}
+        assert lattice_member(_echelon(_ku_ring_relations(r)), diff)
+        assert ku_ring_multiply(r, {r - 1: 1}, t) == {}
 
 
 def test_truncated_ring_order_of_t():
     for r in range(1, 8):
-        assert TruncatedKuRing(r).element_order({0: 1}) == 2**r
+        assert element_order(GroupPresentation(r, _ku_ring_relations(r)), {0: 1}) == 2**r
 
 
 def test_ku_smash_check_examples():
@@ -192,13 +241,13 @@ def dense_smash_presentation(r, v):
     dense rows."""
     n = r * v
     rows = []
-    for rel in TruncatedKuRing(r).presentation().relations:
+    for rel in _ku_ring_relations(r):
         for b in range(v):
             row = [0] * n
             for a, c in rel.items():
                 row[a * v + b] = c
             rows.append(row)
-    for rel in TruncatedKuRing(v).presentation().relations:
+    for rel in _ku_ring_relations(v):
         for a in range(r):
             row = [0] * n
             for b, c in rel.items():
