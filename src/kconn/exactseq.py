@@ -255,9 +255,6 @@ class ImageOrderResult(Record):
     infeasible_at: int | None = None
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def image_order_solve(seq: LongExactSequence) -> ImageOrderResult:
     """Propagate image orders from the zero ends: the image order out of a

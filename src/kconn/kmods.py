@@ -1,21 +1,31 @@
 """Graded modules for the connective K-homology of B Z/p.
 
 The classifying-space module over Z[v] (deg v = 2p-2) is held as a truncated
-presentation; degree pieces are realised exactly as cokernels of integer
-relation matrices and compared against the cyclic closed form.  The truncated
-projective-space K-ring check lives here as well.
+presentation F', and its degree pieces are built once, as slices of an
+algebraic Morse reduction (Skoldberg, Trans. AMS 358, 2006): a relation
+whose strictly highest v-exponent term is +-1 on a generator g is matched
+with g, at most one relation per generator.  The matched cells v^k r,
+v^(k+a) g span an acyclic, v-stable subcomplex M, so G' = F'/M is a complex
+of Z[v]-modules quasi-isomorphic to F', free over Z on the critical cells,
+with boundary d' = NF o d.  Its H0 in degree n, a cokernel, is the degree-n
+piece of the module, compared against the cyclic closed form; the Kunneth
+complex reads the same slices.  The truncated projective-space K-ring check
+lives here as well.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ._record import Record
-from .abelian import FgAbelianGroup, GroupPresentation, _order_from_quotient, cokernel_group
+from .abelian import FgAbelianGroup, _order_from_quotient, cokernel_group
 
 # a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
 Term = tuple[int, int, int]
 Relation = tuple[Term, ...]
+Row = tuple[tuple[int, int], ...]  # sparse (column, value) pairs
 
 
 def is_prime(n: int) -> bool:
@@ -122,46 +132,80 @@ def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresent
                                     rels, max_degree)
 
 
-class DegreeSlice(Record):
-    """Degree-n piece of a presentation as a presented abelian group, with the
-    monomial basis v^k * g recorded as (k, generator) labels."""
+@lru_cache(maxsize=None)
+def _matching(module: GradedModulePresentation) -> dict[int, tuple[int, int, int]]:
+    """{generator g: (relation, a, unit)} for each relation whose one term of
+    highest v-exponent a is unit * v^a g, +-1, at most one per generator."""
+    match: dict[int, tuple[int, int, int]] = {}
+    for r, rel in enumerate(module.relations):
+        top = max(k for _, k, _ in rel)
+        tops = [(c, g) for c, k, g in rel if k == top]
+        if len(tops) == 1 and tops[0][0] in (1, -1) and tops[0][1] not in match:
+            match[tops[0][1]] = (r, top, tops[0][0])
+    return match
 
-    degree: int
-    basis: tuple[tuple[int, int], ...]
-    presentation: GroupPresentation
+
+class DegreeSlice(NamedTuple):
+    """Degree e of G'.  ``cells`` are the critical 0-cells (k, g), standing
+    for v^k g; ``nf`` writes every 0-cell of degree e over them; ``cells1``
+    indexes the critical 1-cells (k, r), standing for v^k r, whose reduced
+    boundaries are ``boundary``; ``rank`` is the rank of that boundary."""
+
+    cells: tuple[tuple[int, int], ...]
+    nf: MappingProxyType[tuple[int, int], Row]
+    cells1: MappingProxyType[tuple[int, int], int]
+    boundary: tuple[Row, ...]
+    rank: int
 
 
-def realize_slice(module: GradedModulePresentation, n: int) -> DegreeSlice:
-    if n > module.truncation_degree - module.ring_degree:
+@lru_cache(maxsize=None)
+def realize_slice(module: GradedModulePresentation, e: int) -> DegreeSlice:
+    """Degree e of the Morse reduction G' of ``module``, shared by
+    :func:`realize_degree` and every tensor and Tor degree whose blocks
+    include it.  0-cells are reduced by increasing v-exponent: the other
+    terms of a matched cell's relation have smaller exponents in the same
+    degree, so they are in normal form."""
+    if e > module.truncation_degree - module.ring_degree:
         raise ValueError(
-            f"degree {n} outside the safe window of the truncated presentation"
+            f"degree {e} outside the safe window of the truncated presentation"
         )
-    d = module.ring_degree
-    basis: list[tuple[int, int]] = []
-    for gi, gdeg in enumerate(module.gen_degrees):
-        rem = n - gdeg
-        if rem >= 0 and rem % d == 0:
-            basis.append((rem // d, gi))
-    pos = {bk: idx for idx, bk in enumerate(basis)}
-    rows: list[dict[int, int]] = []  # sparse: column -> coefficient
-    for rel, deg in zip(module.relations, module.relation_degrees):
-        rem = n - deg
-        if rem < 0 or rem % d:
+    match, d = _matching(module), module.ring_degree
+    cells, nf = [], {}
+    for j, g in sorted(((e - deg) // d, g) for g, deg in enumerate(module.gen_degrees)
+                       if deg <= e and (e - deg) % d == 0):
+        if g not in match or j < match[g][1]:
+            nf[j, g] = ((len(cells), 1),)
+            cells.append((j, g))
             continue
-        k0 = rem // d
+        r, a, unit = match[g]
         row: dict[int, int] = {}
-        for coeff, exp, gi in rel:
-            col = pos[(k0 + exp, gi)]
-            row[col] = row.get(col, 0) + coeff
-        rows.append(row)
-    return DegreeSlice(n, tuple(basis), GroupPresentation(len(basis), rows))
+        for c, b, h in module.relations[r]:
+            for col, x in nf[j - a + b, h] if b < a else ():
+                row[col] = row.get(col, 0) - unit * c * x
+        nf[j, g] = tuple((col, x) for col, x in row.items() if x)
+    matched = {r for r, _, _ in match.values()}
+    cells1, boundary = {}, []
+    for r, (rel, deg) in enumerate(zip(module.relations, module.relation_degrees)):
+        rem = e - deg
+        if r not in matched and rem >= 0 and rem % d == 0:
+            row = {}
+            for c, b, h in rel:
+                for col, x in nf[rem // d + b, h]:
+                    row[col] = row.get(col, 0) + c * x
+            cells1[rem // d, r] = len(boundary)
+            boundary.append(tuple((col, x) for col, x in row.items() if x))
+    rank = len(cells) - cokernel_group(len(cells), [dict(b) for b in boundary]).free_rank
+    return DegreeSlice(tuple(cells), MappingProxyType(nf), MappingProxyType(cells1),
+                       tuple(boundary), rank)
 
 
 def realize_degree(module: GradedModulePresentation, n: int) -> FgAbelianGroup:
-    """The degree-n piece, realised exactly as a cokernel."""
+    """The degree-n piece, realised exactly as the cokernel of the reduced
+    boundary: the reduction keeps H0."""
     if n < 0:
         return FgAbelianGroup.trivial()
-    return realize_slice(module, n).presentation.group()
+    slc = realize_slice(module, n)
+    return cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
 
 
 def lu_closed_form(p: int, n: int) -> FgAbelianGroup:

@@ -1,105 +1,35 @@
 """Degree-wise tensor and Tor over the graded coefficient ring.
 
 Both are homology of one complex per degree, Tot = F (x) G'.  F presents the
-first factor m, free over Z[v]; G' is the presentation F' of the second
-factor N after an algebraic Morse reduction (Skoldberg, Trans. AMS 358,
-2006): a relation whose strictly highest v-exponent term is +-1 on a
-generator g is matched with g, at most one relation per generator.  The
-matched cells v^k r, v^(k+a) g span an acyclic, v-stable subcomplex M, so
-G' = F'/M is a complex of Z[v]-modules quasi-isomorphic to F', free over Z
-on the critical cells, with boundary d' = NF o d.  H0 of Tot is m (x) N.
-H1 is Tor_1(m, N) when the relations of both factors are independent over
-Z[v], as for the classifying-space module, the direct sum of its
-cyclic-tower summands: for N this is checked, for m the caller guarantees
-it.  No kernel is computed (as in Dumas, Saunders & Villard, J. Symbolic
-Comput. 32, 2001): Tot0 is free, so ker d1 is a direct summand of Tot1, and
-H1 has the torsion of coker d2 and its free rank less rank d1.  The short
-exact sequence then assembles the K-homology of the smash square, which is
-cross-checked against the direct-sum decomposition.
+first factor m, free over Z[v]; G' is the Morse reduction of the second
+factor N, read slice by slice from :func:`kmods.realize_slice`.  H0 of Tot
+is m (x) N.  H1 is Tor_1(m, N) when the relations of both factors are
+independent over Z[v], as for the classifying-space module, the direct sum
+of its cyclic-tower summands: for N this is checked, for m the caller
+guarantees it.  No kernel is computed (as in Dumas, Saunders & Villard, J.
+Symbolic Comput. 32, 2001): Tot0 is free, so ker d1 is a direct summand of
+Tot1, and H1 has the torsion of coker d2 and its free rank less rank d1.
+The short exact sequence then assembles the K-homology of the smash square,
+which is cross-checked against the direct-sum decomposition.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
-from typing import NamedTuple
 
 from ._record import Record
 from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
+    DegreeSlice,
     GradedModulePresentation,
     bu_bzp_group,
     check_prime,
     lu_bzp_presentation,
+    realize_slice,
     summand_presentation,
 )
 
-Row = tuple[tuple[int, int], ...]  # sparse (column, value) pairs
-
-
-@lru_cache(maxsize=None)
-def _matching(module: GradedModulePresentation) -> dict[int, tuple[int, int, int]]:
-    """{generator g: (relation, a, unit)} for each relation whose one term of
-    highest v-exponent a is unit * v^a g, +-1, at most one per generator."""
-    match: dict[int, tuple[int, int, int]] = {}
-    for r, rel in enumerate(module.relations):
-        top = max(k for _, k, _ in rel)
-        tops = [(c, g) for c, k, g in rel if k == top]
-        if len(tops) == 1 and tops[0][0] in (1, -1) and tops[0][1] not in match:
-            match[tops[0][1]] = (r, top, tops[0][0])
-    return match
-
-
-class _Slice(NamedTuple):
-    """Degree e of G'.  ``cells`` are the critical 0-cells (k, g), standing
-    for v^k g; ``nf`` writes every 0-cell of degree e over them; ``cells1``
-    indexes the critical 1-cells (k, r), standing for v^k r, whose reduced
-    boundaries are ``boundary``; ``rank`` is the rank of that boundary."""
-
-    cells: tuple[tuple[int, int], ...]
-    nf: MappingProxyType[tuple[int, int], Row]
-    cells1: MappingProxyType[tuple[int, int], int]
-    boundary: tuple[Row, ...]
-    rank: int
-
-
-@lru_cache(maxsize=None)
-def _reduced_slice(module: GradedModulePresentation, e: int) -> _Slice:
-    """Degree e of the Morse reduction G' of ``module``, shared by every
-    tensor and Tor degree whose blocks include it.  0-cells are reduced by
-    increasing v-exponent: the other terms of a matched cell's relation have
-    smaller exponents in the same degree, so they are in normal form."""
-    match, d = _matching(module), module.ring_degree
-    cells, nf = [], {}
-    for j, g in sorted(((e - deg) // d, g) for g, deg in enumerate(module.gen_degrees)
-                       if deg <= e and (e - deg) % d == 0):
-        if g not in match or j < match[g][1]:
-            nf[j, g] = ((len(cells), 1),)
-            cells.append((j, g))
-            continue
-        r, a, unit = match[g]
-        row: dict[int, int] = {}
-        for c, b, h in module.relations[r]:
-            for col, x in nf[j - a + b, h] if b < a else ():
-                row[col] = row.get(col, 0) - unit * c * x
-        nf[j, g] = tuple((col, x) for col, x in row.items() if x)
-    matched = {r for r, _, _ in match.values()}
-    cells1, boundary = {}, []
-    for r, (rel, deg) in enumerate(zip(module.relations, module.relation_degrees)):
-        rem = e - deg
-        if r not in matched and rem >= 0 and rem % d == 0:
-            row = {}
-            for c, b, h in rel:
-                for col, x in nf[rem // d + b, h]:
-                    row[col] = row.get(col, 0) + c * x
-            cells1[rem // d, r] = len(boundary)
-            boundary.append(tuple((col, x) for col, x in row.items() if x))
-    rank = len(cells) - cokernel_group(len(cells), [dict(b) for b in boundary]).free_rank
-    return _Slice(tuple(cells), MappingProxyType(nf), MappingProxyType(cells1),
-                  tuple(boundary), rank)
-
-
-def _offsets(blocks: dict[int, _Slice], field: str, start: int = 0):
+def _offsets(blocks: dict[int, DegreeSlice], field: str, start: int = 0):
     """Where the ``field`` block of each generator or relation starts, from
     ``start`` on, and where the last one ends."""
     out = {}
@@ -120,7 +50,7 @@ class _Tot:
             raise ValueError("presentations live over different graded rings")
         if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
             raise ValueError(f"degree {n} outside the safe window of the factors")
-        self.m, self.slices = m, {e: _reduced_slice(n_mod, n - e)
+        self.m, self.slices = m, {e: realize_slice(n_mod, n - e)
                                   for e in {*m.gen_degrees, *m.relation_degrees} if e <= n}
         self.gens = {g: self.slices[e] for g, e in enumerate(m.gen_degrees) if e <= n}
         self.rels = {r: self.slices[e] for r, e in enumerate(m.relation_degrees) if e <= n}
@@ -216,14 +146,10 @@ def _check_tor_args(p: int, method: str) -> None:
         raise ValueError(f"unknown Tor method {method!r}")
 
 
-def tor_summand_group(p: int, i: int, internal_degree: int,
-                      method: str = "resolution") -> FgAbelianGroup:
-    """Tor piece for one summand at one internal degree, via the resolution
-    or the certified closed form.  Below the bottom generator the complex
-    is empty, so its H1 is 0."""
-    _check_tor_args(p, method)
-    if method == "closed_form":
-        return tor_closed_form(p, i, internal_degree)
+def tor_summand_group(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
+    """Tor piece for one summand at one internal degree, via the resolution;
+    :func:`tor_closed_form` is its certified closed form.  Below the bottom
+    generator the complex is empty, so its H1 is 0."""
     lu = _lu_window(p, internal_degree)
     summand = summand_presentation(p, i, lu.truncation_degree)
     return tor1_degree(summand, lu, internal_degree)
@@ -269,7 +195,7 @@ def tor_part(p: int, n: int, method: str = "resolution") -> FgAbelianGroup:
             lu = _lu_window(p, internal)
             parts.append(tor1_degree(lu, lu, internal))
         else:
-            parts.extend(tor_summand_group(p, i, internal, method) for i in range(1, p))
+            parts.extend(tor_closed_form(p, i, internal) for i in range(1, p))
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
@@ -315,14 +241,14 @@ def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
-def verify_bu_decomposition(p: int, n_max: int, method: str = "resolution") -> KunnethReport:
+def verify_bu_decomposition(p: int, n_max: int) -> KunnethReport:
     """Degree-wise comparison of the assembled smash groups against the
     direct-sum decomposition; failures are recorded verdicts, not errors."""
-    _check_tor_args(p, method)
+    check_prime(p)
     records = []
     for n in range(n_max + 1):
         tens = tensor_part(p, n) if n % 2 == 0 else FgAbelianGroup.trivial()
-        tor = tor_part(p, n, method) if n % 2 else FgAbelianGroup.trivial()
+        tor = tor_part(p, n) if n % 2 else FgAbelianGroup.trivial()
         assembled = tens.direct_sum(tor)
         cross = decomposition_crosscheck(p, n)
         records.append(KunnethRecord(n, tens, tor, assembled, cross, assembled == cross))

@@ -83,7 +83,7 @@ def criterion_2() -> CriterionResult:
     for p in (2, 3):
         for i in range(1, p):
             for internal in range(41):
-                engine = tor_summand_group(p, i, internal, "resolution")
+                engine = tor_summand_group(p, i, internal)
                 closed = tor_closed_form(p, i, internal)
                 if engine != closed:
                     failures.append(f"p={p} i={i} deg={internal}: {engine} vs {closed}")

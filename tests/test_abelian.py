@@ -26,7 +26,7 @@ from kconn.abelian import (
     render_group,
     simplify_presentation,
 )
-from kconn.kmods import lu_bzp_presentation, realize_slice
+from kconn.kmods import lu_bzp_presentation
 
 Z = FgAbelianGroup.free
 C = FgAbelianGroup.cyclic
@@ -469,14 +469,39 @@ def cone_kernel(source, target, images):
     return FgAbelianGroup(h1.free_rank - rank_d1, h1.invariant_factors)
 
 
+def unreduced_slice(module, n):
+    """Degree n of a graded module presentation, unreduced: the monomial
+    basis v^k g as (k, generator) labels, and the presented group whose rows
+    are the relations v^k r landing in degree n.  Test-local, as the library
+    builds only the Morse-reduced slice."""
+    d = module.ring_degree
+    basis = []
+    for gi, gdeg in enumerate(module.gen_degrees):
+        rem = n - gdeg
+        if rem >= 0 and rem % d == 0:
+            basis.append((rem // d, gi))
+    pos = {bk: idx for idx, bk in enumerate(basis)}
+    rows = []
+    for rel, deg in zip(module.relations, module.relation_degrees):
+        rem = n - deg
+        if rem < 0 or rem % d:
+            continue
+        row: dict[int, int] = {}
+        for coeff, exp, gi in rel:
+            col = pos[(rem // d + exp, gi)]
+            row[col] = row.get(col, 0) + coeff
+        rows.append(row)
+    return tuple(basis), GroupPresentation(len(basis), rows)
+
+
 def v_multiplication_map(module, n):
     """Multiplication by v from the degree-n slice of ``module`` to the slice
     in degree n + deg(v), as (source, target, images) for kernel_of_map."""
-    src = realize_slice(module, n)
-    tgt = realize_slice(module, n + module.ring_degree)
-    tgt_pos = {bk: idx for idx, bk in enumerate(tgt.basis)}
-    images = [{tgt_pos[(k + 1, gi)]: 1} for k, gi in src.basis]
-    return src.presentation, tgt.presentation, images
+    src_basis, src = unreduced_slice(module, n)
+    tgt_basis, tgt = unreduced_slice(module, n + module.ring_degree)
+    tgt_pos = {bk: idx for idx, bk in enumerate(tgt_basis)}
+    images = [{tgt_pos[(k + 1, gi)]: 1} for k, gi in src_basis]
+    return src, tgt, images
 
 
 def lattice_member(basis, vec):

@@ -37,7 +37,7 @@ from kconn.kunneth import (
     wedge_count,
 )
 
-from .test_abelian import cone_kernel, v_multiplication_map
+from .test_abelian import cone_kernel, unreduced_slice, v_multiplication_map
 
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
@@ -114,14 +114,15 @@ def reference_tensor(m, n_mod, n):
 
 @lru_cache(maxsize=None)
 def _reference_slice(module, deg):
-    slc = realize_slice(module, deg)
-    return slc, simplify_presentation(slc.presentation)
+    basis, presentation = unreduced_slice(module, deg)
+    return basis, simplify_presentation(presentation)
 
 
 def reference_tensor_map(m, n_mod, n):
-    """Degree n of F1 (x) N -> F0 (x) N, built from the simplified slices of
-    N, as (source, target, images) for kernel_of_map: the engine the tensor
-    and Tor terms were computed by before the Morse-reduced complex.
+    """Degree n of F1 (x) N -> F0 (x) N, built from the simplified unreduced
+    slices of N, as (source, target, images) for kernel_of_map: the engine
+    the tensor and Tor terms were computed by before the Morse-reduced
+    complex.
 
     A generator or relation of ``m`` in degree e <= n contributes one block,
     the simplified slice of N in degree n - e.  A relation term (c, k, g)
@@ -143,14 +144,14 @@ def reference_tensor_map(m, n_mod, n):
     rel_blocks, source = blocks(m.relation_degrees)
     gen_blocks, target = blocks(m.gen_degrees)
     images = []
-    for r, (_, slc, simp) in rel_blocks.items():
+    for r, (_, basis, simp) in rel_blocks.items():
         for old in simp.from_min:
             row: dict[int, int] = {}
             for q, x in old.items():
-                j, gi = slc.basis[q]
+                j, gi = basis[q]
                 for c, k, g in m.relations[r]:
-                    off, g_slc, g_simp = gen_blocks[g]
-                    for col, y in g_simp.to_min[g_slc.basis.index((j + k, gi))].items():
+                    off, g_basis, g_simp = gen_blocks[g]
+                    for col, y in g_simp.to_min[g_basis.index((j + k, gi))].items():
                         row[off + col] = row.get(off + col, 0) + c * x * y
             images.append({col: x for col, x in row.items() if x})
     return source, target, images
@@ -249,6 +250,16 @@ def test_tor_and_tensor_match_the_reference_engines_on_towers(pair):
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 4]).flatmap(tower_sums))
+def test_realize_degree_matches_the_unreduced_slice_on_towers(module):
+    # the Morse reduction keeps H_0: in every degree of the window the
+    # reduced slice presents the same group as the unreduced one
+    for n in range(WINDOW - module.ring_degree + 1):
+        _, slc = unreduced_slice(module, n)
+        assert realize_degree(module, n) == cokernel_group(slc.n_gens, slc.relations), n
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("left,right", [("lu", "lu"), ("lu", "summand"),
                                         ("summand", "lu"), ("summand", "summand")])
@@ -289,10 +300,9 @@ def test_resolution_exact_and_resolves_summand(p, i):
             2 * j * (p - 1) + 2 * i - 1 for j in range(len(module.gen_degrees)))
         assert module.relation_degrees == module.gen_degrees
     for n in range(window + 1):
-        slc = realize_slice(module, n)
-        rows = slc.presentation.relations
-        rank = slc.presentation.n_gens - cokernel_group(slc.presentation.n_gens, rows).free_rank
-        assert rank == len(rows), (p, i, n)
+        _, slc = unreduced_slice(module, n)
+        rank = slc.n_gens - cokernel_group(slc.n_gens, slc.relations).free_rank
+        assert rank == len(slc.relations), (p, i, n)
         # and its cokernel is the module: Z/p^(k+1) in degree 2k(p-1) + 2i - 1
         in_summand = i == "lu" or n >= 2 * i - 1 and (n - 2 * i + 1) % d == 0
         expected = lu_closed_form(p, n) if in_summand else trivial()
@@ -385,17 +395,17 @@ def _clear_caches(*modules):
 def test_tor_reduces_each_slice_once():
     # every reduced slice a sweep needs is built once, shared across the
     # degrees whose blocks include it, and kept for the next sweep
-    _clear_caches(kunneth)
+    _clear_caches(kunneth, kmods)
     try:
         for n in range(1, 42, 2):
             tor_part(2, n)
-        first = kunneth._reduced_slice.cache_info()
+        first = realize_slice.cache_info()
         for n in range(1, 42, 2):
             kunneth.tor1_degree.__wrapped__(kunneth._lu_window(2, n - 1),
                                             kunneth._lu_window(2, n - 1), n - 1)
-        second = kunneth._reduced_slice.cache_info()
+        second = realize_slice.cache_info()
     finally:
-        _clear_caches(kunneth)
+        _clear_caches(kunneth, kmods)
     assert first.misses == first.currsize > 0
     assert first.hits > first.misses
     assert second.misses == first.misses and second.hits > first.hits
@@ -405,12 +415,13 @@ def test_tor_reduces_each_slice_once():
 def test_tor_slices_are_minimal(p):
     # the Morse reduction need not be minimal; on the slices the Tor path
     # uses it must keep one critical 0-cell per cyclic summand, or the
-    # blocks of the complex grow, and its H_0 is the slice of lu
+    # blocks of the complex grow, and its H_0 is the degree of lu, the
+    # cokernel of the unreduced slice
     module = kunneth._lu_window(p, 121)
     for deg in range(122):
-        slc = kunneth._reduced_slice(module, deg)
+        slc = realize_slice(module, deg)
         g = cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
-        assert g == realize_degree(module, deg) == lu_closed_form(p, deg), deg
+        assert g == unreduced_slice(module, deg)[1].group() == lu_closed_form(p, deg), deg
         assert len(slc.cells) == g.free_rank + len(g.invariant_factors), deg
         assert slc.rank == len(slc.cells1), deg
 
@@ -421,13 +432,18 @@ def _reduced_data(slc):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cached_rows_are_never_mutated(p):
-    # realize_slice builds rows from the cached module, and _reduced_slice
-    # hands out lru-cached rows; no computation that reads them, the tensor
-    # and Tor paths included, may change them, and a caller cannot
+    # realize_slice reads the cached module and hands out lru-cached rows;
+    # no computation that reads them, the tensor and Tor paths included, may
+    # change them (the unreduced slices, rebuilt from the module afterwards,
+    # show the module unchanged), and a caller cannot
     module = kunneth._lu_window(p, 121)
     top = module.truncation_degree - module.ring_degree
-    slices = [realize_slice(module, d).presentation.relations for d in range(top + 1)]
-    reduced = [kunneth._reduced_slice(module, d) for d in range(top + 1)]
+
+    def unreduced():
+        return [unreduced_slice(module, d)[1].relations for d in range(top + 1)]
+
+    slices = unreduced()
+    reduced = [realize_slice(module, d) for d in range(top + 1)]
     saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced]))
     for n in range(1, 122, 2):
         tor_part(p, n)
@@ -438,7 +454,7 @@ def test_cached_rows_are_never_mutated(p):
             tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
     ku_smash_check(6, 6)
     kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
-    assert (slices, [_reduced_data(s) for s in reduced]) == saved
+    assert (unreduced(), [_reduced_data(s) for s in reduced]) == saved
     row = next(row for rows in slices for row in rows)
     with pytest.raises(TypeError):
         row[0] = 7
@@ -454,8 +470,8 @@ def test_matching_collision_keeps_one_relation_per_generator():
     # first is matched with g0, and the second stays a critical 1-cell
     n_mod = GradedModulePresentation(2, 2, (0, 2), (((1, 1, 0), (-2, 0, 1)),
                                                     ((1, 1, 0), (-4, 0, 1))), 20)
-    assert kunneth._matching(n_mod) == {0: (0, 1, 1)}
-    assert kunneth._reduced_slice(n_mod, 4).cells1 == {(1, 1): 0}
+    assert kmods._matching(n_mod) == {0: (0, 1, 1)}
+    assert realize_slice(n_mod, 4).cells1 == {(1, 1): 0}
     for m in (lu_bzp_presentation(2, 20), n_mod):
         for n in range(19):
             assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
@@ -613,9 +629,9 @@ def test_kunneth_negative_degree_rejected():
     (decomposition_crosscheck, (1, 4), "prime"),
     (verify_bu_decomposition, (1, 0), "prime"),
     (tor_summand_group, (4, 1, -1), "prime"),
-    (tor_summand_group, (4, 1, -1, "closed_form"), "prime"),
+    (tor_closed_form, (4, 1, -1), "prime"),
     (tor_summand_group, (2, 5, -1), "summand index"),
-    (tor_summand_group, (2, 5, -1, "closed_form"), "summand index"),
+    (tor_closed_form, (2, 5, -1), "summand index"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_bad_prime_or_summand_rejected_in_every_degree(call, args, message):
     # p and i are checked before any degree can answer 0
@@ -627,8 +643,6 @@ def test_bad_prime_or_summand_rejected_in_every_degree(call, args, message):
     (kunneth_smash_group, (2, 4, "bogus")),
     (kunneth_smash_group, (2, 5, "bogus")),
     (tor_part, (2, 0, "bogus")),
-    (verify_bu_decomposition, (2, 0, "bogus")),
-    (tor_summand_group, (2, 1, -1, "bogus")),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_unknown_tor_method_rejected_in_every_degree(call, args):
     with pytest.raises(ValueError, match="unknown Tor method"):
@@ -636,6 +650,6 @@ def test_unknown_tor_method_rejected_in_every_degree(call, args):
 
 
 def test_tor_summand_below_the_bottom_generator_is_trivial():
-    for method in ("resolution", "closed_form"):
-        assert tor_summand_group(3, 2, -1, method) == trivial()
-        assert tor_summand_group(3, 2, 2, method) == trivial()
+    for tor in (tor_summand_group, tor_closed_form):
+        assert tor(3, 2, -1) == trivial()
+        assert tor(3, 2, 2) == trivial()
