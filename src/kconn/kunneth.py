@@ -22,9 +22,9 @@ from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
     DegreeSlice,
     GradedModulePresentation,
+    _lu_window,
     bu_bzp_group,
     check_prime,
-    lu_bzp_presentation,
     realize_slice,
     summand_presentation,
 )
@@ -43,12 +43,12 @@ class _Tot:
     reduction G' of ``n_mod``.  A generator or relation of ``m`` in degree
     e <= n contributes blocks from the slice of G' in degree n - e.  Tot1's
     basis is F1 (x) G'0, then F0 (x) G'1.  Both factors must live over one
-    graded ring, and degree n must lie in the safe window of both."""
+    graded ring, and degree n must lie within the truncation of both."""
 
     def __init__(self, m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
         if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
             raise ValueError("presentations live over different graded rings")
-        if n > min(m.truncation_degree, n_mod.truncation_degree) - m.ring_degree:
+        if n > min(m.truncation_degree, n_mod.truncation_degree):
             raise ValueError(f"degree {n} outside the safe window of the factors")
         self.m, self.slices = m, {e: realize_slice(n_mod, n - e)
                                   for e in {*m.gen_degrees, *m.relation_degrees} if e <= n}
@@ -132,12 +132,6 @@ def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     return FgAbelianGroup.cyclic(p ** (t + 1))
 
 
-def _lu_window(p: int, need: int) -> GradedModulePresentation:
-    # bucket windows so repeated queries share one presentation
-    width = ((need + 2 * (2 * p - 2) + 2) // 64 + 1) * 64
-    return lu_bzp_presentation(p, width)
-
-
 def _check_tor_args(p: int, method: str) -> None:
     """Reject a p that is not prime and an unknown Tor method, in every
     degree, before any degree has a chance to answer 0."""
@@ -149,9 +143,10 @@ def _check_tor_args(p: int, method: str) -> None:
 def tor_summand_group(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution;
     :func:`tor_closed_form` is its certified closed form.  Below the bottom
-    generator the complex is empty, so its H1 is 0."""
+    generator the complex is empty, so its H1 is 0; the summand's window
+    reaches its bottom generator even when that lies above lu's."""
     lu = _lu_window(p, internal_degree)
-    summand = summand_presentation(p, i, lu.truncation_degree)
+    summand = summand_presentation(p, i, max(lu.truncation_degree, 2 * i - 1))
     return tor1_degree(summand, lu, internal_degree)
 
 

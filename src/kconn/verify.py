@@ -23,9 +23,9 @@ from .exactseq import (
     load_fixture_table,
 )
 from .kmods import (
+    _lu_window,
     bu_bzp_group,
     ku_smash_check,
-    lu_bzp_presentation,
     lu_closed_form,
     realize_degree,
 )
@@ -60,7 +60,7 @@ def criterion_1() -> CriterionResult:
     """Closed form vs engine for the classifying-space module."""
     failures = []
     for p in (2, 3, 5):
-        module = lu_bzp_presentation(p, 60 + 2 * (2 * p - 2))
+        module = _lu_window(p, 60)
         for n in range(61):
             engine = realize_degree(module, n)
             closed = lu_closed_form(p, n)

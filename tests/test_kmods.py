@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from kconn.abelian import FgAbelianGroup, GroupPresentation, cokernel_group, ele
 from kconn.kmods import (
     GradedModulePresentation,
     _ku_ring_relations,
+    _lu_window,
     bu_bzp_group,
     ku_smash_check,
     lu_bzp_presentation,
@@ -19,6 +23,7 @@ from kconn.kmods import (
 from kconn.kunneth import tensor_degree
 
 from .test_abelian import (
+    SRC,
     enumerate_quotient_order,
     lattice_member,
     reference_group,
@@ -74,15 +79,26 @@ def test_realize_examples():
 
 
 def test_realize_out_of_window():
+    # exact through the top degree of the truncation, refused above it
     m = lu_bzp_presentation(2, 9)
-    with pytest.raises(ValueError):
-        realize_degree(m, 8)
+    assert realize_degree(m, 9) == lu_closed_form(2, 9)
+    with pytest.raises(ValueError, match="outside the safe window"):
+        realize_degree(m, 10)
+
+
+def test_lu_window_covers_its_degree():
+    # one presentation per 64-degree bucket, complete through the degree it
+    # serves; a negative degree is served by the lowest bucket
+    for n in range(-3, 200):
+        top = _lu_window(2, n).truncation_degree
+        assert top % 64 == 0 and 0 < top - max(n, 0) <= 64, n
+    assert _lu_window(3, 63) is _lu_window(3, 0) is lu_bzp_presentation(3, 64)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_realize_matches_closed_form(p):
     bound = 30
-    m = lu_bzp_presentation(p, bound + 2 * (p - 1))
+    m = lu_bzp_presentation(p, bound)
     for n in range(bound + 1):
         assert realize_degree(m, n) == lu_closed_form(p, n), (p, n)
 
@@ -104,6 +120,30 @@ def test_lu_closed_form_values():
     assert lu_closed_form(3, 9) == C(27)
     assert lu_closed_form(5, 4) == trivial()
     assert lu_closed_form(3, 1) == C(3)
+
+
+def test_a_huge_p_is_refused_before_trial_division():
+    # 2^61 - 1 is prime: trial division would take minutes to find that out
+    probe = ("from kconn.kmods import lu_closed_form\n"
+             "try:\n"
+             "    lu_closed_form(2**61 - 1, 3)\n"
+             "except ValueError as err:\n"
+             "    assert 'below 2**32' in str(err), err\n"
+             "else:\n"
+             "    raise AssertionError('accepted')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=10)
+
+
+def test_prime_bound_edges():
+    # the largest prime below 2^32 is accepted; a composite below it is
+    # still not prime, and 2^32 is past the bound
+    assert lu_closed_form(4294967291, 3) == C(4294967291)
+    with pytest.raises(ValueError, match="p must be prime"):
+        lu_closed_form(4294967295, 3)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        lu_closed_form(2**32, 3)
 
 
 def test_lu_closed_form_even_trivial():

@@ -183,7 +183,7 @@ def small_presentations(draw, d):
     gens = tuple(draw(st.lists(st.integers(0, 8), min_size=1, max_size=4)))
     rels = []
     for _ in range(draw(st.integers(0, 4))):
-        deg = draw(st.integers(min(gens), WINDOW - d))
+        deg = draw(st.integers(min(gens), WINDOW))
         reach = [g for g, e in enumerate(gens) if e <= deg and (deg - e) % d == 0]
         if not reach:
             continue
@@ -204,7 +204,7 @@ def presentation_pairs(draw):
 @given(presentation_pairs())
 def test_tensor_matches_standard_presentation(pair):
     m, n_mod = pair
-    for n in range(WINDOW - m.ring_degree + 1):
+    for n in range(WINDOW + 1):
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
         # G' is a complex whether or not the relations are independent
         assert_composes_to_zero(kunneth._Tot(m, n_mod, n), n)
@@ -245,7 +245,7 @@ def tower_pairs(draw):
 @given(tower_pairs())
 def test_tor_and_tensor_match_the_reference_engines_on_towers(pair):
     m, n_mod = pair
-    for n in range(WINDOW - m.ring_degree + 1):
+    for n in range(WINDOW + 1):
         assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
 
@@ -255,7 +255,7 @@ def test_tor_and_tensor_match_the_reference_engines_on_towers(pair):
 def test_realize_degree_matches_the_unreduced_slice_on_towers(module):
     # the Morse reduction keeps H_0: in every degree of the window the
     # reduced slice presents the same group as the unreduced one
-    for n in range(WINDOW - module.ring_degree + 1):
+    for n in range(WINDOW + 1):
         _, slc = unreduced_slice(module, n)
         assert realize_degree(module, n) == cokernel_group(slc.n_gens, slc.relations), n
 
@@ -265,9 +265,8 @@ def test_realize_degree_matches_the_unreduced_slice_on_towers(module):
                                         ("summand", "lu"), ("summand", "summand")])
 def test_tensor_matches_standard_presentation_on_grid(p, left, right):
     window = 90
-    top = window + 2 * p - 2
-    modules = {"lu": lu_bzp_presentation(p, top),
-               "summand": summand_presentation(p, p - 1, top)}
+    modules = {"lu": lu_bzp_presentation(p, window),
+               "summand": summand_presentation(p, p - 1, window)}
     m, n_mod = modules[left], modules[right]
     for n in range(window + 1):
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
@@ -292,10 +291,10 @@ def test_resolution_exact_and_resolves_summand(p, i):
     d = 2 * p - 2
     window = 60
     if i == "lu":
-        module = lu_bzp_presentation(p, window + d)
-        assert module.gen_degrees == tuple(range(1, window + d + 1, 2))
+        module = lu_bzp_presentation(p, window)
+        assert module.gen_degrees == tuple(range(1, window + 1, 2))
     else:
-        module = summand_presentation(p, i, window + d)
+        module = summand_presentation(p, i, window)
         assert module.gen_degrees == tuple(
             2 * j * (p - 1) + 2 * i - 1 for j in range(len(module.gen_degrees)))
         assert module.relation_degrees == module.gen_degrees
@@ -344,7 +343,7 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
     # tor_part takes one kernel of lu (x) lu per internal degree; lu is the
     # direct sum of its summands, so that kernel splits into the summand
     # kernels, each of which has its closed form
-    lu = kunneth._lu_window(p, 121)
+    lu = kmods._lu_window(p, 121)
     for k in range(0, 122, 2):
         by_summand = [tor1_degree(summand_presentation(p, i, lu.truncation_degree), lu, k)
                       for i in range(1, p)]
@@ -357,7 +356,7 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
 def test_tor_complexes_compose_to_zero(p):
     # every internal degree k <= 121, lu (x) lu and each summand (x) lu
     for k in range(122):
-        lu = kunneth._lu_window(p, k)
+        lu = kmods._lu_window(p, k)
         assert_composes_to_zero(kunneth._Tot(lu, lu, k), (p, k))
         for i in range(1, p):
             summand = summand_presentation(p, i, lu.truncation_degree)
@@ -371,7 +370,7 @@ def test_tor_maps_agree_with_the_mapping_cone(p):
     # H_1 of the reduced complex equals the kernel of F1 (x) N -> F0 (x) N,
     # taken by the kernel echelon and as H_1 of its mapping cone
     for k in range(122):
-        lu = kunneth._lu_window(p, k)
+        lu = kmods._lu_window(p, k)
         source, target, images = reference_tensor_map(lu, lu, k)
         kernel = kernel_of_map(source, target, images)
         assert kernel == cone_kernel(source, target, images), (p, k)
@@ -401,8 +400,8 @@ def test_tor_reduces_each_slice_once():
             tor_part(2, n)
         first = realize_slice.cache_info()
         for n in range(1, 42, 2):
-            kunneth.tor1_degree.__wrapped__(kunneth._lu_window(2, n - 1),
-                                            kunneth._lu_window(2, n - 1), n - 1)
+            kunneth.tor1_degree.__wrapped__(kmods._lu_window(2, n - 1),
+                                            kmods._lu_window(2, n - 1), n - 1)
         second = realize_slice.cache_info()
     finally:
         _clear_caches(kunneth, kmods)
@@ -417,7 +416,7 @@ def test_tor_slices_are_minimal(p):
     # uses it must keep one critical 0-cell per cyclic summand, or the
     # blocks of the complex grow, and its H_0 is the degree of lu, the
     # cokernel of the unreduced slice
-    module = kunneth._lu_window(p, 121)
+    module = kmods._lu_window(p, 121)
     for deg in range(122):
         slc = realize_slice(module, deg)
         g = cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
@@ -436,8 +435,8 @@ def test_cached_rows_are_never_mutated(p):
     # no computation that reads them, the tensor and Tor paths included, may
     # change them (the unreduced slices, rebuilt from the module afterwards,
     # show the module unchanged), and a caller cannot
-    module = kunneth._lu_window(p, 121)
-    top = module.truncation_degree - module.ring_degree
+    module = kmods._lu_window(p, 121)
+    top = module.truncation_degree
 
     def unreduced():
         return [unreduced_slice(module, d)[1].relations for d in range(top + 1)]
@@ -535,7 +534,7 @@ def test_tensor_threads_match_serial():
 
 
 def test_tor_truncation_stability():
-    # enlarging the window never changes the answer below the old safe bound
+    # enlarging the window never changes the answer through the smaller one
     small = lu_bzp_presentation(2, 40)
     large = lu_bzp_presentation(2, 96)
     small_summand = summand_presentation(2, 1, 40)
@@ -544,6 +543,43 @@ def test_tor_truncation_stability():
         assert (tor1_degree(small_summand, small, internal)
                 == tor1_degree(large_summand, large, internal))
         assert tor1_degree(small, small, internal) == tor1_degree(large, large, internal)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_degree_through_the_truncation_is_exact(p):
+    # relations are homogeneous, and a slice in degree n reads only the
+    # generators and relations of degree <= n, so a truncation answers every
+    # degree through its top as any wider one does
+    for top in (9, 20, 33, 64, 65):
+        small = lu_bzp_presentation(p, top)
+        large = lu_bzp_presentation(p, top + 2 * p - 2 + 64)
+        for n in range(top + 1):
+            assert realize_degree(small, n) == realize_degree(large, n), (top, n)
+            assert tensor_degree(small, small, n) == tensor_degree(large, large, n), (top, n)
+            assert tor1_degree(small, small, n) == tor1_degree(large, large, n), (top, n)
+            for i in range(1, p):
+                if 2 * i - 1 <= top:
+                    assert (tor1_degree(summand_presentation(p, i, top), small, n)
+                            == tor1_degree(summand_presentation(p, i, large.truncation_degree),
+                                           large, n)), (top, i, n)
+
+
+def test_a_negative_degree_is_trivial():
+    # the lowest window serves it, and the complex is empty
+    assert tensor_part(2, -100) == trivial()
+    assert tor_part(2, -100) == trivial()
+    assert tor_summand_group(2, 1, -100) == trivial()
+    assert tor_summand_group(2, 1, -1) == trivial()
+
+
+@pytest.mark.parametrize("p", [37, 251])
+def test_tor_summand_below_a_high_bottom_generator_is_trivial(p):
+    # for p > 33 the top summand's bottom generator, in degree 2p - 3, lies
+    # above the lowest window; below it the complex is empty
+    i = p - 1
+    for internal in (0, 10, 63, 2 * i - 2, 2 * i):
+        assert tor_summand_group(p, i, internal) == tor_closed_form(p, i, internal), internal
+    assert tor_summand_group(p, i, 2 * i) == C(p)
 
 
 # --- smash assembly ----------------------------------------------------------------
