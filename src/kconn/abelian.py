@@ -12,22 +12,24 @@ direct sums and parsed renderings all reach it through its one caller,
 There is one row format: a sparse row, a mapping column -> value whose zero
 values are ignored.  Relations, images of generators, coordinate changes and
 vectors are all rows of this kind (presentations keep read-only copies, and
-:func:`kernel_of_map` takes a map as its source, target and image rows), and
-two elimination cores work on them.  :func:`_invariant_factors` computes
-invariants: every cokernel, and through it every group order, element order
-and the homology of the Kunneth complexes, goes through this one
-elimination, which keeps no coordinate changes.  :func:`_echelon` computes
+:func:`kernel_of_map` takes a map as its source, target and image rows).
+Every cokernel, and through it every group order, element order and the
+homology of the Kunneth complexes, goes through one elimination that keeps
+no coordinate changes: :func:`_peel_units` takes out the rows that hold a
++-1, shortest row first, and :func:`_diagonal` reduces what is left to a
+diagonal.  :func:`_cokernel_pair` gives a group and its quotient by one
+generator from a single peel.  A second core, :func:`_echelon`, computes
 lattice bases as {leading column: row}, against which
-:func:`_solve_against_echelon` writes a vector.  It serves two library
-functions that no other module calls: :func:`kernel_of_map`, one echelon
-per kernel, whose solve also checks that the map is well defined, and
-:func:`simplify_presentation`, one echelon for its coordinate changes.
+:func:`_solve_against_echelon` writes a vector; it serves only
+:func:`kernel_of_map` and :func:`simplify_presentation`, library functions
+that no other module calls.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from heapq import heappop, heappush
 from math import gcd, prod
 from operator import index
 
@@ -199,22 +201,10 @@ def parse_group(text: str) -> FgAbelianGroup:
 
 # --- invariant factors of a row lattice (sparse, no transforms) ------------
 
-def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
-    """(rank, diagonal) of the lattice spanned by the rows: Z^ncols modulo
-    it is Z^(ncols - rank) plus the Z/d over the positive diagonal entries.
-
-    ``entries`` yields one iterable of (column, value) pairs per row, with
-    columns in ``[0, ncols)``; zero values and empty rows are ignored.
-    Elimination stays sparse throughout.  Unit pivots come off a worklist of
-    rows that may hold a +-1: clearing a unit's column takes row operations
-    only, after which its row is cleared by column operations that touch no
-    other row, so the row just drops out.  What remains holds no unit.  Its
-    pivots are taken at an entry of least absolute value (rows are bucketed
-    by their least |value|); the pivot's column is cleared by row
-    operations, then its row is reduced by column operations, and any
-    nonzero remainder is a smaller pivot that takes over.  An isolated pivot
-    is one diagonal entry.
-    """
+def _sparse_rows(entries, ncols: int):
+    """({row id: row}, {column: ids of the rows that meet it}) for the
+    nonzero rows of ``entries``, one iterable of (column, value) pairs per
+    row, with columns in ``[0, ncols)``; zero values are dropped."""
     rows: dict[int, dict[int, int]] = {}
     col_index: dict[int, set[int]] = {}
     for rid, pairs in enumerate(entries):
@@ -229,45 +219,76 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
             rows[rid] = row
             for c in row:
                 col_index.setdefault(c, set()).add(rid)
+    return rows, col_index
 
-    def subtract(other: int, q: int, prow: dict[int, int]):
-        # rows[other] -= q * prow, keeping the column index in step
-        orow = rows[other]
-        for c, v in prow.items():
-            x = orow.get(c, 0) - q * v
-            if x:
-                if c not in orow:
-                    col_index[c].add(other)
-                orow[c] = x
-            else:
-                del orow[c]
-                col_index[c].discard(other)
 
-    def drop(rid: int):
-        for c in rows.pop(rid):
-            col_index[c].discard(rid)
+def _subtract(rows, col_index, other: int, q: int, prow: dict[int, int]) -> None:
+    """rows[other] -= q * prow, keeping the column index in step."""
+    orow = rows[other]
+    for c, v in prow.items():
+        x = orow.get(c, 0) - q * v
+        if x:
+            if c not in orow:
+                col_index[c].add(other)
+            orow[c] = x
+        else:
+            del orow[c]
+            col_index[c].discard(other)
 
-    unit_rank = 0
-    work = list(rows)
-    while work:
-        rid = work.pop()
+
+def _drop(rows, col_index, rid: int) -> None:
+    for c in rows.pop(rid):
+        col_index[c].discard(rid)
+
+
+def _peel_units(rows, col_index, keep: int = -1) -> int:
+    """Eliminate, in place, every row that holds a +-1 outside column
+    ``keep``, and return how many went: the rank they add.
+
+    Clearing a unit's column takes row operations only, after which its row
+    is cleared by column operations that touch no other row, so the row
+    just drops out and the quotient keeps every other column as it was.
+    Pivot rows come off a heap, shortest first, since a row's length is the
+    fill that each row operation can bring; ties go to the unit whose column
+    meets the fewest rows, then to the lowest column.  A row is filed again
+    whenever it changes, and an entry that no longer matches its row is
+    skipped when it comes up.  What remains holds no unit outside ``keep``.
+    """
+    heap = []
+
+    def file(rid: int, row: dict[int, int]) -> None:
+        units = [(len(col_index[c]), c) for c, v in row.items()
+                 if (v == 1 or v == -1) and c != keep]
+        if units:
+            heappush(heap, (len(row), *min(units), rid))
+
+    for rid, row in rows.items():
+        file(rid, row)
+    peeled = 0
+    while heap:
+        size, _, c, rid = heappop(heap)
         prow = rows.get(rid)
-        if prow is None:
+        if prow is None or len(prow) != size or prow.get(c) not in (1, -1):
             continue
-        units = [c for c, v in prow.items() if v == 1 or v == -1]
-        if not units:
-            continue
-        # the unit whose column meets the fewest rows makes the least fill
-        c = min(units, key=lambda k: (len(col_index[k]), k))
         sign = prow[c]
         for other in [o for o in col_index[c] if o != rid]:
-            subtract(other, rows[other][c] * sign, prow)
+            _subtract(rows, col_index, other, rows[other][c] * sign, prow)
             if rows[other]:
-                work.append(other)
+                file(other, rows[other])
             else:
                 del rows[other]
-        drop(rid)
-        unit_rank += 1
+        _drop(rows, col_index, rid)
+        peeled += 1
+    return peeled
+
+
+def _diagonal(rows, col_index) -> list[int]:
+    """The diagonal of the lattice of ``rows``, eliminated in place: pivots
+    are taken at an entry of least absolute value (rows are bucketed by
+    their least |value|); the pivot's column is cleared by row operations,
+    then its row is reduced by column operations, and any nonzero remainder
+    is a smaller pivot that takes over.  An isolated pivot is one diagonal
+    entry, so the rank is the length of the diagonal."""
 
     def least(rid: int) -> int:
         return min(map(abs, rows[rid].values()))
@@ -295,7 +316,7 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
             for other in [o for o in col_index[c] if o != rid]:
                 q = rows[other][c] // piv
                 if q:
-                    subtract(other, q, prow)
+                    _subtract(rows, col_index, other, q, prow)
                     touched.add(other)
                 if c in rows[other]:
                     smaller.append((abs(rows[other][c]), other))
@@ -314,22 +335,48 @@ def _invariant_factors(entries, ncols: int) -> tuple[int, list[int]]:
                 break
             c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
         diag.append(abs(piv))
-        drop(rid)
+        _drop(rows, col_index, rid)
         touched.discard(rid)
         for other in touched:
             if rows.get(other):
                 buckets.setdefault(least(other), []).append(other)
             else:
                 rows.pop(other, None)
-    return unit_rank + len(diag), diag
+    return diag
 
 
 def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     """Canonical form of Z^generators modulo the lattice of ``relations``,
     sparse rows with columns in ``[0, generators)``; zero values and empty
-    rows are ignored."""
-    rank, diag = _invariant_factors((row.items() for row in relations), generators)
-    return FgAbelianGroup.from_cyclic_orders(generators - rank, diag)
+    rows are ignored.  Elimination stays sparse throughout:
+    :func:`_peel_units` takes out the unit pivots, and :func:`_diagonal`
+    the rest."""
+    rows, col_index = _sparse_rows((row.items() for row in relations), generators)
+    kept = generators - _peel_units(rows, col_index)
+    diag = _diagonal(rows, col_index)
+    return FgAbelianGroup.from_cyclic_orders(kept - len(diag), diag)
+
+
+def _cokernel_pair(generators: int, relations,
+                   column: int) -> tuple[FgAbelianGroup, FgAbelianGroup]:
+    """(G, G / <e_column>) for G the cokernel of ``relations``, as
+    :func:`cokernel_group` gives them, from one unit peel.
+
+    The peel never pivots on ``column``, so the generators it keeps, that
+    column among them, present G by the residual rows.  Adding e_column as a
+    relation then just drops that column: the quotient is presented by the
+    residual rows without it.
+    """
+    if not 0 <= column < generators:
+        raise ValueError(f"column {column} outside 0..{generators - 1}")
+    rows, col_index = _sparse_rows((row.items() for row in relations), generators)
+    kept = generators - _peel_units(rows, col_index, keep=column)
+    residual = _sparse_rows(([(c, v) for c, v in row.items() if c != column]
+                             for row in rows.values()), generators)
+    diag = _diagonal(rows, col_index)
+    group = FgAbelianGroup.from_cyclic_orders(kept - len(diag), diag)
+    diag = _diagonal(*residual)
+    return group, FgAbelianGroup.from_cyclic_orders(kept - 1 - len(diag), diag)
 
 
 # --- sparse rows and lattice bases -------------------------------------------

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ._record import Record
-from .abelian import FgAbelianGroup, _order_from_quotient, cokernel_group
+from .abelian import FgAbelianGroup, _cokernel_pair, _order_from_quotient, cokernel_group
 
 # a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
 Term = tuple[int, int, int]
@@ -157,13 +157,15 @@ class DegreeSlice(NamedTuple):
     """Degree e of G'.  ``cells`` are the critical 0-cells (k, g), standing
     for v^k g; ``nf`` writes every 0-cell of degree e over them; ``cells1``
     indexes the critical 1-cells (k, r), standing for v^k r, whose reduced
-    boundaries are ``boundary``; ``rank`` is the rank of that boundary."""
+    boundaries are ``boundary``; ``rank`` is the rank of that boundary, and
+    ``h0`` its cokernel, the degree-e piece of the module."""
 
     cells: tuple[tuple[int, int], ...]
     nf: MappingProxyType[tuple[int, int], Row]
     cells1: MappingProxyType[tuple[int, int], int]
     boundary: tuple[Row, ...]
     rank: int
+    h0: FgAbelianGroup
 
 
 @lru_cache(maxsize=None)
@@ -202,18 +204,17 @@ def realize_slice(module: GradedModulePresentation, e: int) -> DegreeSlice:
                     row[col] = row.get(col, 0) + c * x
             cells1[rem // d, r] = len(boundary)
             boundary.append(tuple((col, x) for col, x in row.items() if x))
-    rank = len(cells) - cokernel_group(len(cells), [dict(b) for b in boundary]).free_rank
+    h0 = cokernel_group(len(cells), [dict(b) for b in boundary])
     return DegreeSlice(tuple(cells), MappingProxyType(nf), MappingProxyType(cells1),
-                       tuple(boundary), rank)
+                       tuple(boundary), len(cells) - h0.free_rank, h0)
 
 
 def realize_degree(module: GradedModulePresentation, n: int) -> FgAbelianGroup:
     """The degree-n piece, realised exactly as the cokernel of the reduced
-    boundary: the reduction keeps H0."""
+    boundary (the reduction keeps H0), which its slice already holds."""
     if n < 0:
         return FgAbelianGroup.trivial()
-    slc = realize_slice(module, n)
-    return cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
+    return realize_slice(module, n).h0
 
 
 def lu_closed_form(p: int, n: int) -> FgAbelianGroup:
@@ -271,9 +272,9 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
 
     The product is presented on t^(a+1) (x) t^(b+1), column a * v + b, by
     sparse rows: each ring's relations times each basis element of the other.
-    It is eliminated twice, as it stands (G) and with t (x) t added as a
-    relation (G / <t (x) t>), and the order of t (x) t is read off the pair
-    as in :func:`element_order`.
+    One unit peel that keeps column 0, t (x) t, serves both G and
+    G / <t (x) t> (see :func:`abelian._cokernel_pair`), and the order of
+    t (x) t is read off the pair as in :func:`element_order`.
     """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
@@ -281,8 +282,8 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     rows = [{a * v + b: c for a, c in rel.items()} for rel in left for b in range(v)]
     rows += [{a * v + b: c for b, c in rel.items()}
              for rel in _ku_ring_relations(v) for a in range(r)]
-    smash = cokernel_group(r * v, rows)
-    order = _order_from_quotient(smash, cokernel_group(r * v, rows + [{0: 1}]))
+    smash, quotient = _cokernel_pair(r * v, rows, 0)
+    order = _order_from_quotient(smash, quotient)
     generates = (
         smash.free_rank == 0
         and len(smash.invariant_factors) <= 1

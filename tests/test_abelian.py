@@ -337,6 +337,47 @@ def test_cokernel_differential(relations, rng):
     assert cokernel_group(n, sparse(permuted)) == got
 
 
+@st.composite
+def _relations_and_column(draw):
+    """Sparse rows on n >= 1 columns and a column c, where entries lean to
+    units and some rows put +-1 at c, so the peel meets units it must leave."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(0, n - 1))
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from((1, -1)), st.integers(-6, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = {j: draw(entry) for j in range(n)}
+        if draw(st.booleans()):
+            row[c] = draw(st.sampled_from((1, -1)))
+        rows.append({j: v for j, v in row.items() if v})
+    return n, rows, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations_and_column())
+@example((1, [{0: 1}], 0))
+@example((2, [{0: -1, 1: 1}, {0: 2}], 0))
+@example((3, [{1: 1}, {1: 1, 2: 1}], 2))
+def test_cokernel_pair_is_the_group_and_its_quotient(case):
+    n, rows, c = case
+    assert abelian._cokernel_pair(n, rows, c) == (
+        cokernel_group(n, rows), cokernel_group(n, rows + [{c: 1}]))
+
+
+def test_a_unit_in_the_kept_column_survives_the_peel():
+    rows, col_index = abelian._sparse_rows([[(0, 1)], [(0, 2), (1, 1)]], 2)
+    assert abelian._peel_units(rows, col_index, keep=0) == 1
+    assert list(rows.values()) == [{0: 1}]
+    rows, col_index = abelian._sparse_rows([[(0, 1)]], 1)
+    assert abelian._peel_units(rows, col_index) == 1 and rows == {}
+
+
+@pytest.mark.parametrize("column", [-1, 3])
+def test_cokernel_pair_column_out_of_range(column):
+    with pytest.raises(ValueError):
+        abelian._cokernel_pair(3, [{0: 2}], column)
+
+
 # --- canonical forms ---------------------------------------------------------
 
 def test_isomorphic_reordering():

@@ -126,14 +126,17 @@ def test_inputs_at_their_bound_are_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "x-count", "--n", "1000000") == (0, "1000000\n", "")
 
 
+def _module_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.mark.parametrize("argv", [("lu", "--max", "4000"),
                                   ("bo-tables", "--max", "1000", "--format", "csv")])
 def test_a_closed_stdout_exits_141_quietly(argv):
     # as `kconn lu --max 4000 | head -1` does: the reader takes one line of
     # output far larger than a pipe holds and goes away
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.Popen([sys.executable, "-m", "kconn.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "kconn.cli", *argv], env=_module_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         first = proc.stdout.readline()
@@ -144,6 +147,44 @@ def test_a_closed_stdout_exits_141_quietly(argv):
         proc.stderr.close()
     assert first.startswith((b"degree ", b"theory,"))
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify-all",), 2),
+    (("audit", "--space", "smash", "--max", "16", "--format", "json"), 3),
+    (("smash-bu", "--p", "3", "--max", "12", "--format", "json"), 0),
+], ids=["verify-all", "audit", "smash-bu"])
+def test_a_process_exits_with_the_code_and_output_of_main(capsys, argv, code):
+    # `python -m kconn.cli` ends through cli.run, which flushes both streams
+    # and skips the interpreter's teardown
+    proc = subprocess.run([sys.executable, "-m", "kconn.cli", *argv], env=_module_env(),
+                          capture_output=True, timeout=120)
+    got, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, got) == (code, code)
+    assert proc.stdout == out.encode("utf-8")
+
+
+def test_a_usage_error_exits_1_from_a_process():
+    proc = subprocess.run([sys.executable, "-m", "kconn.cli", "lu", "--p", "6"],
+                          env=_module_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert b"--p must be a prime number" in proc.stderr
+
+
+def test_main_returns_and_run_skips_exit_hooks():
+    # main returns its code to a library caller, whose process goes on and
+    # runs its exit hooks; run ends the process without them
+    hook = "import atexit, sys; atexit.register(lambda: print('hook')); "
+    calls = {
+        "from kconn.cli import main; print('returned', main(['x-count', '--n', '10']))":
+            (0, b"5\nreturned 0\nhook\n"),
+        "from kconn.cli import run; sys.argv[1:] = ['x-count', '--n', '10']; run()":
+            (0, b"5\n"),
+    }
+    for call, expected in calls.items():
+        proc = subprocess.run([sys.executable, "-c", hook + call], env=_module_env(),
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == expected, call
 
 
 # --- formats ----------------------------------------------------------------------

@@ -103,6 +103,22 @@ def test_realize_matches_closed_form(p):
         assert realize_degree(m, n) == lu_closed_form(p, n), (p, n)
 
 
+def test_criterion_1_eliminates_each_degree_once(monkeypatch):
+    # realize_degree reads the H0 its slice already holds, so criterion 1
+    # takes one cokernel per degree: 3 primes times degrees 0..60
+    from kconn import kmods, verify
+
+    calls = []
+    real = kmods.cokernel_group
+    monkeypatch.setattr(kmods, "cokernel_group", lambda *args: calls.append(args) or real(*args))
+    realize_slice.cache_clear()
+    try:
+        assert verify.criterion_1().passed
+    finally:
+        realize_slice.cache_clear()
+    assert len(calls) == 3 * 61
+
+
 def test_v_multiplication_injective_on_odd_degrees():
     for p in [2, 3]:
         m = lu_bzp_presentation(p, 40)
