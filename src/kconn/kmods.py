@@ -39,8 +39,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def check_prime(p: int) -> None:
-    # trial division stays fast below 2^32 (under 10 ms at its largest prime)
+    # trial division stays fast below 2^32 (under 10 ms at its largest prime);
+    # a refusal raises, so the cache holds primes only
     if p >= 2**32:
         raise ValueError(f"p must be below 2**32, got {p}")
     if not is_prime(p):
@@ -229,11 +231,17 @@ def lu_closed_form(p: int, n: int) -> FgAbelianGroup:
     return FgAbelianGroup.cyclic(p ** (k + 1))
 
 
-def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
-    """Reduced bu of B Z/p in degree n, reassembled from the p-1 shifted
-    copies of the summand theory."""
+def _ku_degrees(p: int, n: int) -> range:
+    """Degrees n - 2a, 0 <= a <= p-2, that the p-local splitting
+    ku = (+) S^(2a) lu reads in degree n, down to 0; p is checked once."""
     check_prime(p)
-    parts = [lu_closed_form(p, n - 2 * a) for a in range(p - 1)]
+    return range(n, n - 2 * min(p - 1, max(n // 2 + 1, 0)), -2)
+
+
+def bu_bzp_group(p: int, n: int) -> FgAbelianGroup:
+    """Reduced bu of B Z/p in degree n: the sum of the summand theory over
+    the shifted copies that reach degree n."""
+    parts = [lu_closed_form(p, m) for m in _ku_degrees(p, n)]
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 

@@ -22,12 +22,14 @@ from .abelian import FgAbelianGroup, cokernel_group
 from .kmods import (
     DegreeSlice,
     GradedModulePresentation,
+    _ku_degrees,
     _lu_window,
     bu_bzp_group,
     check_prime,
     realize_slice,
     summand_presentation,
 )
+
 
 def _offsets(blocks: dict[int, DegreeSlice], field: str, start: int = 0):
     """Where the ``field`` block of each generator or relation starts, from
@@ -143,35 +145,25 @@ def _check_tor_args(p: int, method: str) -> None:
 def tor_summand_group(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution;
     :func:`tor_closed_form` is its certified closed form.  Below the bottom
-    generator the complex is empty, so its H1 is 0; the summand's window
-    reaches its bottom generator even when that lies above lu's."""
+    generator the complex is empty, so its H1 is 0, as the closed form says."""
+    if internal_degree < 2 * i - 1:
+        return tor_closed_form(p, i, internal_degree)
     lu = _lu_window(p, internal_degree)
-    summand = summand_presentation(p, i, max(lu.truncation_degree, 2 * i - 1))
-    return tor1_degree(summand, lu, internal_degree)
+    return tor1_degree(summand_presentation(p, i, lu.truncation_degree), lu, internal_degree)
 
 
 def wedge_count(p: int, n: int) -> int:
     """Number of mod-p wedge classes in degree n of the decomposition:
-    triples (a, i, j) with 0 <= a <= p-2, i, j >= 1 and 2a + 2i + 2j - 2 = n."""
-    count = 0
-    for a in range(p - 1):
-        rest = n + 2 - 2 * a  # need 2i + 2j = rest
-        if rest % 2 == 0:
-            half = rest // 2  # i + j = half, i, j >= 1
-            if half >= 2:
-                count += half - 1
-    return count
+    triples (a, i, j) with 0 <= a <= p-2, i, j >= 1 and 2a + 2i + 2j - 2 = n,
+    m // 2 of them for each shift 2a that reaches degree n, m = n - 2a."""
+    return sum(m // 2 for m in _ku_degrees(p, n)) if n % 2 == 0 else 0
 
 
 def tensor_part(p: int, n: int) -> FgAbelianGroup:
     """Tensor half of the smash answer in total degree n, reassembled over
     the shifted summand copies; nonzero only in even degrees."""
     lu = _lu_window(p, n)
-    parts = []
-    for a in range(p - 1):
-        deg = n - 2 * a
-        if deg >= 0:
-            parts.append(tensor_degree(lu, lu, deg))
+    parts = [tensor_degree(lu, lu, deg) for deg in _ku_degrees(p, n)]
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
@@ -182,15 +174,13 @@ def tor_part(p: int, n: int, method: str = "resolution") -> FgAbelianGroup:
     reads each internal degree as the sum of its summand pieces."""
     _check_tor_args(p, method)
     parts = []
-    for a in range(p - 1):
-        internal = n - 1 - 2 * a
-        if internal < 0:
-            continue
+    for internal in _ku_degrees(p, n - 1):
         if method == "resolution":
             lu = _lu_window(p, internal)
             parts.append(tor1_degree(lu, lu, internal))
-        else:
-            parts.extend(tor_closed_form(p, i, internal) for i in range(1, p))
+        else:  # summand i is 0 below its bottom generator, 2i - 1
+            parts.extend(tor_closed_form(p, i, internal)
+                         for i in range(1, min(p, (internal + 1) // 2 + 1)))
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
@@ -228,8 +218,7 @@ class KunnethReport(Record):
 def decomposition_crosscheck(p: int, n: int) -> FgAbelianGroup:
     """Right-hand side of the decomposition: shifted classifying-space copies
     plus the elementary wedge part."""
-    check_prime(p)
-    parts = [bu_bzp_group(p, n - 2 * i) for i in range(1, p)]
+    parts = [bu_bzp_group(p, m) for m in _ku_degrees(p, n - 2)]
     parts.append(
         FgAbelianGroup.from_cyclic_orders(0, [p] * wedge_count(p, n))
     )

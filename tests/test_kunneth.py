@@ -1,10 +1,12 @@
 import copy
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kconn import kmods, kunneth
@@ -17,6 +19,7 @@ from kconn.abelian import (
 )
 from kconn.kmods import (
     GradedModulePresentation,
+    bu_bzp_group,
     ku_smash_check,
     lu_bzp_presentation,
     lu_closed_form,
@@ -37,7 +40,7 @@ from kconn.kunneth import (
     wedge_count,
 )
 
-from .test_abelian import cone_kernel, unreduced_slice, v_multiplication_map
+from .test_abelian import SRC, cone_kernel, unreduced_slice, v_multiplication_map
 
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
@@ -595,8 +598,6 @@ def test_kunneth_examples():
 def test_kunneth_odd_against_shifted_classifying_space():
     # second oracle for degree 7 at p=2: the decomposition identifies it with
     # the double-suspended classifying-space group in degree 5
-    from kconn.kmods import bu_bzp_group
-
     assert kunneth_smash_group(2, 7) == bu_bzp_group(2, 5) == C(8)
 
 
@@ -621,6 +622,113 @@ def test_wedge_count():
     for n in range(0, 30, 2):
         assert wedge_count(2, n) == max(0, n // 2)
 
+
+# --- the shift rule ku = (+) S^(2a) lu ---------------------------------------
+
+# Test-local references: each shift sum over all p - 1 copies,
+# 0 <= a <= p-2, whatever the degree.
+
+def uncapped_bu_bzp_group(p, n):
+    kmods.check_prime(p)
+    return trivial().direct_sum(*[lu_closed_form(p, n - 2 * a) for a in range(p - 1)])
+
+
+def uncapped_tensor_part(p, n):
+    lu = kmods._lu_window(p, n)
+    return trivial().direct_sum(*[tensor_degree(lu, lu, n - 2 * a)
+                                  for a in range(p - 1) if n - 2 * a >= 0])
+
+
+def uncapped_tor_part(p, n, method):
+    parts = []
+    for a in range(p - 1):
+        internal = n - 1 - 2 * a
+        if internal < 0:
+            continue
+        if method == "resolution":
+            lu = kmods._lu_window(p, internal)
+            parts.append(tor1_degree(lu, lu, internal))
+        else:
+            parts.extend(tor_closed_form(p, i, internal) for i in range(1, p))
+    return trivial().direct_sum(*parts)
+
+
+def uncapped_wedge_count(p, n):
+    count = 0
+    for a in range(p - 1):
+        rest = n + 2 - 2 * a  # need 2i + 2j = rest
+        if rest % 2 == 0 and rest // 2 >= 2:  # i + j = rest // 2, i, j >= 1
+            count += rest // 2 - 1
+    return count
+
+
+def uncapped_decomposition_crosscheck(p, n):
+    parts = [uncapped_bu_bzp_group(p, n - 2 * i) for i in range(1, p)]
+    return trivial().direct_sum(*parts, elem(p, uncapped_wedge_count(p, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([q for q in range(2, 60) if kmods.is_prime(q)]),
+       st.integers(-3, 120))
+@example(2, -1)
+@example(2, 0)
+@example(2, 1)
+def test_shift_sums_match_the_uncapped_loops(p, n):
+    # the copies that do not reach degree n contribute 0, so reading only
+    # those that do changes no answer
+    assert bu_bzp_group(p, n) == uncapped_bu_bzp_group(p, n)
+    assert tensor_part(p, n) == uncapped_tensor_part(p, n)
+    for method in ("resolution", "closed_form"):
+        assert tor_part(p, n, method) == uncapped_tor_part(p, n, method)
+    assert decomposition_crosscheck(p, n) == uncapped_decomposition_crosscheck(p, n)
+    assert wedge_count(p, n) == uncapped_wedge_count(p, n)
+
+
+LARGEST_PRIME = 4294967291  # the largest prime below 2**32
+
+
+@pytest.mark.parametrize("call,expected", [
+    pytest.param("kmods.bu_bzp_group(P, 3)", "elem(2)", id="bu_bzp_group"),
+    pytest.param("kunneth.tensor_part(P, 4)", "elem(3)", id="tensor_part"),
+    pytest.param("kunneth.tor_part(P, 5)", "elem(3)", id="tor_part-resolution"),
+    pytest.param("kunneth.tor_part(P, 5, 'closed_form')", "elem(3)", id="tor_part-closed_form"),
+    pytest.param("kunneth.kunneth_smash_group(P, 4)", "elem(3)", id="kunneth_smash_group"),
+    pytest.param("kunneth.decomposition_crosscheck(P, 5)", "elem(3)",
+                 id="decomposition_crosscheck"),
+    pytest.param("kunneth.wedge_count(P, 4)", "3", id="wedge_count"),
+    pytest.param("kunneth.verify_bu_decomposition(P, 4).all_ok", "True",
+                 id="verify_bu_decomposition"),
+    pytest.param("kunneth.tor_summand_group(P, 2, 4)", "elem(1)", id="tor_summand_group"),
+    pytest.param("kunneth.tor_summand_group(P, P - 1, 4)", "elem(0)",
+                 id="tor_summand_group-below_bottom"),
+])
+def test_shift_sums_answer_at_the_largest_prime(call, expected):
+    # the work follows n, not p: a loop over all p - 1 copies would run for hours
+    probe = ("from kconn import kmods, kunneth\n"
+             "from kconn.abelian import FgAbelianGroup\n"
+             f"P = {LARGEST_PRIME}\n"
+             "elem = lambda k: FgAbelianGroup.from_cyclic_orders(0, [P] * k)\n"
+             f"got = {call}\n"
+             f"assert got == {expected}, got\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=10)
+
+
+def test_each_prime_is_trial_divided_once(monkeypatch):
+    # check_prime keeps the primes it has accepted; a refusal raises, so a
+    # composite is tried, and refused, on every call
+    calls = []
+    is_prime = kmods.is_prime
+    monkeypatch.setattr(kmods, "is_prime", lambda q: calls.append(q) or is_prime(q))
+    kmods.check_prime.cache_clear()
+    assert verify_bu_decomposition(61, 20).all_ok
+    assert calls == [61]
+    for call in (bu_bzp_group, tensor_part, tor_part, decomposition_crosscheck, wedge_count):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="p must be prime"):
+                call(15, 4)
+    assert calls == [61] + [15] * 10
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_verify_decomposition_large_primes(p):
