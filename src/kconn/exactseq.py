@@ -1,11 +1,11 @@
 """Long-exact-sequence order bookkeeping and the published K-theory tables.
 
-The published tables ship as data fixtures (never hard-coded in logic); the
-audit populates the Bott sequence with computed unitary groups and either the
-fixture or the decomposition-derived orthogonal groups, and checks every
-zero-bounded stretch by telescoping image orders.  Divergence between the
-printed smash table and exactness is the audit's product, reported as errata
-rather than silently corrected.
+The published tables ship as data fixtures (never hard-coded in logic), and
+so does a deliberate fault: it is one more fixture row.  The audit populates
+the Bott sequence with computed unitary groups and either the fixture or the
+decomposition-derived orthogonal groups, and checks every zero-bounded
+stretch by telescoping image orders.  Divergence between the printed smash
+table and exactness is reported as errata, never silently corrected.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ MAX_EXPONENT = 4096
 
 # --- symbolic group expressions ----------------------------------------------
 
-_LINEAR = re.compile(r"^(?:(\d*)n)?\s*(?:\+?\s*(\d+))?$")
+# 0, Z, Z/B, Z/B^E or (Z/B)^E, where E is an integer or (an+b); the lookahead
+# lets a parenthesised base stand only before its exponent.
+_EXPRESSION = re.compile(r"(0|Z)|(\()?Z/(\d+)(?(2)\)(?=\^))(?:\^(?:(\d+)|\(([^)]+)\)))?")
+_LINEAR = re.compile(r"(?:(\d*)n)?\s*(?:\+?\s*(\d+))?")
 
 
 def _bounded(kind: str, value: int, text: str, n: int) -> int:
@@ -44,29 +47,14 @@ def _bounded(kind: str, value: int, text: str, n: int) -> int:
     return value
 
 
-def _base(digits: str, text: str, n: int) -> int:
-    """The base of a cyclic factor: Z/0 would read as Z, so a typo would add
-    a free summand instead of failing."""
-    base = _bounded("base", int(digits), text, n)
-    if base == 0:
-        raise ValueError(f"base 0 in {text!r} at n={n}")
-    return base
-
-
-def _parse_linear(text: str) -> tuple[int, int]:
+def _linear(text: str, n: int) -> int:
+    """The value at n of an exponent ``an+b``, ``an``, ``n`` or ``b``."""
     text = text.strip()
-    m = _LINEAR.match(text)
-    if not m or (m.group(1) is None and m.group(2) is None):
+    m = _LINEAR.fullmatch(text)
+    if not m or (m[1] is None and m[2] is None):
         raise ValueError(f"cannot parse linear expression {text!r}")
-    slope = 0
-    if "n" in text:
-        slope = int(m.group(1)) if m.group(1) else 1
-    const = int(m.group(2)) if m.group(2) else 0
-    return slope, const
-
-
-_CYCLIC_POWER = re.compile(r"^Z/(\d+)\^\(([^)]+)\)$|^Z/(\d+)\^(\d+)$")
-_ELEMENTARY = re.compile(r"^\(Z/(\d+)\)\^\(([^)]+)\)$|^\(Z/(\d+)\)\^(\d+)$")
+    slope = 0 if m[1] is None else int(m[1] or 1)
+    return slope * n + int(m[2] or 0)
 
 
 class GroupExpression(Record):
@@ -77,26 +65,20 @@ class GroupExpression(Record):
 
     def evaluate(self, n: int) -> FgAbelianGroup:
         text = self.text.strip()
-        if text == "0":
-            return FgAbelianGroup.trivial()
-        if text == "Z":
-            return FgAbelianGroup.free(1)
-        m = _CYCLIC_POWER.match(text)
-        if m:
-            base = _base(m.group(1) or m.group(3), text, n)
-            slope, const = _parse_linear(m.group(2) or m.group(4))
-            exp = _bounded("exponent", slope * n + const, text, n)
-            return FgAbelianGroup.cyclic(base**exp)
-        m = _ELEMENTARY.match(text)
-        if m:
-            base = _base(m.group(1) or m.group(3), text, n)
-            slope, const = _parse_linear(m.group(2) or m.group(4))
-            count = _bounded("multiplicity", slope * n + const, text, n)
-            return FgAbelianGroup.from_cyclic_orders(0, [base] * count)
-        m = re.match(r"^Z/(\d+)$", text)
-        if m:
-            return FgAbelianGroup.cyclic(_base(m.group(1), text, n))
-        raise ValueError(f"cannot parse group expression {text!r}")
+        m = _EXPRESSION.fullmatch(text)
+        if not m:
+            raise ValueError(f"cannot parse group expression {text!r}")
+        constant, elementary, digits, power, linear = m.groups()
+        if constant:
+            return FgAbelianGroup.free(1) if constant == "Z" else FgAbelianGroup.trivial()
+        base = _bounded("base", int(digits), text, n)
+        if base == 0:  # Z/0 would read as Z, so a typo would add a free summand
+            raise ValueError(f"base 0 in {text!r} at n={n}")
+        kind = "multiplicity" if elementary else "exponent"
+        e = _bounded(kind, _linear(power or linear or "1", n), text, n)  # Z/B is Z/B^1
+        if elementary:
+            return FgAbelianGroup.from_cyclic_orders(0, [base] * e)
+        return FgAbelianGroup.cyclic(base**e)
 
 
 # --- fixture tables ------------------------------------------------------------
@@ -141,13 +123,12 @@ class FixtureTable(Record):
         rows = self.rows_for(theory)
         if not rows:
             raise KeyError(f"no fixture rows for theory {theory!r}")
-        for row in rows:  # exact-degree rows take precedence
-            if row.modulus == 0 and row.matches(degree):
-                return row.value(degree), row
-        for row in rows:
-            if row.modulus != 0 and row.matches(degree):
-                return row.value(degree), row
-        raise KeyError(f"theory {theory!r} has no row covering degree {degree}")
+        # exact-degree rows take precedence; min keeps the first of its ties
+        row = min((r for r in rows if r.matches(degree)), key=lambda r: r.modulus != 0,
+                  default=None)
+        if row is None:
+            raise KeyError(f"theory {theory!r} has no row covering degree {degree}")
+        return row.value(degree), row
 
 
 def _fixture_int(lineno: int, field: str, text: str) -> int:
@@ -361,33 +342,22 @@ def bo_smash_group(m: int, table: FixtureTable | None = None) -> FgAbelianGroup:
     return base.direct_sum(wedge)
 
 
-def bo1_les_consistency(
-    n_max: int,
-    bo1_override: dict[int, FgAbelianGroup] | None = None,
-    table: FixtureTable | None = None,
-) -> bool:
+def bo1_les_consistency(n_max: int, table: FixtureTable | None = None) -> bool:
     """Feasibility of both long exact sequences through the cover theory,
-    populated from the fixture tables (with an optional deliberate-fault
-    override of cover values, used to demonstrate detection).  An override
-    in a degree that neither sequence holds a cover node for is refused, as
-    it could not change the answer."""
+    ``COVER`` and ``ETA_COVER``, populated from the fixture tables through
+    degree ``n_max``.  A fault is planted as a fixture row: an exact-degree
+    ``bo1_rp`` row put in front of the packaged rows replaces one cover value."""
     table = table or load_fixture_table()
-    override = bo1_override or {}
-    if any(n < 0 for n in override):
-        raise ValueError("cover overrides must be in degrees 0 and up")
     groups = {
         "bo": lambda n: table_group("bo_rp", n, table),
-        "bo1": lambda n: override[n] if n in override else table_group("bo1_rp", n, table),
+        "bo1": lambda n: table_group("bo1_rp", n, table),
         "H": lambda n: table_group("h_rp", n, table),
         "bu": lambda n: bu_bzp_group(2, n),
     }
-    seq_a = exact_sequence(COVER, groups, n_max)
-    seq_b = exact_sequence(ETA_COVER, groups, n_max)
-    reached = {node.label for seq in (seq_a, seq_b) for node in seq.nodes}
-    unreached = sorted(n for n in override if f"bo1_{n}" not in reached)
-    if unreached:
-        raise ValueError(f"cover overrides in degrees {unreached} lie outside both sequences")
-    return image_order_solve(seq_a).feasible and image_order_solve(seq_b).feasible
+    return all(
+        image_order_solve(exact_sequence(terms, groups, n_max)).feasible
+        for terms in (COVER, ETA_COVER)
+    )
 
 
 class RowFinding(Record):

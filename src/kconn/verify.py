@@ -15,6 +15,9 @@ from itertools import product
 from ._record import Record
 from .abelian import FgAbelianGroup
 from .exactseq import (
+    FixtureRow,
+    FixtureTable,
+    GroupExpression,
     bo1_les_consistency,
     bo_smash_group,
     bott_audit,
@@ -169,11 +172,13 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Feasibility of both cover long exact sequences, and fault detection."""
+    """Feasibility of both cover long exact sequences, and fault detection: a
+    degree-3 Z/8 planted as an exact-degree cover row must be caught."""
     failures = []
     if not bo1_les_consistency(50):
         failures.append("fixture tables fail the cover-sequence order checks at <=50")
-    if bo1_les_consistency(50, {3: FgAbelianGroup.cyclic(8)}):
+    planted = FixtureRow("bo1_rp", 3, 0, GroupExpression("Z/8"), 0, "planted fault")
+    if bo1_les_consistency(50, FixtureTable((planted, *load_fixture_table().rows))):
         failures.append("perturbed degree-3 cover fixture was not detected")
     return _result(8, "cover-sequence feasibility through degree 50 + fault detection", failures)
 

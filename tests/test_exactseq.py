@@ -1,5 +1,6 @@
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from kconn.exactseq import (
     COVER,
     ETA_COVER,
     MAX_EXPONENT,
+    FixtureRow,
+    FixtureTable,
     GroupExpression,
     LongExactSequence,
     SequenceNode,
@@ -147,6 +150,77 @@ def test_fixture_parser_fuzz(lines):
         parse_fixture_text("\n".join(lines))
     except ValueError as exc:
         assert str(exc).startswith("fixture line "), exc
+
+
+def three_branch_evaluate(text, n):
+    """Reference for ``GroupExpression.evaluate``: the earlier rule, which
+    tried a cyclic power, then an elementary power, then a bare ``Z/B``, each
+    with its own pattern.  Test-local, as the library keeps one pattern."""
+    text = text.strip()
+    if text == "0":
+        return FgAbelianGroup.trivial()
+    if text == "Z":
+        return FgAbelianGroup.free(1)
+
+    def bounded(kind, value):
+        if value < 0:
+            raise ValueError(f"negative {kind} in {text!r} at n={n}")
+        if value > MAX_EXPONENT:
+            raise ValueError(f"{kind} {value} in {text!r} at n={n} exceeds {MAX_EXPONENT}")
+        return value
+
+    def base(digits):
+        value = bounded("base", int(digits))
+        if value == 0:
+            raise ValueError(f"base 0 in {text!r} at n={n}")
+        return value
+
+    def linear(exponent):
+        exponent = exponent.strip()
+        m = re.match(r"^(?:(\d*)n)?\s*(?:\+?\s*(\d+))?$", exponent)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ValueError(f"cannot parse linear expression {exponent!r}")
+        slope = (int(m.group(1)) if m.group(1) else 1) if "n" in exponent else 0
+        return slope * n + (int(m.group(2)) if m.group(2) else 0)
+
+    m = re.match(r"^Z/(\d+)\^\(([^)]+)\)$|^Z/(\d+)\^(\d+)$", text)
+    if m:
+        b = base(m.group(1) or m.group(3))
+        return FgAbelianGroup.cyclic(b ** bounded("exponent", linear(m.group(2) or m.group(4))))
+    m = re.match(r"^\(Z/(\d+)\)\^\(([^)]+)\)$|^\(Z/(\d+)\)\^(\d+)$", text)
+    if m:
+        b = base(m.group(1) or m.group(3))
+        count = bounded("multiplicity", linear(m.group(2) or m.group(4)))
+        return FgAbelianGroup.from_cyclic_orders(0, [b] * count)
+    m = re.match(r"^Z/(\d+)$", text)
+    if m:
+        return FgAbelianGroup.cyclic(base(m.group(1)))
+    raise ValueError(f"cannot parse group expression {text!r}")
+
+
+def _outcome(evaluate, text, n):
+    try:
+        return evaluate(text, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+_DIGITS = st.sampled_from(["", "0", "1", "2", "3", "12", "4096", "4097", "1000000007"])
+_TEMPLATED = st.builds(
+    str.format,
+    st.sampled_from(["Z/{b}^({a}n+{c})", "(Z/{b})^({a}n+{c})", "Z/{b}^({a}n)", "Z/{b}^({c})",
+                     "(Z/{b})^{c}", "Z/{b}^{c}", "Z/{b}", "(Z/{b})", " Z/{b}^( n + {c} ) ",
+                     "(Z/{b})^(n)", "Z/{b}^(n+)", "Z/{b}^({a} n)"]),
+    a=_DIGITS, b=_DIGITS, c=_DIGITS,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_FIELD_TEXT, _GROUP, _TEMPLATED), st.integers(0, 6))
+def test_one_expression_rule_matches_the_three_branch_rule(text, n):
+    # the same group, or a ValueError with the same message
+    new = _outcome(lambda t, k: GroupExpression(t).evaluate(k), text, n)
+    assert new == _outcome(three_branch_evaluate, text, n)
 
 
 def test_table_group_rejects_negative_degree():
@@ -294,28 +368,35 @@ def test_bo1_les_consistency():
     assert bo1_les_consistency(26)
 
 
+def _planted(*rows):
+    """The packaged tables with exact-degree ``bo1_rp`` rows in front, which
+    take precedence over the packaged rows of the same degrees."""
+    planted = tuple(
+        FixtureRow("bo1_rp", degree, 0, GroupExpression(text), 0, "planted fault")
+        for degree, text in rows
+    )
+    return FixtureTable(planted + load_fixture_table().rows)
+
+
 def test_bo1_les_detects_perturbed_fixture():
-    assert not bo1_les_consistency(26, {3: C(8)})
+    assert not bo1_les_consistency(26, _planted((3, "Z/8")))
     # the top cover node the trimmed sequences keep
-    assert not bo1_les_consistency(26, {25: C(2**40)})
+    assert not bo1_les_consistency(26, _planted((25, "Z/2^40")))
+    # a planted row equal to the packaged value changes nothing
+    assert bo1_les_consistency(26, _planted((3, "Z/4")))
+
+
+def test_a_fault_planted_in_a_fixture_file_is_detected(tmp_path):
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    path = tmp_path / "tables.txt"
+    path.write_text("bo1_rp | 3 | 0 | Z/8 | - | planted fault\n" + packaged, encoding="utf-8")
+    table = load_fixture_table(str(path))
+    assert table.rows[1:] == load_fixture_table().rows
+    assert bo1_les_consistency(26, table) is bo1_les_consistency(26, _planted((3, "Z/8"))) is False
 
 
 def test_bo1_les_vacuous():
     assert bo1_les_consistency(0)
-
-
-def test_bo1_les_rejects_negative_override():
-    # the sequences never ask below degree 0, so the key would be ignored
-    with pytest.raises(ValueError, match="degrees 0 and up"):
-        bo1_les_consistency(26, {-1: C(2)})
-
-
-@pytest.mark.parametrize("degree", [26, 40])
-def test_bo1_les_rejects_override_outside_both_sequences(degree):
-    # both sequences start below bo1_26 once trimmed to their first zero
-    # node, so these overrides would be ignored and the answer stay True
-    with pytest.raises(ValueError, match=f"degrees \\[{degree}\\] lie outside"):
-        bo1_les_consistency(26, {degree: C(2**40)})
 
 
 def test_bott_audit_rp():
