@@ -252,6 +252,13 @@ def _ku_ring_relations(r: int) -> list[dict[int, int]]:
     return [{a: 2, a + 1: 1} for a in range(r - 1)] + [{r - 1: 2}]
 
 
+@lru_cache(maxsize=16)
+def _ku_left_group(r: int) -> FgAbelianGroup:
+    """The reduced truncated K-ring's group, eliminated once per truncation:
+    :func:`ku_smash_check` reads it for every v."""
+    return cokernel_group(r, _ku_ring_relations(r))
+
+
 class KuSmashCheck(Record):
     """Outcome of the truncated-projective-space product check."""
 
@@ -286,8 +293,8 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
-    left = _ku_ring_relations(r)
-    rows = [{a * v + b: c for a, c in rel.items()} for rel in left for b in range(v)]
+    rows = [{a * v + b: c for a, c in rel.items()}
+            for rel in _ku_ring_relations(r) for b in range(v)]
     rows += [{a * v + b: c for b, c in rel.items()}
              for rel in _ku_ring_relations(v) for a in range(r)]
     smash, quotient = _cokernel_pair(r * v, rows, 0)
@@ -297,5 +304,5 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
         and len(smash.invariant_factors) <= 1
         and order == smash.order()
     )
-    return KuSmashCheck(r, v, cokernel_group(r, left), smash, order, generates)
+    return KuSmashCheck(r, v, _ku_left_group(r), smash, order, generates)
 

@@ -6,10 +6,11 @@ matrices are stored as bitmasks.  Hom spaces into the trivial module are
 annihilators of the positive-degree action image, so their dimensions are
 corank computations.
 
-Action rows are built by index arithmetic on the exponents.  Rank, echelon
-form, span membership and nullspace share one reduction: a dict of pivot
-rows keyed by lowest set bit, so a row meets only the pivot owning its
-current lowest bit, and a degree costs about what its sparse rows hold.
+Action rows are built by index arithmetic on the exponents, straight from
+the degree.  Rank, echelon form and nullspace share one reduction loop: each
+row is XORed with the pivot row owning its lowest set bit until that bit has
+no owner, and is then kept as the owner of it.  A row meets only the pivots
+its own lowest bits meet, so a degree costs about what its sparse rows hold.
 """
 
 from __future__ import annotations
@@ -51,30 +52,20 @@ def sq_action(k: int, mono: Monomial) -> frozenset[Monomial]:
 
 # --- F2 matrices as lists of bitmask rows ------------------------------------
 
-def _set_bits(x: int):
-    """The set bits of ``x`` as one-bit masks, lowest first."""
-    while x:
-        low = x & -x
-        yield low
-        x ^= low
-
-
-def _reduce(pivots: dict[int, int], row: int) -> int:
-    """XOR ``row`` with the pivot owning its lowest set bit until that bit has
-    no owner; the result is 0 exactly when ``row`` is in the pivots' span."""
-    while row and (pivot := pivots.get(row & -row)):
-        row ^= pivot
-    return row
-
-
 def _f2_basis(rows: list[int]) -> dict[int, int]:
     """Pivot dict of the rows' span: each kept row is keyed by its lowest set
     bit (as a one-bit mask), so the keys are distinct and a row is reduced
     only against the pivots its own lowest bits meet."""
     pivots: dict[int, int] = {}
+    owner = pivots.get
     for row in rows:
-        if row := _reduce(pivots, row):
-            pivots[row & -row] = row
+        while row:
+            low = row & -row
+            pivot = owner(low)
+            if not pivot:
+                pivots[low] = row
+                break
+            row ^= pivot
     return pivots
 
 
@@ -102,10 +93,16 @@ def f2_nullspace(rows: list[int], width: int) -> list[int]:
     # the row sets its pivot bit in the vector of each free column it meets
     for low in sorted(pivots, reverse=True):
         row = pivots[low]
-        for bit in _set_bits((row & mask) ^ low):
+        higher = (row & mask) ^ low
+        while higher:
+            bit = higher & -higher
+            higher ^= bit
             row ^= pivots[bit]
         pivots[low] = row
-        for bit in _set_bits(row & ~mask):
+        free = row & ~mask
+        while free:
+            bit = free & -free
+            free ^= bit
             out[bit.bit_length() - 1] |= low
     return list(out.values())
 
@@ -116,7 +113,9 @@ def f2_compose(first: list[int], then: list[int]) -> list[int]:
     out = []
     for row in first:
         acc = 0
-        for low in _set_bits(row):
+        while row:
+            low = row & -row
+            row ^= low
             acc ^= then[low.bit_length() - 1]
         out.append(acc)
     return out
@@ -151,11 +150,13 @@ class SteenrodModule(Record):
             raise ValueError("only the first two squaring operations are supported")
         if self.space == "rp":
             return [int(degree & k == k)] if degree >= 1 else []
+        # the smash basis of a degree is (a, degree - a) for 0 < a < degree
         if k == 1:
-            return [(b & 1) << (a - 1) | (a & 1) << a for a, b in self.basis(degree)]
+            return [(b & 1) << (a - 1) | (a & 1) << a
+                    for a in range(1, degree) for b in [degree - a]]
         return [
             (b >> 1 & 1) << (a - 1) | (a & b & 1) << a | (a >> 1 & 1) << (a + 1)
-            for a, b in self.basis(degree)
+            for a in range(1, degree) for b in [degree - a]
         ]
 
     def q1_matrix(self, degree: int) -> list[int]:
@@ -165,7 +166,8 @@ class SteenrodModule(Record):
         a + 2 if a is odd and bit a - 1 if b is odd."""
         if self.space == "rp":
             return [degree & 1] if degree >= 1 else []
-        return [(a & 1) << (a + 2) | (b & 1) << (a - 1) for a, b in self.basis(degree)]
+        return [(a & 1) << (a + 2) | (b & 1) << (a - 1)
+                for a in range(1, degree) for b in [degree - a]]
 
 
 def _image_rows(alg: str, space: str, degree: int) -> tuple[list[int], int]:
@@ -178,7 +180,9 @@ def _image_rows(alg: str, space: str, degree: int) -> tuple[list[int], int]:
         rows = module.sq_matrix(1, degree - 1) + module.sq_matrix(2, degree - 2)
     else:
         rows = module.sq_matrix(1, degree - 1) + module.q1_matrix(degree - 3)
-    return rows, len(module.basis(degree))
+    # the size of the degree basis: one monomial on rp, degree - 1 on smash
+    width = max(degree - 1, 0) if space == "smash" else int(degree >= 1)
+    return rows, width
 
 
 def hom_dim(alg: str, space: str, degree: int) -> int:
@@ -251,8 +255,9 @@ def verify_hom_sequence(i_max: int) -> HomSequenceReport:
         # precomposition with the degree-2 squaring operation, in the ambient
         # dual coordinates of the lower degree: the image of a functional is
         # the sum of the columns of that operation's matrix it selects
-        lower_width = len(module.basis(degree - 2))
-        sq2_columns = _transpose_bits(module.sq_matrix(2, degree - 2), len(module.basis(degree)))
+        # smash basis sizes: degree - 3 two degrees down, degree - 1 here
+        lower_width = max(degree - 3, 0)
+        sq2_columns = _transpose_bits(module.sq_matrix(2, degree - 2), degree - 1)
         lam_images = f2_compose(e_basis, sq2_columns)
         lands = f2_rank(bl_basis + lam_images) == len(bl_basis)
         onto = f2_rank(lam_images) == len(bl_basis)
@@ -276,8 +281,11 @@ def _transpose_bits(rows: list[int], width: int) -> list[int]:
     """Columns of the rows as bitmasks over the row indices."""
     out = [0] * width
     for i, row in enumerate(rows):
-        for low in _set_bits(row):
-            out[low.bit_length() - 1] |= 1 << i
+        bit = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            out[low.bit_length() - 1] |= bit
     return out
 
 

@@ -291,6 +291,22 @@ def test_ku_smash_check_golden():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SMASH_CHECK["sha256"]
 
 
+def test_criterion_10_eliminates_each_left_ring_once(monkeypatch):
+    # the left ring's group depends on r alone, so criterion 10's 100 checks
+    # eliminate it once for each of its 10 truncations
+    from kconn import kmods, verify
+
+    calls = []
+    real = kmods.cokernel_group
+    monkeypatch.setattr(kmods, "cokernel_group", lambda *args: calls.append(args) or real(*args))
+    kmods._ku_left_group.cache_clear()
+    try:
+        assert verify.criterion_10().passed
+    finally:
+        kmods._ku_left_group.cache_clear()
+    assert sorted(ncols for ncols, _ in calls) == list(range(1, 11))
+
+
 def dense_smash_presentation(r, v):
     """The r * v generators t^(a+1) (x) t^(b+1), column a * v + b, modulo each
     ring's relations tensored with every basis element of the other, as

@@ -191,10 +191,24 @@ def test_hom_functions_check_arguments_in_every_degree(fn, space, degree):
 
 
 def test_hom_dim_closed_forms():
-    for i in range(2, 31):
+    # every even degree from 4 to 600, past the benchmark's hom-dim sweep
+    for i in range(2, 301):
         expected_b = (i - 1) // 2 if i % 2 else 1 + i // 2
-        assert hom_dim("B", "smash", 2 * i) == expected_b, i
-        assert hom_dim("E", "smash", 2 * i) == i, i
+        dims = (hom_dim("B", "smash", 2 * i), hom_dim("E", "smash", 2 * i))
+        assert dims == (expected_b, i) == expected_dims(2 * i), i
+
+
+def test_hom_dim_golden_to_600():
+    # recorded before the F2 loops were inlined; pins both algebras on both
+    # spaces in every degree, odd ones included
+    dims = [
+        hom_dim(alg, space, degree)
+        for alg in "BE"
+        for space in ("rp", "smash")
+        for degree in range(601)
+    ]
+    digest = hashlib.sha256(repr(dims).encode()).hexdigest()
+    assert digest == "4410dfaa5863726bca74cde146a8076f261df6ce361b24dbb0dddc9236a77701"
 
 
 def test_hom_dim_additivity():
@@ -300,6 +314,121 @@ def test_f2_echelon_spans_input_and_decides_membership(shape):
     assert subset_span(echelon) == span
     for vec in range(2**width):
         assert (f2_rank(echelon + [vec]) == len(echelon)) == (vec in span), (vec, rows)
+
+
+# --- the F2 loops against the generator-based ones they replaced -------------------
+# Test-local copies of the reduction as it was: one _reduce call per row, and a
+# _set_bits generator for every set bit walked.
+
+def old_set_bits(x):
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
+def old_reduce(pivots, row):
+    while row and (pivot := pivots.get(row & -row)):
+        row ^= pivot
+    return row
+
+
+def old_f2_basis(rows):
+    pivots = {}
+    for row in rows:
+        if row := old_reduce(pivots, row):
+            pivots[row & -row] = row
+    return pivots
+
+
+def old_f2_nullspace(rows, width):
+    pivots = old_f2_basis(rows)
+    mask = sum(pivots)
+    out = {j: 1 << j for j in range(width) if not mask >> j & 1}
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        for bit in old_set_bits((row & mask) ^ low):
+            row ^= pivots[bit]
+        pivots[low] = row
+        for bit in old_set_bits(row & ~mask):
+            out[bit.bit_length() - 1] |= low
+    return list(out.values())
+
+
+def old_f2_compose(first, then):
+    out = []
+    for row in first:
+        acc = 0
+        for low in old_set_bits(row):
+            acc ^= then[low.bit_length() - 1]
+        out.append(acc)
+    return out
+
+
+def old_transpose_bits(rows, width):
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for low in old_set_bits(row):
+            out[low.bit_length() - 1] |= 1 << i
+    return out
+
+
+def sparse_row(width):
+    # 1 to 3 set bits below the width, as the action matrices have
+    bits = st.sets(st.integers(0, width - 1), min_size=1, max_size=3)
+    return bits.map(lambda js: sum(1 << j for j in js))
+
+
+# (width, rows): wide, sparse matrices, up to 200 columns and 200 rows
+wide_rows = st.integers(1, 200).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(sparse_row(width), max_size=200))
+)
+# (first, then): a wide sparse matrix, and a row for each of its columns (only
+# the bits of ``first`` are walked, so ``then`` need not be sparse)
+composable = wide_rows.flatmap(
+    lambda shape: st.tuples(
+        st.just(shape[1]),
+        st.lists(st.integers(0, 2**200 - 1), min_size=shape[0], max_size=shape[0]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_rows)
+def test_f2_reduction_matches_the_generator_version(shape):
+    width, rows = shape
+    old = old_f2_basis(rows)
+    # the same pivots, kept in the same order
+    assert list(steenrod._f2_basis(rows).items()) == list(old.items())
+    assert f2_rank(rows) == len(old)
+    assert f2_echelon(rows) == [old[low] for low in sorted(old)]
+    assert f2_nullspace(rows, width) == old_f2_nullspace(rows, width)
+    assert steenrod._transpose_bits(rows, width) == old_transpose_bits(rows, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable)
+def test_f2_compose_matches_the_generator_version(pair):
+    first, then = pair
+    assert f2_compose(first, then) == old_f2_compose(first, then)
+
+
+def test_action_matrices_match_the_basis_tuples():
+    # the index-range builders against the comprehensions over basis()
+    # tuples that they replaced, and the arithmetic widths against the bases
+    mod = SteenrodModule("smash")
+    for d in range(-2, 401):
+        basis = mod.basis(d)
+        assert mod.sq_matrix(1, d) == [(b & 1) << (a - 1) | (a & 1) << a for a, b in basis], d
+        assert mod.sq_matrix(2, d) == [
+            (b >> 1 & 1) << (a - 1) | (a & b & 1) << a | (a >> 1 & 1) << (a + 1)
+            for a, b in basis
+        ], d
+        assert mod.q1_matrix(d) == [(a & 1) << (a + 2) | (b & 1) << (a - 1) for a, b in basis], d
+        for space in ("rp", "smash"):
+            for alg in "BE":
+                width = steenrod._image_rows(alg, space, d)[1]
+                assert width == len(SteenrodModule(space).basis(d)), (alg, space, d)
 
 
 def test_hom_basis_golden_to_160():
