@@ -15,8 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _HOMES = {
-    "abelian": "FgAbelianGroup GroupPresentation IntegerMatrix cokernel_group "
-               "kernel_of_map parse_group render_group",
+    "abelian": "FgAbelianGroup cokernel_group parse_group render_group",
     "exactseq": "LongExactSequence bo1_les_consistency bo_smash_group bott_audit "
                 "image_order_solve load_fixture_table table_group",
     "kmods": "GradedModulePresentation bu_bzp_group ku_smash_check lu_bzp_presentation "

@@ -202,8 +202,7 @@ _SPACE = ("--space", {"choices": ("rp", "smash"), "default": "smash"})
 _FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text",
                         "help": "output format (default: text)"})
 _FIXTURES = ("--fixtures", {"default": None, "metavar": "FILE",
-                            "help": "path to a fixture tables file (default: packaged tables, "
-                                    "or $KCONN_FIXTURES/tables.txt)"})
+                            "help": "path to a fixture tables file (default: packaged tables)"})
 _TOR_METHOD = ("--tor-method", {
     "choices": ("resolution", "closed-form"), "default": "resolution",
     "help": "odd degrees via the resolution kernel (default) or the closed form"})

@@ -10,7 +10,6 @@ table and exactness is reported as errata, never silently corrected.
 
 from __future__ import annotations
 
-import os
 import re
 from functools import lru_cache
 from importlib import resources
@@ -20,8 +19,6 @@ from .abelian import FgAbelianGroup, render_group
 from .kmods import bu_bzp_group
 from .kunneth import kunneth_smash_group
 from .steenrod import x_count
-
-FIXTURE_ENV = "KCONN_FIXTURES"
 
 # Largest base, exponent or multiplicity a group expression may evaluate to.
 # The packaged rows reach 24 at the degrees the golden grids and the
@@ -169,23 +166,19 @@ def parse_fixture_text(text: str) -> FixtureTable:
     return FixtureTable(tuple(rows))
 
 
-@lru_cache(maxsize=None)
-def _load_table_cached(path: str | None) -> FixtureTable:
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_fixture_text(fh.read())
+@lru_cache(maxsize=1)
+def _packaged_table() -> FixtureTable:
     text = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
     return parse_fixture_text(text)
 
 
 def load_fixture_table(path: str | None = None) -> FixtureTable:
-    """Load the fixture tables: an explicit file path wins, then a directory
-    named by the KCONN_FIXTURES environment variable, then the packaged data."""
+    """The fixture tables in the file at ``path``, read afresh on every call,
+    or the packaged tables, parsed once per process, when ``path`` is None."""
     if path is None:
-        env_dir = os.environ.get(FIXTURE_ENV)
-        if env_dir:
-            path = os.path.join(env_dir, "tables.txt")
-    return _load_table_cached(path)
+        return _packaged_table()
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_fixture_text(fh.read())
 
 
 def table_group(theory: str, n: int, table: FixtureTable | None = None) -> FgAbelianGroup:
@@ -250,21 +243,16 @@ def image_order_solve(seq: LongExactSequence) -> ImageOrderResult:
     orders: list[int] = []
     prev = 1
     for k in range(len(seq.nodes) - 1):
-        src = seq.nodes[k].group
-        if src.is_trivial():
-            out = 1
-        else:
-            total = src.order()
-            if total % prev:
-                return ImageOrderResult(
-                    False,
-                    tuple(orders),
-                    k,
-                    f"order of {seq.nodes[k].label} is not divisible by the incoming image",
-                )
-            out = total // prev
-        tgt = seq.nodes[k + 1].group
-        tgt_order = 1 if tgt.is_trivial() else tgt.order()
+        total = seq.nodes[k].group.order()
+        if total % prev:
+            return ImageOrderResult(
+                False,
+                tuple(orders),
+                k,
+                f"order of {seq.nodes[k].label} is not divisible by the incoming image",
+            )
+        out = total // prev
+        tgt_order = seq.nodes[k + 1].group.order()
         if tgt_order % out:
             return ImageOrderResult(
                 False,

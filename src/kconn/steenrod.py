@@ -15,7 +15,7 @@ its own lowest bits meet, so a degree costs about what its sparse rows hold.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, as_dict
 
 Monomial = tuple[int, ...]  # (a,) for one factor, (a, b) for the smash
 
@@ -216,11 +216,7 @@ class HomSequenceReport(Record):
         return all(r.exact and r.closed_forms_ok for r in self.records)
 
     def to_json_dict(self) -> dict:
-        return {
-            "i_max": self.i_max,
-            "all_ok": self.all_ok,
-            "records": [r.__dict__ for r in self.records],
-        }
+        return {**as_dict(self), "all_ok": self.all_ok}
 
 
 def expected_dims(degree: int) -> tuple[int, int] | None:

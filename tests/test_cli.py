@@ -332,16 +332,30 @@ def test_uncovered_fixture_query_exits_1(tmp_path, capsys, dropped, message):
     assert err == f"kconn: error: {message}\n"
 
 
-def test_missing_fixture_exits_1(tmp_path, capsys, monkeypatch):
+def test_missing_fixture_exits_1(tmp_path, capsys):
     missing = tmp_path / "absent.txt"
     code, out, err = run_cli(capsys, "bo-tables", "--fixtures", str(missing))
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "absent.txt" in err
-    # a directory named by the environment variable is read the same way
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all",),
+    ("audit", "--space", "smash", "--max", "48", "--format", "json"),
+], ids=["verify-all", "audit"])
+def test_the_environment_does_not_choose_the_fixture_table(tmp_path, capsys, monkeypatch, argv):
+    # a directory whose tables.txt carries a planted fault, named by the
+    # variable that once chose the tables: neither a call made with it set
+    # nor a process started with it set prints other than an unset run
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    (tmp_path / "tables.txt").write_text(
+        packaged + "bo1_rp | 3 | 0 | Z/8 | - | planted fault\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("KCONN_FIXTURES", str(tmp_path))
-    code, out, err = run_cli(capsys, "bo-smash", "--max", "4")
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "tables.txt" in err
+    assert run_cli(capsys, *argv)[:2] == (code, out)
+    proc = subprocess.run([sys.executable, "-m", "kconn.cli", *argv], env=_module_env(),
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out.encode("utf-8"))
 
 
 # --- golden tensor grid -------------------------------------------------------

@@ -283,6 +283,47 @@ def test_feasible_implies_alternating_product_one(orders):
         assert alternating_order_check(seq)
 
 
+def _solve_with_trivial_branches(seq):
+    """A reference for image_order_solve that treats trivial nodes apart: a
+    trivial source sends out image order 1, and a trivial target has order 1."""
+    orders = []
+    prev = 1
+    for k in range(len(seq.nodes) - 1):
+        src = seq.nodes[k].group
+        if src.is_trivial():
+            out = 1
+        else:
+            total = src.order()
+            if total % prev:
+                return (False, tuple(orders), k,
+                        f"order of {seq.nodes[k].label} is not divisible by the incoming image")
+            out = total // prev
+        tgt = seq.nodes[k + 1].group
+        tgt_order = 1 if tgt.is_trivial() else tgt.order()
+        if tgt_order % out:
+            return (False, tuple(orders), k,
+                    f"image order {out} out of {seq.nodes[k].label} does not divide "
+                    f"|{seq.nodes[k + 1].label}| = {tgt_order}")
+        orders.append(out)
+        prev = out
+    return (True, tuple(orders), None, "")
+
+
+_FINITE = st.lists(st.sampled_from([2, 2, 3, 4, 8]), max_size=2).map(
+    lambda orders: FgAbelianGroup.from_cyclic_orders(0, orders))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FINITE, max_size=7))
+def test_image_order_solve_needs_no_trivial_branches(groups):
+    # the order of a trivial group is 1, and a nonzero image into a zero node
+    # is refused one step before a trivial source is reached
+    seq = seq_of(trivial(), *groups, trivial())
+    res = image_order_solve(seq)
+    got = (res.feasible, res.image_orders, res.infeasible_at, res.reason)
+    assert got == _solve_with_trivial_branches(seq)
+
+
 def test_image_order_solve_all_zero():
     res = image_order_solve(seq_of(trivial(), trivial(), trivial()))
     assert res.feasible and set(res.image_orders) == {1}
@@ -393,6 +434,17 @@ def test_a_fault_planted_in_a_fixture_file_is_detected(tmp_path):
     table = load_fixture_table(str(path))
     assert table.rows[1:] == load_fixture_table().rows
     assert bo1_les_consistency(26, table) is bo1_les_consistency(26, _planted((3, "Z/8"))) is False
+
+
+def test_a_fixture_file_is_read_afresh_on_every_call(tmp_path):
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    path = tmp_path / "tables.txt"
+    path.write_text(packaged, encoding="utf-8")
+    assert len(load_fixture_table(str(path)).rows) == 40
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("bo1_rp | 3 | 0 | Z/8 | - | planted fault\n")
+    assert len(load_fixture_table(str(path)).rows) == 41
+    assert load_fixture_table() is load_fixture_table()
 
 
 def test_bo1_les_vacuous():
