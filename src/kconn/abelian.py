@@ -15,14 +15,18 @@ vectors are all rows of this kind (presentations keep read-only copies, and
 :func:`kernel_of_map` takes a map as its source, target and image rows).
 Every cokernel, and through it every group order, element order and the
 homology of the Kunneth complexes, goes through one elimination that keeps
-no coordinate changes: :func:`_peel_units` takes out the rows that hold a
-+-1, shortest row first, and :func:`_diagonal` reduces what is left to a
-diagonal.  :func:`_cokernel_pair` gives a group and its quotient by one
-generator from a single peel.  A second core, :func:`_echelon`, computes
-lattice bases as {leading column: row}, against which
-:func:`_solve_against_echelon` writes a vector; it serves only
-:func:`kernel_of_map` and :func:`simplify_presentation`, library functions
-that no other module calls.
+no coordinate changes.  :func:`_peel` pivots on the content of the lattice,
+the gcd g of all its entries: it takes out the rows that hold a +-g,
+shortest row first, each adding one factor Z/g, and repeats while the
+content of what is left grows, starting from the units (g = 1).  The
+tensor lattices of the Kunneth complex, whose entries are +-p, go entirely
+this way.
+:func:`_diagonal` reduces what is left to a diagonal.  :func:`_cokernel_pair`
+gives a group and its quotient by one generator from a single peel.  A
+second core, :func:`_echelon`, computes lattice bases as {leading column:
+row}, against which :func:`_solve_against_echelon` writes a vector; it
+serves only :func:`kernel_of_map` and :func:`simplify_presentation`, library
+functions that no other module calls.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd, prod
 from operator import index
 
@@ -241,26 +246,28 @@ def _drop(rows, col_index, rid: int) -> None:
         col_index[c].discard(rid)
 
 
-def _peel_units(rows, col_index, keep: int = -1) -> int:
-    """Eliminate, in place, every row that holds a +-1 outside column
-    ``keep``, and return how many went: the rank they add.
+def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
+    """Eliminate, in place, every row that holds a +-``pivot`` outside
+    column ``keep``, where ``pivot`` divides every entry, and return how
+    many went.
 
-    Clearing a unit's column takes row operations only, after which its row
-    is cleared by column operations that touch no other row, so the row
-    just drops out and the quotient keeps every other column as it was.
-    Pivot rows come off a heap, shortest first, since a row's length is the
-    fill that each row operation can bring; ties go to the unit whose column
-    meets the fewest rows, then to the lowest column.  A row is filed again
-    whenever it changes, and an entry that no longer matches its row is
-    skipped when it comes up.  What remains holds no unit outside ``keep``.
+    Clearing the pivot's column takes exact row operations, after which its
+    row is cleared by column operations that change only the pivot's own
+    generator, so the row just drops out, one Z/pivot summand, and the
+    quotient keeps every other column as it was.  Pivot rows come off a
+    heap, shortest first, since a row's length is the fill that each row
+    operation can bring; ties go to the pivot whose column meets the fewest
+    rows, then to the lowest column.  A row is filed again whenever it
+    changes, and an entry that no longer matches its row is skipped when it
+    comes up.  What remains holds no +-``pivot`` outside ``keep``.
     """
     heap = []
 
     def file(rid: int, row: dict[int, int]) -> None:
-        units = [(len(col_index[c]), c) for c, v in row.items()
-                 if (v == 1 or v == -1) and c != keep]
-        if units:
-            heappush(heap, (len(row), *min(units), rid))
+        hits = [(len(col_index[c]), c) for c, v in row.items()
+                if (v == pivot or v == -pivot) and c != keep]
+        if hits:
+            heappush(heap, (len(row), *min(hits), rid))
 
     for rid, row in rows.items():
         file(rid, row)
@@ -268,11 +275,11 @@ def _peel_units(rows, col_index, keep: int = -1) -> int:
     while heap:
         size, _, c, rid = heappop(heap)
         prow = rows.get(rid)
-        if prow is None or len(prow) != size or prow.get(c) not in (1, -1):
+        if prow is None or len(prow) != size or prow.get(c) not in (pivot, -pivot):
             continue
-        sign = prow[c]
+        sign = 1 if prow[c] == pivot else -1
         for other in [o for o in col_index[c] if o != rid]:
-            _subtract(rows, col_index, other, rows[other][c] * sign, prow)
+            _subtract(rows, col_index, other, rows[other][c] // pivot * sign, prow)
             if rows[other]:
                 file(other, rows[other])
             else:
@@ -280,6 +287,33 @@ def _peel_units(rows, col_index, keep: int = -1) -> int:
         _drop(rows, col_index, rid)
         peeled += 1
     return peeled
+
+
+def _peel(rows, col_index, keep: int = -1) -> tuple[int, list[int]]:
+    """Eliminate, in place, the rows whose pivot divides the whole lattice,
+    and return how many went, the rank they add, and the invariant factors
+    above 1 that they give.
+
+    While rows remain, the content g of the lattice, the gcd of all its
+    entries, is taken in one pass.  An entry equal to +-g outside ``keep``
+    divides its row and column, so it is peeled as a unit is (g = 1 is the
+    unit peel), and each row that goes adds one factor g.  This repeats
+    while the content grows and some entry equals it, the first step of a
+    local Smith form; what is left is for :func:`_diagonal`.
+    """
+    rank, factors, g = 0, [], 0
+    while rows:
+        content = gcd(*chain.from_iterable(map(dict.values, rows.values())))
+        if content == g:
+            break
+        g = content
+        k = _peel_at(rows, col_index, g, keep)
+        if not k:
+            break
+        rank += k
+        if g > 1:
+            factors += [g] * k
+    return rank, factors
 
 
 def _diagonal(rows, col_index) -> list[int]:
@@ -348,35 +382,38 @@ def _diagonal(rows, col_index) -> list[int]:
 def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     """Canonical form of Z^generators modulo the lattice of ``relations``,
     sparse rows with columns in ``[0, generators)``; zero values and empty
-    rows are ignored.  Elimination stays sparse throughout:
-    :func:`_peel_units` takes out the unit pivots, and :func:`_diagonal`
-    the rest."""
+    rows are ignored.  Elimination stays sparse throughout: :func:`_peel`
+    takes out the pivots that divide the whole lattice, units first, and
+    :func:`_diagonal` the rest."""
     rows, col_index = _sparse_rows((row.items() for row in relations), generators)
-    kept = generators - _peel_units(rows, col_index)
+    rank, factors = _peel(rows, col_index)
     diag = _diagonal(rows, col_index)
-    return FgAbelianGroup.from_cyclic_orders(kept - len(diag), diag)
+    return FgAbelianGroup.from_cyclic_orders(generators - rank - len(diag), factors + diag)
 
 
 def _cokernel_pair(generators: int, relations,
                    column: int) -> tuple[FgAbelianGroup, FgAbelianGroup]:
     """(G, G / <e_column>) for G the cokernel of ``relations``, as
-    :func:`cokernel_group` gives them, from one unit peel.
+    :func:`cokernel_group` gives them, from one peel.
 
-    The peel never pivots on ``column``, so the generators it keeps, that
-    column among them, present G by the residual rows.  Adding e_column as a
-    relation then just drops that column: the quotient is presented by the
-    residual rows without it.
+    The peel never pivots on ``column``, and its column operations change
+    only each pivot's own generator, so each summand it takes out belongs to
+    both G and G / <e_column>, and the generators it keeps, that column
+    among them, present the rest of G by the residual rows.  Adding e_column
+    as a relation then just drops that column: the quotient is presented by
+    the residual rows without it.
     """
     if not 0 <= column < generators:
         raise ValueError(f"column {column} outside 0..{generators - 1}")
     rows, col_index = _sparse_rows((row.items() for row in relations), generators)
-    kept = generators - _peel_units(rows, col_index, keep=column)
+    rank, factors = _peel(rows, col_index, keep=column)
+    kept = generators - rank
     residual = _sparse_rows(([(c, v) for c, v in row.items() if c != column]
                              for row in rows.values()), generators)
     diag = _diagonal(rows, col_index)
-    group = FgAbelianGroup.from_cyclic_orders(kept - len(diag), diag)
+    group = FgAbelianGroup.from_cyclic_orders(kept - len(diag), factors + diag)
     diag = _diagonal(*residual)
-    return group, FgAbelianGroup.from_cyclic_orders(kept - 1 - len(diag), diag)
+    return group, FgAbelianGroup.from_cyclic_orders(kept - 1 - len(diag), factors + diag)
 
 
 # --- sparse rows and lattice bases -------------------------------------------

@@ -10,8 +10,6 @@ deterministic and byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -71,12 +69,16 @@ def _emit(args, records: list[dict], columns: list[str],
     given, else the columns as an aligned table.
     """
     if args.format == "json":
+        import json
+
         params = {k: v for k, v in vars(args).items() if k not in ("verb", "format", "fixtures")}
         doc: dict = {"command": args.verb, "parameters": params, "records": records}
         if report is not None:
             doc["report"] = report
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
+
         rows = records if report is None else report["findings"]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
@@ -232,7 +234,9 @@ VERBS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(verb: str | None = None) -> _Parser:
+    """The parser of every verb, or of ``verb`` alone, which is all that a
+    command line naming it needs; its usage line still names every verb."""
     parser = _Parser(
         prog="kconn",
         description=(
@@ -240,16 +244,52 @@ def build_parser() -> _Parser:
             "smash products, with table audits."
         ),
     )
-    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
-    for verb, (help_text, options, _) in VERBS.items():
-        verb_parser = sub.add_parser(verb, help=help_text)
-        for flag, spec in options:
-            verb_parser.add_argument(flag, **spec)
+    # the usage line lists the subparsers' choices unless a metavar is given
+    usage = {} if verb is None else {"metavar": "{" + ",".join(VERBS) + "}"}
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser, **usage)
+    for name, (help_text, options, _) in VERBS.items():
+        if verb in (None, name):
+            verb_parser = sub.add_parser(name, help=help_text)
+            for flag, spec in options:
+                verb_parser.add_argument(flag, **spec)
     return parser
 
 
+# the verbs whose orders grow with --max: the largest order each prints up
+# to --max is p^e, e = (x - 1) // (p - 1) + 1 for x = reach(--max) >= 1,
+# from the closed forms: lu at its top odd degree (bu is a shifted sum of lu
+# copies, the unshifted one largest), Tor of summand 1 at its top even
+# internal degree, and smash-bu, whose odd degrees hold bu two degrees down
+# and whose even degrees from 2 on hold copies of Z/p
+_ORDER_REACH = {
+    "lu": lambda top: (top + 1) // 2,
+    "bu": lambda top: (top + 1) // 2,
+    "tor": lambda top: top // 2,
+    "smash-bu": lambda top: max((top - 1) // 2, int(top >= 2)),
+}
+
+
+def _largest_exponent(verb: str, p: int, top: int) -> int:
+    """The e with p^e the largest order ``verb`` prints up to degree ``top``
+    (0 when it prints none)."""
+    reach = _ORDER_REACH[verb](top)
+    return (reach - 1) // (p - 1) + 1 if reach >= 1 else 0
+
+
+def _past_digit_limit(verb: str, p: int, top: int) -> bool:
+    """Whether the largest order ``verb`` prints up to ``top`` has more
+    digits than the interpreter converts to text (0, or a Python without
+    the limit, means no limit).  Exact: p^e >= 2^e >= 16^limit once
+    e >= 4 * limit, and below that p^e is formed and compared with
+    10^limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    e = _largest_exponent(verb, p, top)
+    return bool(limit and e) and (e >= 4 * limit or p ** e >= 10 ** limit)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     for attr in ("max", "n"):
         if vars(args).get(attr, 0) < 0:
@@ -259,6 +299,9 @@ def main(argv=None) -> int:
             parser.error(f"--{attr} must be at most {bound}, got {vars(args)[attr]}")
     if "p" in vars(args) and not is_prime(args.p):
         parser.error(f"--p must be a prime number, got {args.p}")
+    if args.verb in _ORDER_REACH and _past_digit_limit(args.verb, args.p, args.max):
+        parser.error(f"--max {args.max} at --p {args.p} gives a group order of more than "
+                     f"{sys.get_int_max_str_digits()} digits, the most this Python prints")
     code, records, columns, text, report = VERBS[args.verb][2](args)
     try:
         _emit(args, records, columns, text, report)

@@ -287,7 +287,7 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
 
     The product is presented on t^(a+1) (x) t^(b+1), column a * v + b, by
     sparse rows: each ring's relations times each basis element of the other.
-    One unit peel that keeps column 0, t (x) t, serves both G and
+    One peel that keeps column 0, t (x) t, serves both G and
     G / <t (x) t> (see :func:`abelian._cokernel_pair`), and the order of
     t (x) t is read off the pair as in :func:`element_order`.
     """

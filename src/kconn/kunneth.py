@@ -161,9 +161,11 @@ def wedge_count(p: int, n: int) -> int:
 
 def tensor_part(p: int, n: int) -> FgAbelianGroup:
     """Tensor half of the smash answer in total degree n, reassembled over
-    the shifted summand copies; nonzero only in even degrees."""
-    lu = _lu_window(p, n)
-    parts = [tensor_degree(lu, lu, deg) for deg in _ku_degrees(p, n)]
+    the shifted summand copies; nonzero only in even degrees.  Each shift is
+    read from its own window, as in :func:`tor_part`, so a sweep computes
+    each degree once."""
+    parts = [tensor_degree(lu, lu, deg)
+             for deg in _ku_degrees(p, n) for lu in [_lu_window(p, deg)]]
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 

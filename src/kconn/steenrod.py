@@ -15,6 +15,8 @@ its own lowest bits meet, so a degree costs about what its sparse rows hold.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._record import Record, as_dict
 
 Monomial = tuple[int, ...]  # (a,) for one factor, (a, b) for the smash
@@ -52,11 +54,12 @@ def sq_action(k: int, mono: Monomial) -> frozenset[Monomial]:
 
 # --- F2 matrices as lists of bitmask rows ------------------------------------
 
-def _f2_basis(rows: list[int]) -> dict[int, int]:
-    """Pivot dict of the rows' span: each kept row is keyed by its lowest set
-    bit (as a one-bit mask), so the keys are distinct and a row is reduced
-    only against the pivots its own lowest bits meet."""
-    pivots: dict[int, int] = {}
+def _f2_basis(rows: list[int], pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Pivot dict of the rows' span, continuing a copy of ``pivots`` when
+    given: each kept row is keyed by its lowest set bit (as a one-bit mask),
+    so the keys are distinct and a row is reduced only against the pivots
+    its own lowest bits meet."""
+    pivots = {} if pivots is None else dict(pivots)
     owner = pivots.get
     for row in rows:
         while row:
@@ -86,7 +89,13 @@ def f2_nullspace(rows: list[int], width: int) -> list[int]:
     one per free column (a column that is no echelon row's lowest bit), in
     ascending order.  The vector of free column j sets j and no other free
     column."""
-    pivots = _f2_basis(rows)
+    return _nullspace(_f2_basis(rows), width)
+
+
+def _nullspace(pivots: dict[int, int], width: int) -> list[int]:
+    """:func:`f2_nullspace` of the span whose pivot dict is ``pivots``,
+    which it reduces in place; the reduced echelon form of a span is
+    unique, so the vectors do not depend on how the pivots were found."""
     mask = sum(pivots)
     out = {j: 1 << j for j in range(width) if not mask >> j & 1}
     # from the highest pivot down, clear each row's higher pivot bits; then
@@ -170,32 +179,39 @@ class SteenrodModule(Record):
                 for a in range(1, degree) for b in [degree - a]]
 
 
-def _image_rows(alg: str, space: str, degree: int) -> tuple[list[int], int]:
-    """Rows of the positive-degree action into the degree piece, and the
-    dimension of that piece."""
+@lru_cache(maxsize=4)
+def _sq1_pivots(space: str, degree: int) -> dict[int, int]:
+    """Pivot dict of the Sq^1 rows into the degree piece, which both
+    algebras' images contain: reduced once per degree, and read, never
+    changed, by :func:`_image_pivots` for each algebra."""
+    return _f2_basis(SteenrodModule(space).sq_matrix(1, degree - 1))
+
+
+def _image_pivots(alg: str, space: str, degree: int) -> dict[int, int]:
+    """Pivot dict of the positive-degree action into the degree piece: the
+    Sq^1 pivots, continued by the Sq^2 rows ("B") or the Q_1 rows ("E")."""
     if alg not in ("B", "E"):
         raise ValueError("algebra must be 'B' or 'E'")
     module = SteenrodModule(space)
-    if alg == "B":
-        rows = module.sq_matrix(1, degree - 1) + module.sq_matrix(2, degree - 2)
-    else:
-        rows = module.sq_matrix(1, degree - 1) + module.q1_matrix(degree - 3)
-    # the size of the degree basis: one monomial on rp, degree - 1 on smash
-    width = max(degree - 1, 0) if space == "smash" else int(degree >= 1)
-    return rows, width
+    rows = module.sq_matrix(2, degree - 2) if alg == "B" else module.q1_matrix(degree - 3)
+    return _f2_basis(rows, _sq1_pivots(space, degree))
+
+
+def _width(space: str, degree: int) -> int:
+    """The size of the degree basis: one monomial on rp, degree - 1 on smash."""
+    return max(degree - 1, 0) if space == "smash" else int(degree >= 1)
 
 
 def hom_dim(alg: str, space: str, degree: int) -> int:
     """Dimension of the module homomorphisms from the degree piece into the
     trivial one-dimensional module: functionals vanishing on the image of the
     positive-degree action."""
-    rows, width = _image_rows(alg, space, degree)
-    return width - f2_rank(rows)
+    return _width(space, degree) - len(_image_pivots(alg, space, degree))
 
 
 def hom_basis(alg: str, space: str, degree: int) -> list[int]:
     """Bitmask basis (over the degree monomial basis) of the functionals."""
-    return f2_nullspace(*_image_rows(alg, space, degree))
+    return _nullspace(_image_pivots(alg, space, degree), _width(space, degree))
 
 
 class HomSequenceRecord(Record):

@@ -366,10 +366,86 @@ def test_cokernel_pair_is_the_group_and_its_quotient(case):
 
 def test_a_unit_in_the_kept_column_survives_the_peel():
     rows, col_index = abelian._sparse_rows([[(0, 1)], [(0, 2), (1, 1)]], 2)
-    assert abelian._peel_units(rows, col_index, keep=0) == 1
+    assert abelian._peel(rows, col_index, keep=0) == (1, [])
     assert list(rows.values()) == [{0: 1}]
     rows, col_index = abelian._sparse_rows([[(0, 1)]], 1)
-    assert abelian._peel_units(rows, col_index) == 1 and rows == {}
+    assert abelian._peel(rows, col_index) == (1, []) and rows == {}
+
+
+def test_the_peel_pivots_on_the_content_while_it_grows():
+    # content 2: the -2 at column 1 goes, and then 4 is the content of what
+    # is left; the 4 at column 2 goes, and the one in the kept column stays
+    rows, col_index = abelian._sparse_rows(
+        [[(1, -2), (2, 4)], [(2, 4), (3, 8)], [(0, 4), (3, 8)]], 4)
+    assert abelian._peel(rows, col_index, keep=0) == (2, [2, 4])
+    assert rows == {2: {0: 4, 3: 8}}
+    # the kept column's 2 holds the content at 2, so the peel stops there
+    rows, col_index = abelian._sparse_rows([[(0, 2), (1, -2)], [(0, 2), (1, 4), (2, 8)]], 3)
+    assert abelian._peel(rows, col_index, keep=0) == (1, [2])
+    assert rows == {1: {0: 6, 2: 8}}
+    # no entry equals the content 2 of {6, 10}: nothing goes
+    rows, col_index = abelian._sparse_rows([[(0, 6), (1, 10)]], 2)
+    assert abelian._peel(rows, col_index) == (0, []) and rows == {0: {0: 6, 1: 10}}
+    # a unit first, then the content 3 of the rest
+    rows, col_index = abelian._sparse_rows([[(0, 1), (1, 3)], [(1, 3), (2, 3)]], 3)
+    assert abelian._peel(rows, col_index) == (2, [3]) and rows == {}
+
+
+def reference_order(n, rows, c):
+    """The order of e_c in Z^n modulo the row lattice (None = infinite): the
+    least k with k e_c in the lattice, that is, with the quotient unchanged
+    by the relation k e_c, since a finitely generated abelian group is not
+    isomorphic to a proper quotient of itself.  A torsion element's order
+    divides the largest invariant factor."""
+    group = reference_group(n, rows)
+    top = max(group.invariant_factors, default=1)
+    for k in range(1, top + 1):
+        if top % k == 0 and reference_group(n, rows + [[k * (j == c) for j in range(n)]]) == group:
+            return k
+    return None
+
+
+@st.composite
+def _content_lattices(draw):
+    """Dense rows on n >= 1 columns and a kept column c, of three kinds:
+    entries p^k u with u prime to p, whose content is a power of p above 1
+    and whose valuations differ; entries g x for a g that mixes primes; and
+    entries +-g with some at c, so that the peel meets content pivots it
+    must leave wherever the kept column sits."""
+    n = draw(st.integers(1, 5))
+    c = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("valuations", "mixed", "kept")))
+    if kind == "valuations":
+        p = draw(st.sampled_from((2, 3, 5)))
+        low = draw(st.integers(1, 2))
+        entry = st.builds(lambda k, u: p**k * u, st.integers(low, low + 2),
+                          st.sampled_from((1, -1, p + 1, -p - 1)))
+    elif kind == "mixed":
+        entry = st.builds(lambda g, x: g * x, st.sampled_from((1, 6, 10, 15)),
+                          st.sampled_from((1, -1, 2, 3, -5, 7)))
+    else:
+        g = draw(st.sampled_from((2, 3, 4)))
+        entry = st.sampled_from((g, -g, 2 * g, 3 * g))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(st.one_of(st.just(0), st.just(0), entry)) for _ in range(n)]
+        if kind == "kept" and draw(st.booleans()):
+            row[c] = draw(entry)
+        rows.append(row)
+    return n, rows, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_content_lattices())
+@example((2, [[2, 4], [4, 2]], 0))
+@example((3, [[4, 2, 0], [0, 4, 8]], 1))
+@example((2, [[6, 10]], 0))
+def test_content_pivots_against_the_dense_reference(case):
+    n, rows, c = case
+    group, quotient = abelian._cokernel_pair(n, sparse(rows), c)
+    assert cokernel_group(n, sparse(rows)) == group == reference_group(n, rows)
+    assert quotient == reference_group(n, rows + [[int(j == c) for j in range(n)]])
+    assert abelian._order_from_quotient(group, quotient) == reference_order(n, rows, c)
 
 
 @pytest.mark.parametrize("column", [-1, 3])

@@ -11,6 +11,8 @@ from kconn import cli
 from kconn.cli import main
 from kconn.abelian import parse_group
 from kconn.exactseq import MAX_EXPONENT
+from kconn.kmods import bu_bzp_group, lu_closed_form
+from kconn.kunneth import kunneth_smash_group, tor_closed_form
 
 try:
     import jsonschema
@@ -169,6 +171,101 @@ def test_a_usage_error_exits_1_from_a_process():
                           env=_module_env(), capture_output=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert b"--p must be a prime number" in proc.stderr
+
+
+# one malformed call for every verb, refused by the verb's own parser
+_MALFORMED = {
+    "lu": ("--p", "x"),
+    "bu": ("--max", "1.5"),
+    "smash-bu": ("--tor-method", "bogus"),
+    "tor": ("--format", "xml"),
+    "hom-dim": ("--space", "bogus"),
+    "x-count": (),
+    "bo-tables": ("--max",),
+    "bo-smash": ("--bogus",),
+    "audit": ("--space", "bogus"),
+    "verify-all": ("--max", "3"),
+}
+# calls that name a verb but are refused by the top-level parser
+_TOP_LEVEL_ERRORS = [("smash-bu", "--bogus"), ("smash-bu", "extra"), ("smash-bu", "--max", "-1")]
+
+
+@pytest.mark.parametrize("argv", [
+    *((verb, "--help") for verb in cli.VERBS),
+    *((verb, *tail) for verb, tail in _MALFORMED.items()),
+    (), ("--help",), ("bogus",),
+    *_TOP_LEVEL_ERRORS,
+], ids=" ".join)
+def test_a_parser_of_one_verb_answers_as_the_parser_of_every_verb(capsys, monkeypatch, argv):
+    # main builds only the named verb's parser; the exit code, stdout and
+    # stderr are those of the parser of every verb, byte for byte, and an
+    # error from the top-level parser prints the usage line of every verb
+    got = run_cli(capsys, *argv)
+    every = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: every())
+    assert got == run_cli(capsys, *argv)
+    if argv in _TOP_LEVEL_ERRORS:
+        assert "{" + ",".join(cli.VERBS) + "}" in got[2]
+
+
+def test_importing_the_cli_loads_neither_output_module():
+    # json and csv are imported by the one output format that needs each
+    probe = ("import sys; before = set(sys.modules); import kconn.cli; "
+             "print(sorted({'csv', 'json'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_module_env(),
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n")
+
+
+@pytest.mark.parametrize("verb", ["lu", "bu", "tor", "smash-bu"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_largest_order_is_read_from_the_closed_forms(verb, p):
+    # the exponent the digit check reads, against the groups the verb prints
+    groups = {
+        "lu": lambda top: [lu_closed_form(p, n) for n in range(top + 1)],
+        "bu": lambda top: [bu_bzp_group(p, n) for n in range(top + 1)],
+        "tor": lambda top: [tor_closed_form(p, i, n) for n in range(0, top + 1, 2)
+                            for i in range(1, p)],
+        "smash-bu": lambda top: [kunneth_smash_group(p, n, "closed_form")
+                                 for n in range(top + 1)],
+    }[verb]
+    for top in range(0, 41):
+        largest = max((d for g in groups(top) for d in g.invariant_factors), default=1)
+        assert p ** cli._largest_exponent(verb, p, top) == largest, top
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("verb", ["lu", "bu", "tor"])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_max_is_refused_where_an_order_would_pass_the_digit_limit(capsys, verb, p):
+    # at the smallest limit Python allows, the first --max refused is the
+    # first at which printing would fail, in every format
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        top = next(t for t in range(10**5) if cli._past_digit_limit(verb, p, t))
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run_cli(capsys, verb, "--p", str(p), "--max", str(top - 1),
+                                     "--format", fmt)
+            assert (code, err) == (0, ""), fmt
+            code, out, err = run_cli(capsys, verb, "--p", str(p), "--max", str(top),
+                                     "--format", fmt)
+            assert (code, out) == (1, ""), fmt
+            assert err.startswith("usage: kconn") and "more than 640 digits" in err
+            with pytest.raises(ValueError, match="limit"):
+                str(p ** (cli._largest_exponent(verb, p, top)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_max_past_the_digit_limit_exits_1_at_once():
+    # Z/2^14285 would have 4,301 digits, one more than Python prints by default
+    proc = subprocess.run([sys.executable, "-m", "kconn.cli", "lu", "--p", "2", "--max", "28569"],
+                          env=_module_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"usage: kconn") and b"more than 4300 digits" in proc.stderr
+    assert not cli._past_digit_limit("lu", 2, 28568)
 
 
 def test_main_returns_and_run_skips_exit_hooks():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kconn import kmods, kunneth
+from kconn import abelian, kmods, kunneth
 from kconn.abelian import (
     FgAbelianGroup,
     GroupPresentation,
@@ -392,6 +392,37 @@ def _clear_caches(*modules):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def test_no_tensor_lattice_reaches_the_general_diagonal(monkeypatch):
+    # the content peel takes every row of every lattice that the sweeps of
+    # the benchmark's even grid, (p, top) = (2, 80), (3, 72), (5, 96),
+    # eliminate, tensor terms and the slices they read, so the general
+    # elimination receives none (5,783 rows before content pivots)
+    seen = {"calls": 0, "rows": 0}
+    diagonal = abelian._diagonal
+
+    def counting(rows, col_index):
+        seen["calls"] += 1
+        seen["rows"] += len(rows)
+        return diagonal(rows, col_index)
+
+    monkeypatch.setattr(abelian, "_diagonal", counting)
+    _clear_caches(kunneth, kmods)
+    for p, top in ((2, 80), (3, 72), (5, 96)):
+        for n in range(0, top + 1, 2):
+            tensor_part(p, n)
+    assert seen["calls"] > 0 and seen["rows"] == 0
+
+
+def test_a_tensor_sweep_computes_each_degree_once():
+    # each shift n - 2a is read from its own window, so the sweep computes
+    # each even degree 0..160 once (91 tensor degrees when every shift was
+    # read from the window of n)
+    _clear_caches(kunneth, kmods)
+    for n in range(0, 161, 2):
+        tensor_part(7, n)
+    assert tensor_degree.cache_info().misses == 81
 
 
 def test_tor_reduces_each_slice_once():
