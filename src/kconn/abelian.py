@@ -5,9 +5,9 @@ canonical form that every other module reports its answers in.  All
 arithmetic uses Python's arbitrary-precision integers; nothing is ever
 rounded, and a rank, order, column or entry that is not an integer raises
 ``TypeError``.  One routine, :func:`_chain`, builds every canonical form by
-gcd and lcm alone, so no order is ever factored; cokernels, cyclic groups,
-direct sums and parsed renderings all reach it through its one caller,
-:meth:`FgAbelianGroup.from_cyclic_orders`.
+gcd and lcm alone, so no order is ever factored, and :func:`_canonical`
+makes a group of it and a rank: cokernels, cyclic groups, direct sums,
+parsed renderings and the public constructor all reach these two.
 
 There is one row format: a sparse row, a mapping column -> value whose zero
 values are ignored.  Relations, images of generators, coordinate changes and
@@ -68,21 +68,12 @@ class FgAbelianGroup(Record):
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rank, factors = index(self.free_rank), tuple(map(index, self.invariant_factors))
-        if rank < 0:
-            raise ValueError("negative free rank")
-        object.__setattr__(self, "free_rank", rank)
-        object.__setattr__(self, "invariant_factors", factors)
-        for d in factors:
-            if d <= 1:
-                raise ValueError("invariant factors must exceed 1")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
+        rank, factors = index(self.free_rank), map(index, self.invariant_factors)
+        self.__dict__.update(_canonical(rank, factors).__dict__)
 
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":
-        return cls(0, ())
+        return _TRIVIAL
 
     @classmethod
     def free(cls, rank: int) -> "FgAbelianGroup":
@@ -96,14 +87,12 @@ class FgAbelianGroup(Record):
     def from_cyclic_orders(cls, free_rank: int, orders) -> "FgAbelianGroup":
         """Canonicalise an arbitrary list of cyclic orders (0 meaning Z)."""
         orders = [abs(index(d)) for d in orders]
-        return cls(index(free_rank) + orders.count(0), tuple(_chain(d for d in orders if d)))
+        return _canonical(index(free_rank) + orders.count(0), _chain(d for d in orders if d))
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        orders = list(self.invariant_factors)
-        for g in others:
-            orders.extend(g.invariant_factors)
-        return FgAbelianGroup.from_cyclic_orders(rank, orders)
+        groups = (self, *others)
+        orders = chain.from_iterable(g.invariant_factors for g in groups)
+        return _canonical(sum(g.free_rank for g in groups), _chain(orders))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
@@ -127,6 +116,25 @@ class FgAbelianGroup(Record):
 
     def __str__(self) -> str:
         return render_group(self)
+
+
+def _canonical(rank: int, chain) -> FgAbelianGroup:
+    """Z^rank + Z/d_1 + ... + Z/d_k from ints, made without the record
+    constructor and checked as every group is: rank >= 0, 1 < d_1 | ... | d_k."""
+    chain = tuple(chain)
+    if rank < 0:
+        raise ValueError("negative free rank")
+    if chain and min(chain) <= 1:
+        raise ValueError("invariant factors must exceed 1")
+    for a, b in zip(chain, chain[1:]):
+        if b % a:
+            raise ValueError("invariant factors must form a divisibility chain")
+    group = object.__new__(FgAbelianGroup)
+    group.__dict__.update(free_rank=rank, invariant_factors=chain)
+    return group
+
+
+_TRIVIAL = _canonical(0, ())
 
 
 def _chain(orders) -> list[int]:
@@ -241,11 +249,6 @@ def _subtract(rows, col_index, other: int, q: int, prow: dict[int, int]) -> None
             col_index[c].discard(other)
 
 
-def _drop(rows, col_index, rid: int) -> None:
-    for c in rows.pop(rid):
-        col_index[c].discard(rid)
-
-
 def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
     """Eliminate, in place, every row that holds a +-``pivot`` outside
     column ``keep``, where ``pivot`` divides every entry, and return how
@@ -259,34 +262,51 @@ def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
     operation can bring; ties go to the pivot whose column meets the fewest
     rows, then to the lowest column.  A row is filed again whenever it
     changes, and an entry that no longer matches its row is skipped when it
-    comes up.  What remains holds no +-``pivot`` outside ``keep``.
+    comes up.  What remains holds no +-``pivot`` outside ``keep``.  One
+    loop files every row and then, pivot by pivot, each row it changed.
     """
-    heap = []
-
-    def file(rid: int, row: dict[int, int]) -> None:
-        hits = [(len(col_index[c]), c) for c, v in row.items()
-                if (v == pivot or v == -pivot) and c != keep]
-        if hits:
-            heappush(heap, (len(row), *min(hits), rid))
-
-    for rid, row in rows.items():
-        file(rid, row)
-    peeled = 0
-    while heap:
-        size, _, c, rid = heappop(heap)
-        prow = rows.get(rid)
-        if prow is None or len(prow) != size or prow.get(c) not in (pivot, -pivot):
-            continue
-        sign = 1 if prow[c] == pivot else -1
-        for other in [o for o in col_index[c] if o != rid]:
-            _subtract(rows, col_index, other, rows[other][c] // pivot * sign, prow)
-            if rows[other]:
-                file(other, rows[other])
-            else:
-                del rows[other]
-        _drop(rows, col_index, rid)
-        peeled += 1
-    return peeled
+    neg = -pivot
+    heap, peeled = [], 0
+    prow, todo = None, list(rows)  # at first, file every row as it stands
+    while True:
+        for other in todo:
+            orow = rows[other]
+            if prow:
+                # rows[other] -= q * prow, dropping it if it is now zero
+                q = orow[c] // p
+                for k, v in prow.items():
+                    if k not in orow:
+                        orow[k] = -q * v
+                        col_index[k].add(other)
+                    elif x := orow[k] - q * v:
+                        orow[k] = x
+                    else:
+                        del orow[k]
+                        col_index[k].discard(other)
+                if not orow:
+                    del rows[other]
+                    continue
+            best = None
+            for k, v in orow.items():
+                if (v == pivot or v == neg) and k != keep:
+                    hit = (len(col_index[k]), k)
+                    if best is None or hit < best:
+                        best = hit
+            if best:
+                heappush(heap, (len(orow), *best, other))
+        if prow:
+            for k in rows.pop(rid):
+                col_index[k].discard(rid)
+            peeled += 1
+        while heap:
+            size, _, c, rid = heappop(heap)
+            prow = rows.get(rid)
+            if prow and len(prow) == size and prow.get(c) in (pivot, neg):
+                break
+        else:
+            return peeled
+        p = prow[c]
+        todo = [o for o in col_index[c] if o != rid]
 
 
 def _peel(rows, col_index, keep: int = -1) -> tuple[int, list[int]]:
@@ -369,7 +389,8 @@ def _diagonal(rows, col_index) -> list[int]:
                 break
             c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
         diag.append(abs(piv))
-        _drop(rows, col_index, rid)
+        for k in rows.pop(rid):
+            col_index[k].discard(rid)
         touched.discard(rid)
         for other in touched:
             if rows.get(other):
@@ -388,7 +409,7 @@ def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     rows, col_index = _sparse_rows((row.items() for row in relations), generators)
     rank, factors = _peel(rows, col_index)
     diag = _diagonal(rows, col_index)
-    return FgAbelianGroup.from_cyclic_orders(generators - rank - len(diag), factors + diag)
+    return _canonical(index(generators) - rank - len(diag), _chain(factors + diag))
 
 
 def _cokernel_pair(generators: int, relations,
@@ -407,13 +428,13 @@ def _cokernel_pair(generators: int, relations,
         raise ValueError(f"column {column} outside 0..{generators - 1}")
     rows, col_index = _sparse_rows((row.items() for row in relations), generators)
     rank, factors = _peel(rows, col_index, keep=column)
-    kept = generators - rank
+    kept = index(generators) - rank
     residual = _sparse_rows(([(c, v) for c, v in row.items() if c != column]
                              for row in rows.values()), generators)
     diag = _diagonal(rows, col_index)
-    group = FgAbelianGroup.from_cyclic_orders(kept - len(diag), factors + diag)
+    group = _canonical(kept - len(diag), _chain(factors + diag))
     diag = _diagonal(*residual)
-    return group, FgAbelianGroup.from_cyclic_orders(kept - 1 - len(diag), factors + diag)
+    return group, _canonical(kept - 1 - len(diag), _chain(factors + diag))
 
 
 # --- sparse rows and lattice bases -------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .abelian import FgAbelianGroup, cokernel_group
+from .abelian import FgAbelianGroup, _canonical, cokernel_group
 from .kmods import (
     DegreeSlice,
     GradedModulePresentation,
@@ -118,7 +118,7 @@ def tor1_degree(
     # the block-diagonal bound is rank d1 when it reaches dim Tot0
     exact = tot.d1_rank_bound() == tot.n0
     rank_d1 = tot.n0 if exact else tot.n0 - tensor_degree(m, n_mod, n).free_rank
-    return FgAbelianGroup(h1.free_rank - rank_d1, h1.invariant_factors)
+    return _canonical(h1.free_rank - rank_d1, h1.invariant_factors)
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

@@ -257,7 +257,9 @@ def verify_hom_sequence(i_max: int) -> HomSequenceReport:
     records = []
     bl_basis = hom_basis("B", "smash", 0)
     for degree in range(2, i_max + 1, 2):
-        b_basis = hom_basis("B", "smash", degree)
+        # the Sq2 rows, built once for hom_basis("B", ...) and the Sq2 below
+        sq2_rows = module.sq_matrix(2, degree - 2)
+        b_basis = _nullspace(_f2_basis(sq2_rows, _sq1_pivots("smash", degree)), degree - 1)
         e_basis = hom_basis("E", "smash", degree)
         # the inclusion is well defined iff every restricted functional is an
         # exterior one, and injectivity is the independence of the basis (a
@@ -269,7 +271,7 @@ def verify_hom_sequence(i_max: int) -> HomSequenceReport:
         # the sum of the columns of that operation's matrix it selects
         # smash basis sizes: degree - 3 two degrees down, degree - 1 here
         lower_width = max(degree - 3, 0)
-        sq2_columns = _transpose_bits(module.sq_matrix(2, degree - 2), degree - 1)
+        sq2_columns = _transpose_bits(sq2_rows, degree - 1)
         lam_images = f2_compose(e_basis, sq2_columns)
         lands = f2_rank(bl_basis + lam_images) == len(bl_basis)
         onto = f2_rank(lam_images) == len(bl_basis)

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from kconn.abelian import (
     simplify_presentation,
 )
 from kconn.kmods import lu_bzp_presentation
+from kconn.kunneth import tor1_degree
 
 Z = FgAbelianGroup.free
 C = FgAbelianGroup.cyclic
@@ -391,6 +393,71 @@ def test_the_peel_pivots_on_the_content_while_it_grows():
     assert abelian._peel(rows, col_index) == (2, [3]) and rows == {}
 
 
+def reference_peel_at(rows, col_index, pivot, keep):
+    """The peel at one pivot as first written, with a filing closure and the
+    shared row subtraction: :func:`abelian._peel_at` must follow it pivot
+    for pivot."""
+    heap = []
+
+    def file(rid, row):
+        hits = [(len(col_index[c]), c) for c, v in row.items()
+                if (v == pivot or v == -pivot) and c != keep]
+        if hits:
+            heappush(heap, (len(row), *min(hits), rid))
+
+    for rid, row in rows.items():
+        file(rid, row)
+    peeled = 0
+    while heap:
+        size, _, c, rid = heappop(heap)
+        prow = rows.get(rid)
+        if prow is None or len(prow) != size or prow.get(c) not in (pivot, -pivot):
+            continue
+        sign = 1 if prow[c] == pivot else -1
+        for other in [o for o in col_index[c] if o != rid]:
+            abelian._subtract(rows, col_index, other, rows[other][c] // pivot * sign, prow)
+            if rows[other]:
+                file(other, rows[other])
+            else:
+                del rows[other]
+        for k in rows.pop(rid):
+            col_index[k].discard(rid)
+        peeled += 1
+    return peeled
+
+
+@st.composite
+def _peel_lattices(draw):
+    """Sparse rows on n columns whose entries are multiples of a pivot g, g
+    = 1 (units) or a content above 1, and a kept column or none (-1); the
+    rows are long enough that pivots tie on length and differ in how many
+    rows their column meets."""
+    n = draw(st.integers(1, 8))
+    g = draw(st.sampled_from((1, 1, 2, 3, 4)))
+    keep = draw(st.integers(-1, n - 1))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 1, 2, -3))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = {j: g * draw(entry) for j in range(n)}
+        rows.append({j: v for j, v in row.items() if v})
+    return n, rows, g, keep
+
+
+@settings(max_examples=400, deadline=None)
+@given(_peel_lattices())
+@example((3, [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 2, 2: 1}], 1, -1))
+@example((3, [{0: 2, 1: 2}, {0: 2, 2: -2}, {0: 4}], 2, 0))
+def test_the_one_loop_peel_matches_the_reference(case):
+    n, rows, g, keep = case
+    got = abelian._sparse_rows((row.items() for row in rows), n)
+    expected = abelian._sparse_rows((row.items() for row in rows), n)
+    assert abelian._peel_at(*got, g, keep) == reference_peel_at(*expected, g, keep)
+    assert got == expected
+    # the same rows in the same order, so the later stages see one lattice
+    assert [list(row.items()) for row in got[0].values()] == (
+        [list(row.items()) for row in expected[0].values()])
+
+
 def reference_order(n, rows, c):
     """The order of e_c in Z^n modulo the row lattice (None = infinite): the
     least k with k e_c in the lattice, that is, with the quotient unchanged
@@ -508,6 +575,8 @@ def test_canonical_form_matches_the_prime_by_prime_construction(free_rank, order
     pytest.param(lambda: FgAbelianGroup.cyclic(2.0), id="float_cyclic"),
     pytest.param(lambda: cokernel_group(1, [{0: 2.5}]), id="float_relation"),
     pytest.param(lambda: cokernel_group(2, [{0.5: 2}]), id="float_column"),
+    pytest.param(lambda: cokernel_group(2.0, [{0: 2}]), id="float_generators"),
+    pytest.param(lambda: abelian._cokernel_pair(2.0, [{0: 2}], 0), id="float_pair_generators"),
 ])
 def test_non_integer_inputs_raise_type_error(make):
     with pytest.raises(TypeError):
@@ -551,6 +620,52 @@ def test_direct_sum_canonicalises():
     a = FgAbelianGroup(0, (2, 4))
     b = FgAbelianGroup(0, (3,))
     assert a.direct_sum(b) == FgAbelianGroup(0, (2, 12))
+
+
+def _tor1_at_6():
+    lu = lu_bzp_presentation(2, 20)
+    return tor1_degree(lu, lu, 6)
+
+
+# every internal way to a group, with the (rank, factors) it must give
+_PAIR = (4, [{0: 2, 1: 4}, {1: 6, 2: 3}, {0: 4, 3: 1}], 0)
+_INTERNAL_PATHS = {
+    "from_cyclic_orders": (lambda: FgAbelianGroup.from_cyclic_orders(1, [12, 0, -8, 1]),
+                           (2, (4, 24))),
+    "direct_sum": (lambda: C(4).direct_sum(Z(2), C(6)), (2, (2, 12))),
+    "cokernel_group": (lambda: cokernel_group(3, [{0: 2, 1: 4}, {1: 6}]), (1, (2, 6))),
+    "cokernel_pair_group": (lambda: abelian._cokernel_pair(*_PAIR)[0], (1, (6,))),
+    "cokernel_pair_quotient": (lambda: abelian._cokernel_pair(*_PAIR)[1], (0, (12,))),
+    "trivial": (trivial, (0, ())),
+    "tor1_degree": (_tor1_at_6, (0, (8,))),
+}
+
+
+@pytest.mark.parametrize("path", _INTERNAL_PATHS)
+def test_every_internal_path_gives_the_public_constructors_group(path):
+    make, fields = _INTERNAL_PATHS[path]
+    group, public = make(), FgAbelianGroup(*fields)
+    assert type(group) is FgAbelianGroup
+    assert group == public and hash(group) == hash(public) and repr(group) == repr(public)
+    assert list(vars(group).items()) == list(vars(public).items())
+    assert pickle.dumps(group) == pickle.dumps(public)
+    copied = pickle.loads(pickle.dumps(group))
+    assert copied == group and vars(copied) == vars(group)
+
+
+def test_the_trivial_group_is_one_shared_immutable_value():
+    assert trivial() is trivial()
+    with pytest.raises(AttributeError):
+        trivial().free_rank = 1
+    assert trivial() == FgAbelianGroup(0, ()) and trivial().is_trivial()
+
+
+@pytest.mark.parametrize("rank,chain", [(0, (4, 2)), (-1, ()), (0, (1, 2)), (0, (2, 0))])
+def test_the_canonical_constructor_checks_the_chain(rank, chain):
+    with pytest.raises(ValueError):
+        abelian._canonical(rank, chain)
+    with pytest.raises(ValueError):
+        FgAbelianGroup(rank, chain)
 
 
 # --- kernels of maps ---------------------------------------------------------

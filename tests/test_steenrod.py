@@ -479,6 +479,22 @@ def test_hom_sequence_golden_to_200():
     assert digest == "97c13e820876cb2de5b5ade85f25a72a95c600e06569f9c537664e13c4ad7bd4"
 
 
+def test_hom_sequence_builds_each_sq2_matrix_once(monkeypatch):
+    # one Sq2 build per even degree serves both the restricted functionals
+    # and the precomposition; the degree-0 lower basis adds one more
+    sq_matrix = SteenrodModule.sq_matrix
+    degrees = []
+
+    def counting(self, k, degree):
+        if k == 2:
+            degrees.append(degree)
+        return sq_matrix(self, k, degree)
+
+    monkeypatch.setattr(SteenrodModule, "sq_matrix", counting)
+    verify_hom_sequence(200)
+    assert degrees == [-2, *range(0, 199, 2)]
+
+
 def test_expected_dims_table():
     assert expected_dims(8) == (3, 4)
     assert expected_dims(6) == (1, 3)
