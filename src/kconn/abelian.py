@@ -22,7 +22,10 @@ content of what is left grows, starting from the units (g = 1).  The
 tensor lattices of the Kunneth complex, whose entries are +-p, go entirely
 this way.
 :func:`_diagonal` reduces what is left to a diagonal.  :func:`_cokernel_pair`
-gives a group and its quotient by one generator from a single peel.  A
+gives a group and its quotient by one generator from a single peel, and
+:func:`_peeled` presents a group again on the generators a peel keeps, so
+that a lattice the peel shrinks is tensored at its shrunk size (the
+truncated K-rings of ``kmods.ku_smash_check`` go from r columns to one).  A
 second core, :func:`_echelon`, computes lattice bases as {leading column:
 row}, against which :func:`_solve_against_echelon` writes a vector; it
 serves only :func:`kernel_of_map` and :func:`simplify_presentation`, library
@@ -435,6 +438,32 @@ def _cokernel_pair(generators: int, relations,
     group = _canonical(kept - len(diag), _chain(factors + diag))
     diag = _diagonal(*residual)
     return group, _canonical(kept - 1 - len(diag), _chain(factors + diag))
+
+
+def _peeled(generators: int, relations,
+            keep: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(ncols, rows): the cokernel of ``relations`` presented again on the
+    generators that one peel keeping column ``keep`` leaves, rows as tuples
+    of (column, value) pairs.
+
+    As in :func:`_cokernel_pair`, the kept generators present the rest of
+    the group by the residual rows, and ``keep`` is one of them.  ``keep``
+    becomes column 0, the other columns that still hold entries follow it
+    in increasing order, and the kept generators left with no entry stay as
+    empty columns after those; each Z/g the peel took out is one more
+    column, with the relation g.  So a lattice that the peel reduces to a
+    few columns is handed on, to a tensor product say, at that size.
+    """
+    if not 0 <= keep < generators:
+        raise ValueError(f"column {keep} outside 0..{generators - 1}")
+    rows, col_index = _sparse_rows((row.items() for row in relations), generators)
+    rank, factors = _peel(rows, col_index, keep=keep)
+    kept = index(generators) - rank
+    seen = sorted(c for c, ids in col_index.items() if ids and c != keep)
+    new = {c: j for j, c in enumerate([keep, *seen])}
+    out = [tuple((new[c], v) for c, v in row.items()) for row in rows.values()]
+    out += [((j, g),) for j, g in enumerate(factors, kept)]
+    return kept + len(factors), tuple(out)
 
 
 # --- sparse rows and lattice bases -------------------------------------------

@@ -10,7 +10,9 @@ of Z[v]-modules quasi-isomorphic to F', free over Z on the critical cells,
 with boundary d' = NF o d.  Its H0 in degree n, a cokernel, is the degree-n
 piece of the module, compared against the cyclic closed form; the Kunneth
 complex reads the same slices.  The truncated projective-space K-ring check
-lives here as well.
+lives here as well: each ring is presented on what one peel of its
+relations keeps (``abelian._peeled``), the generator t alone, and the
+check tensors those one-column presentations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ._record import Record
-from .abelian import FgAbelianGroup, _cokernel_pair, _order_from_quotient, cokernel_group
+from .abelian import FgAbelianGroup, _cokernel_pair, _order_from_quotient, _peeled, cokernel_group
 
 # a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
 Term = tuple[int, int, int]
@@ -253,10 +255,15 @@ def _ku_ring_relations(r: int) -> list[dict[int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _ku_left_group(r: int) -> FgAbelianGroup:
-    """The reduced truncated K-ring's group, eliminated once per truncation:
-    :func:`ku_smash_check` reads it for every v."""
-    return cokernel_group(r, _ku_ring_relations(r))
+def _ku_ring(r: int) -> tuple[FgAbelianGroup, int, tuple[Row, ...]]:
+    """The reduced truncated K-ring's group and its presentation on what one
+    peel that keeps t leaves, t as column 0 (:func:`abelian._peeled`),
+    built once per truncation: :func:`ku_smash_check` reads them for every
+    v.  Each relation 2 t^(a+1) + t^(a+2) holds a unit at t^(a+2), so the
+    peel takes out every generator but t, which keeps the one relation
+    +-2^r t."""
+    ncols, rows = _peeled(r, _ku_ring_relations(r), 0)
+    return cokernel_group(ncols, [dict(row) for row in rows]), ncols, rows
 
 
 class KuSmashCheck(Record):
@@ -285,24 +292,28 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     their product group has order 2^min(r, v), and that the external class
     t (x) t generates it.
 
-    The product is presented on t^(a+1) (x) t^(b+1), column a * v + b, by
-    sparse rows: each ring's relations times each basis element of the other.
-    One peel that keeps column 0, t (x) t, serves both G and
-    G / <t (x) t> (see :func:`abelian._cokernel_pair`); the order of t (x) t
-    is |G| / |G / <t (x) t>|, by :func:`abelian._order_from_quotient`.
+    Each ring is presented on what one peel that keeps t leaves of it
+    (:func:`_ku_ring`), and the product is presented on the products of the
+    two kept bases, column i * n + j for the left ring's column i and the
+    right ring's column j of n: each ring's rows times each basis element of
+    the other.  Tensoring is right exact, so this presents the product of
+    the two rings, and t (x) t is column 0; each ring keeps one column, so
+    the lattice is 1 x 1.  One peel that keeps column 0 serves both G and
+    G / <t (x) t> (see :func:`abelian._cokernel_pair`); the order of
+    t (x) t is |G| / |G / <t (x) t>|, by
+    :func:`abelian._order_from_quotient`.
     """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
-    rows = [{a * v + b: c for a, c in rel.items()}
-            for rel in _ku_ring_relations(r) for b in range(v)]
-    rows += [{a * v + b: c for b, c in rel.items()}
-             for rel in _ku_ring_relations(v) for a in range(r)]
-    smash, quotient = _cokernel_pair(r * v, rows, 0)
+    left, m, left_rows = _ku_ring(r)
+    _, n, right_rows = _ku_ring(v)
+    rows = [{i * n + j: c for i, c in row} for row in left_rows for j in range(n)]
+    rows += [{i * n + j: c for j, c in row} for row in right_rows for i in range(m)]
+    smash, quotient = _cokernel_pair(m * n, rows, 0)
     order = _order_from_quotient(smash, quotient)
     generates = (
         smash.free_rank == 0
         and len(smash.invariant_factors) <= 1
         and order == smash.order()
     )
-    return KuSmashCheck(r, v, _ku_left_group(r), smash, order, generates)
-
+    return KuSmashCheck(r, v, left, smash, order, generates)

@@ -519,6 +519,70 @@ def test_content_pivots_against_the_dense_reference(case):
 def test_cokernel_pair_column_out_of_range(column):
     with pytest.raises(ValueError):
         abelian._cokernel_pair(3, [{0: 2}], column)
+    with pytest.raises(ValueError):
+        abelian._peeled(3, [{0: 2}], column)
+
+
+def tensor_rows(m, a_rows, n, b_rows):
+    """Relation rows of coker A (x) coker B on the m * n products of the two
+    bases, column i * n + j, from rows given as (column, value) pairs: each
+    relation of one side times each basis element of the other."""
+    rows = [{i * n + j: c for i, c in row} for row in a_rows for j in range(n)]
+    rows += [{i * n + j: c for j, c in row} for row in b_rows for i in range(m)]
+    return rows
+
+
+@st.composite
+def _kept_lattices(draw):
+    """Sparse rows on n <= 6 columns and a kept column anywhere: some
+    columns hold no entry (free generators the peel keeps untouched), the
+    entries are a content g <= 6 times small multipliers, and some rows put
+    a unit in, so the peel takes out units and Z/g summands and leaves a
+    residue for the general elimination."""
+    n = draw(st.integers(1, 6))
+    keep = draw(st.integers(0, n - 1))
+    g = draw(st.integers(1, 6))
+    free = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    entry = st.sampled_from((0, 0, 1, -1, 1, 2, -3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {j: g * draw(entry) for j in range(n) if j not in free}
+        if row and draw(st.booleans()):
+            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from((1, -1)))
+        rows.append({j: v for j, v in row.items() if v})
+    return n, rows, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kept_lattices(), _kept_lattices())
+@example((3, [{0: 2}], 1), (1, [], 0))  # two empty kept columns, one Z/2
+@example((2, [{0: 2, 1: 4}, {1: 6}], 1), (2, [{1: 3}], 0))
+def test_peeled_presents_the_group_its_quotient_and_its_tensors(a, b):
+    n, rows, keep = a
+    ncols, peeled = abelian._peeled(n, rows, keep)
+    assert all(type(row) is tuple and all(type(pair) is tuple for pair in row)
+               for row in peeled)
+    group, quotient = abelian._cokernel_pair(n, rows, keep)
+    assert group == cokernel_group(n, rows)
+    assert group == reference_group(n, [[row.get(j, 0) for j in range(n)] for row in rows])
+    # the kept column is column 0, so the quotient by it is the same group
+    assert abelian._cokernel_pair(ncols, map(dict, peeled), 0) == (group, quotient)
+    # tensoring two peeled presentations presents the tensor of the original
+    # lattices, with the product of the kept columns at column 0
+    m, b_rows, b_keep = b
+    mcols, b_peeled = abelian._peeled(m, b_rows, b_keep)
+    full = tensor_rows(n, [row.items() for row in rows], m, [row.items() for row in b_rows])
+    assert abelian._cokernel_pair(ncols * mcols, tensor_rows(ncols, peeled, mcols, b_peeled), 0) == (
+        abelian._cokernel_pair(n * m, full, keep * m + b_keep))
+
+
+def test_peeled_keeps_empty_columns_and_adds_one_column_per_factor():
+    # column 1 goes as a Z/2, and the 2 in the kept column holds the content
+    # of the rest at 2; the kept column 2 becomes column 0, column 0, which
+    # shares the residual row with it, becomes column 1, column 3 never held
+    # an entry and stays as column 2, and the Z/2 is column 3
+    assert abelian._peeled(4, [{1: 2, 0: 4}, {0: 6, 2: 2}], 2) == (
+        4, (((1, 6), (0, 2)), ((3, 2),)))
 
 
 # --- canonical forms ---------------------------------------------------------
@@ -1016,6 +1080,28 @@ def test_simplify_is_reduced_not_minimal():
 )
 def test_render(group, text):
     assert render_group(group) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion in this Python")
+def test_text_past_the_digit_limit_raises_and_json_does_not():
+    # README: a group with an invariant factor of more decimal digits than
+    # sys.get_int_max_str_digits() allows has no text form, as the integer
+    # itself has none, but its JSON form holds the integers; the limit is on
+    # each factor, not on the order
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        big = FgAbelianGroup(1, (2, 2**3000))  # 2^3000 has 904 digits
+        for text in (str, repr, render_group):
+            with pytest.raises(ValueError):
+                text(big)
+        assert big.to_json_dict() == {"rank": 1, "invariants": [2, 2**3000]}
+        square = FgAbelianGroup(0, (2**2000, 2**2000))  # 603 digits each
+        assert square.order() == 2**4000  # 1,205 digits, past the limit
+        assert render_group(square) == str(square) == f"(Z/{2**2000})^2"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,9 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from kconn.abelian import FgAbelianGroup, GroupPresentation, cokernel_group, element_order, kernel_of_map
+from kconn.abelian import (
+    FgAbelianGroup,
+    GroupPresentation,
+    _cokernel_pair,
+    _order_from_quotient,
+    cokernel_group,
+    element_order,
+    kernel_of_map,
+)
 from kconn.kmods import (
     GradedModulePresentation,
+    KuSmashCheck,
     _ku_ring_relations,
     _lu_window,
     bu_bzp_group,
@@ -292,19 +301,45 @@ def test_ku_smash_check_golden():
 
 
 def test_criterion_10_eliminates_each_left_ring_once(monkeypatch):
-    # the left ring's group depends on r alone, so criterion 10's 100 checks
-    # eliminate it once for each of its 10 truncations
+    # each ring depends on its truncation alone, so criterion 10's 100
+    # checks peel it once for each of its 10 truncations
     from kconn import kmods, verify
 
     calls = []
-    real = kmods.cokernel_group
-    monkeypatch.setattr(kmods, "cokernel_group", lambda *args: calls.append(args) or real(*args))
-    kmods._ku_left_group.cache_clear()
+    real = kmods._peeled
+    monkeypatch.setattr(kmods, "_peeled", lambda *args: calls.append(args) or real(*args))
+    kmods._ku_ring.cache_clear()
     try:
         assert verify.criterion_10().passed
     finally:
-        kmods._ku_left_group.cache_clear()
-    assert sorted(ncols for ncols, _ in calls) == list(range(1, 11))
+        kmods._ku_ring.cache_clear()
+    assert sorted(ncols for ncols, _, _ in calls) == list(range(1, 11))
+
+
+def full_lattice_smash_check(r, v):
+    """``ku_smash_check`` as it was before each ring was peeled first: the
+    product on all r * v generators t^(a+1) (x) t^(b+1), column a * v + b,
+    and the left ring's own elimination."""
+    rows = [{a * v + b: c for a, c in rel.items()}
+            for rel in _ku_ring_relations(r) for b in range(v)]
+    rows += [{a * v + b: c for b, c in rel.items()}
+             for rel in _ku_ring_relations(v) for a in range(r)]
+    smash, quotient = _cokernel_pair(r * v, rows, 0)
+    order = _order_from_quotient(smash, quotient)
+    generates = (
+        smash.free_rank == 0
+        and len(smash.invariant_factors) <= 1
+        and order == smash.order()
+    )
+    return KuSmashCheck(r, v, cokernel_group(r, _ku_ring_relations(r)), smash, order, generates)
+
+
+def test_ku_smash_check_matches_the_full_lattice():
+    # past the golden's 24 x 24: the peeled rings' 1 x 1 product gives every
+    # field that the r * v lattice gives
+    for r in range(1, 41):
+        for v in range(1, 41):
+            assert ku_smash_check(r, v) == full_lattice_smash_check(r, v), (r, v)
 
 
 def dense_smash_presentation(r, v):

@@ -468,7 +468,8 @@ def test_cached_rows_are_never_mutated(p):
     # realize_slice reads the cached module and hands out lru-cached rows;
     # no computation that reads them, the tensor and Tor paths included, may
     # change them (the unreduced slices, rebuilt from the module afterwards,
-    # show the module unchanged), and a caller cannot
+    # show the module unchanged), and a caller cannot; the cached peeled
+    # K-ring that ku_smash_check reads is made of tuples, so nothing can
     module = kmods._lu_window(p, 121)
     top = module.truncation_degree
 
@@ -477,7 +478,8 @@ def test_cached_rows_are_never_mutated(p):
 
     slices = unreduced()
     reduced = [realize_slice(module, d) for d in range(top + 1)]
-    saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced]))
+    ring = kmods._ku_ring(6)
+    saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced], ring))
     for n in range(1, 122, 2):
         tor_part(p, n)
         tensor_part(p, n - 1)
@@ -487,7 +489,11 @@ def test_cached_rows_are_never_mutated(p):
             tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
     ku_smash_check(6, 6)
     kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
-    assert (unreduced(), [_reduced_data(s) for s in reduced]) == saved
+    assert (unreduced(), [_reduced_data(s) for s in reduced], kmods._ku_ring(6)) == saved
+    _, _, ring_rows = ring
+    assert type(ring) is type(ring_rows) is tuple
+    assert all(type(row) is tuple and all(type(pair) is tuple for pair in row)
+               for row in ring_rows)
     row = next(row for rows in slices for row in rows)
     with pytest.raises(TypeError):
         row[0] = 7
