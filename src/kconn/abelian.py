@@ -15,21 +15,23 @@ vectors are all rows of this kind (presentations keep read-only copies, and
 :func:`kernel_of_map` takes a map as its source, target and image rows).
 Every cokernel, and through it every group order, element order and the
 homology of the Kunneth complexes, goes through one elimination that keeps
-no coordinate changes.  :func:`_peel` pivots on the content of the lattice,
-the gcd g of all its entries: it takes out the rows that hold a +-g,
-shortest row first, each adding one factor Z/g, and repeats while the
-content of what is left grows, starting from the units (g = 1).  The
-tensor lattices of the Kunneth complex, whose entries are +-p, go entirely
-this way.
-:func:`_diagonal` reduces what is left to a diagonal.  :func:`_cokernel_pair`
-gives a group and its quotient by one generator from a single peel, and
-:func:`_peeled` presents a group again on the generators a peel keeps, so
-that a lattice the peel shrinks is tensored at its shrunk size (the
-truncated K-rings of ``kmods.ku_smash_check`` go from r columns to one).  A
-second core, :func:`_echelon`, computes lattice bases as {leading column:
-row}, against which :func:`_solve_against_echelon` writes a vector; it
-serves only :func:`kernel_of_map` and :func:`simplify_presentation`, library
-functions that no other module calls.
+no coordinate changes, in two loops.  :func:`_peel`, the tuned one, pivots
+on the content of the lattice, the gcd g of all its entries: it takes out
+the rows that hold a +-g, shortest row first, each adding one factor Z/g,
+and repeats while the content of what is left grows, starting from the
+units (g = 1).  Every lattice that kconn builds goes entirely this way:
+the lattices of the Kunneth complex, whose tensor entries are +-p, the
+slices, and the truncated K-rings of ``kmods.ku_smash_check``, which
+:func:`_peeled` presents again on the generators the peel keeps, so that
+their tensor product is a 1 x 1 lattice.  :func:`_diagonal`, a short
+Euclid loop, takes whatever a peel leaves, the lattices of library callers
+only: each step pivots on an entry of least absolute value, and every
+nonzero remainder is smaller than the pivot, so the least entry falls until
+the pivot stands alone.  A second core, :func:`_echelon`, computes lattice
+bases as {leading column: row}, against which
+:func:`_solve_against_echelon` writes a vector; it serves only
+:func:`kernel_of_map` and :func:`simplify_presentation`, library functions
+that no other module calls.
 """
 
 from __future__ import annotations
@@ -340,66 +342,34 @@ def _peel(rows, col_index, keep: int = -1) -> tuple[int, list[int]]:
 
 
 def _diagonal(rows, col_index) -> list[int]:
-    """The diagonal of the lattice of ``rows``, eliminated in place: pivots
-    are taken at an entry of least absolute value (rows are bucketed by
-    their least |value|); the pivot's column is cleared by row operations,
-    then its row is reduced by column operations, and any nonzero remainder
-    is a smaller pivot that takes over.  An isolated pivot is one diagonal
-    entry, so the rank is the length of the diagonal."""
-
-    def least(rid: int) -> int:
-        return min(map(abs, rows[rid].values()))
-
-    # rows by their least |value|; a changed row is filed again, and its
-    # older entry is skipped as stale when it comes up
-    buckets: dict[int, list[int]] = {}
-    for rid in rows:
-        buckets.setdefault(least(rid), []).append(rid)
+    """The diagonal of the lattice of ``rows``, eliminated in place by
+    Euclid's algorithm.  An entry of least absolute value is the pivot.  Its
+    column is reduced by row operations with floor quotients; once the
+    column holds the pivot alone, column operations touch only the pivot's
+    row, which is reduced mod the pivot.  A nonzero remainder, in either,
+    is smaller than the pivot, so the least entry falls until the pivot is
+    isolated, one diagonal entry; the rank is the length of the diagonal."""
     diag: list[int] = []
-    while buckets:
-        size = min(buckets)
-        rid = buckets[size].pop()
-        if not buckets[size]:
-            del buckets[size]
-        if rid not in rows or least(rid) != size:
-            continue
-        row = rows[rid]
-        c = min(row, key=lambda k: (abs(row[k]), k))
-        touched = set()
-        while True:
-            prow = rows[rid]
-            piv = prow[c]
-            smaller = []
-            for other in [o for o in col_index[c] if o != rid]:
-                q = rows[other][c] // piv
-                if q:
-                    _subtract(rows, col_index, other, q, prow)
-                    touched.add(other)
-                if c in rows[other]:
-                    smaller.append((abs(rows[other][c]), other))
-            if smaller:
-                rid = min(smaller)[1]
-                continue
-            # column c is clear, so column operations now touch only this row
-            for k in [k for k in prow if k != c]:
-                x = prow[k] % piv
-                if x:
-                    prow[k] = x
-                else:
-                    del prow[k]
-                    col_index[k].discard(rid)
-            if len(prow) == 1:
-                break
-            c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
-        diag.append(abs(piv))
-        for k in rows.pop(rid):
-            col_index[k].discard(rid)
-        touched.discard(rid)
-        for other in touched:
-            if rows.get(other):
-                buckets.setdefault(least(other), []).append(other)
+    while rows:
+        _, rid, c = min((abs(v), r, k) for r, row in rows.items() for k, v in row.items())
+        prow = rows[rid]
+        piv = prow[c]
+        for other in [o for o in col_index[c] if o != rid]:
+            _subtract(rows, col_index, other, rows[other][c] // piv, prow)
+            if not rows[other]:
+                del rows[other]
+        if len(col_index[c]) > 1:
+            continue  # a remainder left in the column is a smaller pivot
+        for k in [k for k in prow if k != c]:
+            if x := prow[k] % piv:
+                prow[k] = x
             else:
-                rows.pop(other, None)
+                del prow[k]
+                col_index[k].discard(rid)
+        if len(prow) == 1:
+            diag.append(abs(piv))
+            del rows[rid]
+            col_index[c].discard(rid)
     return diag
 
 
@@ -415,40 +385,16 @@ def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     return _canonical(index(generators) - rank - len(diag), _chain(factors + diag))
 
 
-def _cokernel_pair(generators: int, relations,
-                   column: int) -> tuple[FgAbelianGroup, FgAbelianGroup]:
-    """(G, G / <e_column>) for G the cokernel of ``relations``, as
-    :func:`cokernel_group` gives them, from one peel.
-
-    The peel never pivots on ``column``, and its column operations change
-    only each pivot's own generator, so each summand it takes out belongs to
-    both G and G / <e_column>, and the generators it keeps, that column
-    among them, present the rest of G by the residual rows.  Adding e_column
-    as a relation then just drops that column: the quotient is presented by
-    the residual rows without it.
-    """
-    if not 0 <= column < generators:
-        raise ValueError(f"column {column} outside 0..{generators - 1}")
-    rows, col_index = _sparse_rows((row.items() for row in relations), generators)
-    rank, factors = _peel(rows, col_index, keep=column)
-    kept = index(generators) - rank
-    residual = _sparse_rows(([(c, v) for c, v in row.items() if c != column]
-                             for row in rows.values()), generators)
-    diag = _diagonal(rows, col_index)
-    group = _canonical(kept - len(diag), _chain(factors + diag))
-    diag = _diagonal(*residual)
-    return group, _canonical(kept - 1 - len(diag), _chain(factors + diag))
-
-
 def _peeled(generators: int, relations,
             keep: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """(ncols, rows): the cokernel of ``relations`` presented again on the
     generators that one peel keeping column ``keep`` leaves, rows as tuples
     of (column, value) pairs.
 
-    As in :func:`_cokernel_pair`, the kept generators present the rest of
-    the group by the residual rows, and ``keep`` is one of them.  ``keep``
-    becomes column 0, the other columns that still hold entries follow it
+    The peel never pivots on ``keep``, and its column operations change
+    only each pivot's own generator, so each summand it takes out splits
+    off, and the generators it keeps, ``keep`` among them, present the rest
+    of the group by the residual rows.  ``keep`` becomes column 0, the other columns that still hold entries follow it
     in increasing order, and the kept generators left with no entry stay as
     empty columns after those; each Z/g the peel took out is one more
     column, with the relation g.  So a lattice that the peel reduces to a

@@ -11,6 +11,7 @@ table and exactness is reported as errata, never silently corrected.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -75,7 +76,13 @@ class GroupExpression(Record):
         e = _bounded(kind, _linear(power or linear or "1", n), text, n)  # Z/B is Z/B^1
         if elementary:
             return FgAbelianGroup.from_cyclic_orders(0, [base] * e)
-        return FgAbelianGroup.cyclic(base**e)
+        # an order past the interpreter's digit limit could not be printed;
+        # 8^limit < 10^limit, so 10^limit is formed only for larger orders
+        order, limit = base**e, getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and order.bit_length() > 3 * limit and order >= 10**limit:
+            raise ValueError(f"Z/{base}^{e} in {text!r} at n={n} has more than {limit} "
+                             "digits, the most this Python prints")
+        return FgAbelianGroup.cyclic(order)
 
 
 # --- fixture tables ------------------------------------------------------------

@@ -12,7 +12,8 @@ piece of the module, compared against the cyclic closed form; the Kunneth
 complex reads the same slices.  The truncated projective-space K-ring check
 lives here as well: each ring is presented on what one peel of its
 relations keeps (``abelian._peeled``), the generator t alone, and the
-check tensors those one-column presentations.
+check tensors those one-column presentations, so that the content peel
+takes the whole product lattice and its quotient by t (x) t.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ._record import Record
-from .abelian import FgAbelianGroup, _cokernel_pair, _order_from_quotient, _peeled, cokernel_group
+from .abelian import FgAbelianGroup, _order_from_quotient, _peeled, cokernel_group
 
 # a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
 Term = tuple[int, int, int]
@@ -298,9 +299,9 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     right ring's column j of n: each ring's rows times each basis element of
     the other.  Tensoring is right exact, so this presents the product of
     the two rings, and t (x) t is column 0; each ring keeps one column, so
-    the lattice is 1 x 1.  One peel that keeps column 0 serves both G and
-    G / <t (x) t> (see :func:`abelian._cokernel_pair`); the order of
-    t (x) t is |G| / |G / <t (x) t>|, by
+    the lattice is 1 x 1, and G and G / <t (x) t> are two cokernels of it,
+    the second with the relation t (x) t added, which the content peel
+    takes whole.  The order of t (x) t is |G| / |G / <t (x) t>|, by
     :func:`abelian._order_from_quotient`.
     """
     if r < 1 or v < 1:
@@ -309,7 +310,8 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     _, n, right_rows = _ku_ring(v)
     rows = [{i * n + j: c for i, c in row} for row in left_rows for j in range(n)]
     rows += [{i * n + j: c for j, c in row} for row in right_rows for i in range(m)]
-    smash, quotient = _cokernel_pair(m * n, rows, 0)
+    smash = cokernel_group(m * n, rows)
+    quotient = cokernel_group(m * n, [*rows, {0: 1}])
     order = _order_from_quotient(smash, quotient)
     generates = (
         smash.free_rank == 0

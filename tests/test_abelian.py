@@ -27,7 +27,7 @@ from kconn.abelian import (
     render_group,
     simplify_presentation,
 )
-from kconn.kmods import lu_bzp_presentation
+from kconn.kmods import ku_smash_check, lu_bzp_presentation
 from kconn.kunneth import tor1_degree
 
 Z = FgAbelianGroup.free
@@ -339,33 +339,6 @@ def test_cokernel_differential(relations, rng):
     assert cokernel_group(n, sparse(permuted)) == got
 
 
-@st.composite
-def _relations_and_column(draw):
-    """Sparse rows on n >= 1 columns and a column c, where entries lean to
-    units and some rows put +-1 at c, so the peel meets units it must leave."""
-    n = draw(st.integers(1, 6))
-    c = draw(st.integers(0, n - 1))
-    entry = st.one_of(st.just(0), st.just(0), st.sampled_from((1, -1)), st.integers(-6, 6))
-    rows = []
-    for _ in range(draw(st.integers(0, 7))):
-        row = {j: draw(entry) for j in range(n)}
-        if draw(st.booleans()):
-            row[c] = draw(st.sampled_from((1, -1)))
-        rows.append({j: v for j, v in row.items() if v})
-    return n, rows, c
-
-
-@settings(max_examples=300, deadline=None)
-@given(_relations_and_column())
-@example((1, [{0: 1}], 0))
-@example((2, [{0: -1, 1: 1}, {0: 2}], 0))
-@example((3, [{1: 1}, {1: 1, 2: 1}], 2))
-def test_cokernel_pair_is_the_group_and_its_quotient(case):
-    n, rows, c = case
-    assert abelian._cokernel_pair(n, rows, c) == (
-        cokernel_group(n, rows), cokernel_group(n, rows + [{c: 1}]))
-
-
 def test_a_unit_in_the_kept_column_survives_the_peel():
     rows, col_index = abelian._sparse_rows([[(0, 1)], [(0, 2), (1, 1)]], 2)
     assert abelian._peel(rows, col_index, keep=0) == (1, [])
@@ -458,6 +431,116 @@ def test_the_one_loop_peel_matches_the_reference(case):
         [list(row.items()) for row in expected[0].values()])
 
 
+def bucketed_diagonal(rows, col_index):
+    """The general elimination as it was before the short Euclid loop: rows
+    bucketed by their least |value|, a changed row filed again and its
+    older entry skipped as stale, and a smaller remainder in the pivot's
+    column taking over at once.  :func:`abelian._diagonal` must give the
+    same diagonal up to the canonical form."""
+
+    def least(rid):
+        return min(map(abs, rows[rid].values()))
+
+    buckets = {}
+    for rid in rows:
+        buckets.setdefault(least(rid), []).append(rid)
+    diag = []
+    while buckets:
+        size = min(buckets)
+        rid = buckets[size].pop()
+        if not buckets[size]:
+            del buckets[size]
+        if rid not in rows or least(rid) != size:
+            continue
+        row = rows[rid]
+        c = min(row, key=lambda k: (abs(row[k]), k))
+        touched = set()
+        while True:
+            prow = rows[rid]
+            piv = prow[c]
+            smaller = []
+            for other in [o for o in col_index[c] if o != rid]:
+                q = rows[other][c] // piv
+                if q:
+                    abelian._subtract(rows, col_index, other, q, prow)
+                    touched.add(other)
+                if c in rows[other]:
+                    smaller.append((abs(rows[other][c]), other))
+            if smaller:
+                rid = min(smaller)[1]
+                continue
+            for k in [k for k in prow if k != c]:
+                x = prow[k] % piv
+                if x:
+                    prow[k] = x
+                else:
+                    del prow[k]
+                    col_index[k].discard(rid)
+            if len(prow) == 1:
+                break
+            c = min((k for k in prow if k != c), key=lambda k: (abs(prow[k]), k))
+        diag.append(abs(piv))
+        for k in rows.pop(rid):
+            col_index[k].discard(rid)
+        touched.discard(rid)
+        for other in touched:
+            if rows.get(other):
+                buckets.setdefault(least(other), []).append(other)
+            else:
+                rows.pop(other, None)
+    return diag
+
+
+@st.composite
+def _whole_lattices(draw):
+    """Sparse rows on n <= 6 columns whose entries are multiples of 6, 10
+    and 15, none a unit, so that the content peel leaves them whole, as
+    only a library caller's lattice reaches the general elimination."""
+    n = draw(st.integers(1, 6))
+    entry = st.builds(lambda g, x: g * x, st.sampled_from((6, 10, 15)),
+                      st.sampled_from((1, -1, 2, -3, 7)))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = {j: draw(st.one_of(st.just(0), entry)) for j in range(n)}
+        rows.append({j: v for j, v in row.items() if v})
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_whole_lattices())
+@example((2, [{0: -6, 1: 10}, {1: 15}]))  # a negative pivot
+@example((2, [{0: 6, 1: 10}]))
+@example((2, [{0: 6, 1: 10}, {0: 10, 1: 15}]))  # the remainder 4 moves the pivot to row 1
+def test_the_euclid_loop_matches_the_bucketed_elimination(case):
+    n, rows = case
+    peeled = abelian._sparse_rows((row.items() for row in rows), n)
+    assume(abelian._peel(*peeled) == (0, []))
+    got = abelian._sparse_rows((row.items() for row in rows), n)
+    expected = abelian._sparse_rows((row.items() for row in rows), n)
+    diag = abelian._diagonal(*got)
+    reference = bucketed_diagonal(*expected)
+    assert (len(diag), abelian._chain(diag)) == (len(reference), abelian._chain(reference))
+    assert got[0] == {} and not any(got[1].values())
+
+
+def cokernel_pair(generators, relations, column):
+    """(G, G / <e_column>) for G the cokernel of ``relations``, from one peel
+    that keeps ``column``: the summands it takes out belong to both, and
+    adding e_column as a relation just drops that column from what is left,
+    which the general elimination then takes with and without it.
+    Test-local: the library makes the two cokernels separately, each by its
+    own peel."""
+    rows, col_index = abelian._sparse_rows((row.items() for row in relations), generators)
+    rank, factors = abelian._peel(rows, col_index, keep=column)
+    residual = abelian._sparse_rows(([(c, v) for c, v in row.items() if c != column]
+                                     for row in rows.values()), generators)
+    diag = abelian._diagonal(rows, col_index)
+    group = FgAbelianGroup.from_cyclic_orders(generators - rank - len(diag), factors + diag)
+    diag = abelian._diagonal(*residual)
+    return group, FgAbelianGroup.from_cyclic_orders(generators - rank - 1 - len(diag),
+                                                    factors + diag)
+
+
 def reference_order(n, rows, c):
     """The order of e_c in Z^n modulo the row lattice (None = infinite): the
     least k with k e_c in the lattice, that is, with the quotient unchanged
@@ -509,16 +592,14 @@ def _content_lattices(draw):
 @example((2, [[6, 10]], 0))
 def test_content_pivots_against_the_dense_reference(case):
     n, rows, c = case
-    group, quotient = abelian._cokernel_pair(n, sparse(rows), c)
+    group, quotient = cokernel_pair(n, sparse(rows), c)
     assert cokernel_group(n, sparse(rows)) == group == reference_group(n, rows)
     assert quotient == reference_group(n, rows + [[int(j == c) for j in range(n)]])
     assert abelian._order_from_quotient(group, quotient) == reference_order(n, rows, c)
 
 
 @pytest.mark.parametrize("column", [-1, 3])
-def test_cokernel_pair_column_out_of_range(column):
-    with pytest.raises(ValueError):
-        abelian._cokernel_pair(3, [{0: 2}], column)
+def test_peeled_column_out_of_range(column):
     with pytest.raises(ValueError):
         abelian._peeled(3, [{0: 2}], column)
 
@@ -562,18 +643,18 @@ def test_peeled_presents_the_group_its_quotient_and_its_tensors(a, b):
     ncols, peeled = abelian._peeled(n, rows, keep)
     assert all(type(row) is tuple and all(type(pair) is tuple for pair in row)
                for row in peeled)
-    group, quotient = abelian._cokernel_pair(n, rows, keep)
+    group, quotient = cokernel_pair(n, rows, keep)
     assert group == cokernel_group(n, rows)
     assert group == reference_group(n, [[row.get(j, 0) for j in range(n)] for row in rows])
     # the kept column is column 0, so the quotient by it is the same group
-    assert abelian._cokernel_pair(ncols, map(dict, peeled), 0) == (group, quotient)
+    assert cokernel_pair(ncols, map(dict, peeled), 0) == (group, quotient)
     # tensoring two peeled presentations presents the tensor of the original
     # lattices, with the product of the kept columns at column 0
     m, b_rows, b_keep = b
     mcols, b_peeled = abelian._peeled(m, b_rows, b_keep)
     full = tensor_rows(n, [row.items() for row in rows], m, [row.items() for row in b_rows])
-    assert abelian._cokernel_pair(ncols * mcols, tensor_rows(ncols, peeled, mcols, b_peeled), 0) == (
-        abelian._cokernel_pair(n * m, full, keep * m + b_keep))
+    assert cokernel_pair(ncols * mcols, tensor_rows(ncols, peeled, mcols, b_peeled), 0) == (
+        cokernel_pair(n * m, full, keep * m + b_keep))
 
 
 def test_peeled_keeps_empty_columns_and_adds_one_column_per_factor():
@@ -640,7 +721,7 @@ def test_canonical_form_matches_the_prime_by_prime_construction(free_rank, order
     pytest.param(lambda: cokernel_group(1, [{0: 2.5}]), id="float_relation"),
     pytest.param(lambda: cokernel_group(2, [{0.5: 2}]), id="float_column"),
     pytest.param(lambda: cokernel_group(2.0, [{0: 2}]), id="float_generators"),
-    pytest.param(lambda: abelian._cokernel_pair(2.0, [{0: 2}], 0), id="float_pair_generators"),
+    pytest.param(lambda: abelian._peeled(2.0, [{0: 2}], 0), id="float_peeled_generators"),
 ])
 def test_non_integer_inputs_raise_type_error(make):
     with pytest.raises(TypeError):
@@ -692,14 +773,13 @@ def _tor1_at_6():
 
 
 # every internal way to a group, with the (rank, factors) it must give
-_PAIR = (4, [{0: 2, 1: 4}, {1: 6, 2: 3}, {0: 4, 3: 1}], 0)
 _INTERNAL_PATHS = {
     "from_cyclic_orders": (lambda: FgAbelianGroup.from_cyclic_orders(1, [12, 0, -8, 1]),
                            (2, (4, 24))),
     "direct_sum": (lambda: C(4).direct_sum(Z(2), C(6)), (2, (2, 12))),
     "cokernel_group": (lambda: cokernel_group(3, [{0: 2, 1: 4}, {1: 6}]), (1, (2, 6))),
-    "cokernel_pair_group": (lambda: abelian._cokernel_pair(*_PAIR)[0], (1, (6,))),
-    "cokernel_pair_quotient": (lambda: abelian._cokernel_pair(*_PAIR)[1], (0, (12,))),
+    "diagonal": (lambda: cokernel_group(3, [{0: 6, 1: 10}, {1: 15}]), (1, (90,))),
+    "ku_smash_check": (lambda: ku_smash_check(3, 5).smash_group, (0, (8,))),
     "trivial": (trivial, (0, ())),
     "tor1_degree": (_tor1_at_6, (0, (8,))),
 }

@@ -391,6 +391,23 @@ def test_query_past_expression_bound_exits_1(tmp_path, capsys, verb):
     assert f"exponent {MAX_EXPONENT + 3} in 'Z/2^({MAX_EXPONENT}n+3)' at n=1" in err
 
 
+def test_a_fixture_order_past_the_digit_limit_exits_1_in_kconns_words(tmp_path):
+    # Z/4096^(4n+3) stays inside MAX_EXPONENT to n = 1023, but its order at
+    # n = 297 (degree 2379) has 4,302 digits, more than Python prints by
+    # default; the planted row comes first, so it answers the degrees 8n+3
+    planted = tmp_path / "tables.txt"
+    packaged = resources.files("kconn.data").joinpath("tables.txt").read_text("utf-8")
+    planted.write_text("bo_rp | 3 | 8 | Z/4096^(4n+3) | 0 | planted\n" + packaged,
+                       encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "kconn.cli", "bo-tables", "--max", "3000",
+                           "--fixtures", str(planted)],
+                          env=_module_env(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.count(b"\n") == 1 and b"set_int_max_str_digits" not in proc.stderr
+    assert proc.stderr == (b"kconn: error: Z/4096^1191 in 'Z/4096^(4n+3)' at n=297 has more "
+                           b"than 4300 digits, the most this Python prints\n")
+
+
 @pytest.mark.parametrize(
     "row,base,verb",
     [

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -127,6 +128,26 @@ def test_expressions_at_the_bound_load():
     assert g == C(3**MAX_EXPONENT)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_an_order_past_the_digit_limit_is_refused_at_load_and_at_query():
+    # at the smallest limit Python allows, 10^639 (640 digits) is a group and
+    # 10^640 (641 digits) is refused in kconn's words, naming the expression,
+    # n and the limit, wherever the row is evaluated
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        table = parse_fixture_text("demo | 1 | 4 | Z/10^(n+639) | 0 | src\n")
+        assert table.lookup("demo", 1)[0] == C(10**639)
+        refusal = r"Z/10\^640 in 'Z/10\^\(n\+639\)' at n=1 has more than 640 digits"
+        with pytest.raises(ValueError, match="^" + refusal):
+            table.lookup("demo", 5)
+        with pytest.raises(ValueError, match="^fixture line 1: " + refusal):
+            parse_fixture_text("demo | 1 | 4 | Z/10^(n+639) | 1 | src\n")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 _FIELD_TEXT = st.text(alphabet="Zn0123456789/^()+-| #x.", max_size=8)
 _INT = st.integers(-2, 12).map(str)
 _NUMBER = st.one_of(_INT, _INT, st.just("-"), st.just("1000000007"), _FIELD_TEXT)
@@ -186,7 +207,12 @@ def three_branch_evaluate(text, n):
     m = re.match(r"^Z/(\d+)\^\(([^)]+)\)$|^Z/(\d+)\^(\d+)$", text)
     if m:
         b = base(m.group(1) or m.group(3))
-        return FgAbelianGroup.cyclic(b ** bounded("exponent", linear(m.group(2) or m.group(4))))
+        e = bounded("exponent", linear(m.group(2) or m.group(4)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and b**e >= 10**limit:
+            raise ValueError(f"Z/{b}^{e} in {text!r} at n={n} has more than {limit} digits, "
+                             "the most this Python prints")
+        return FgAbelianGroup.cyclic(b**e)
     m = re.match(r"^\(Z/(\d+)\)\^\(([^)]+)\)$|^\(Z/(\d+)\)\^(\d+)$", text)
     if m:
         b = base(m.group(1) or m.group(3))

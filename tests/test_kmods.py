@@ -10,7 +10,6 @@ import pytest
 from kconn.abelian import (
     FgAbelianGroup,
     GroupPresentation,
-    _cokernel_pair,
     _order_from_quotient,
     cokernel_group,
     element_order,
@@ -33,6 +32,7 @@ from kconn.kunneth import tensor_degree
 
 from .test_abelian import (
     SRC,
+    cokernel_pair,
     enumerate_quotient_order,
     lattice_member,
     reference_group,
@@ -319,12 +319,13 @@ def test_criterion_10_eliminates_each_left_ring_once(monkeypatch):
 def full_lattice_smash_check(r, v):
     """``ku_smash_check`` as it was before each ring was peeled first: the
     product on all r * v generators t^(a+1) (x) t^(b+1), column a * v + b,
-    and the left ring's own elimination."""
+    G and G / <t (x) t> from one peel of it (the test-local
+    :func:`cokernel_pair`), and the left ring's own elimination."""
     rows = [{a * v + b: c for a, c in rel.items()}
             for rel in _ku_ring_relations(r) for b in range(v)]
     rows += [{a * v + b: c for b, c in rel.items()}
              for rel in _ku_ring_relations(v) for a in range(r)]
-    smash, quotient = _cokernel_pair(r * v, rows, 0)
+    smash, quotient = cokernel_pair(r * v, rows, 0)
     order = _order_from_quotient(smash, quotient)
     generates = (
         smash.free_rank == 0

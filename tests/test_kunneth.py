@@ -17,6 +17,7 @@ from kconn.abelian import (
     kernel_of_map,
     simplify_presentation,
 )
+from kconn.exactseq import bott_audit
 from kconn.kmods import (
     GradedModulePresentation,
     bu_bzp_group,
@@ -39,6 +40,7 @@ from kconn.kunneth import (
     verify_bu_decomposition,
     wedge_count,
 )
+from kconn.verify import run_acceptance
 
 from .test_abelian import SRC, cone_kernel, unreduced_slice, v_multiplication_map
 
@@ -394,11 +396,9 @@ def _clear_caches(*modules):
                 value.cache_clear()
 
 
-def test_no_tensor_lattice_reaches_the_general_diagonal(monkeypatch):
-    # the content peel takes every row of every lattice that the sweeps of
-    # the benchmark's even grid, (p, top) = (2, 80), (3, 72), (5, 96),
-    # eliminate, tensor terms and the slices they read, so the general
-    # elimination receives none (5,783 rows before content pivots)
+def _count_diagonal_rows(monkeypatch):
+    """{"calls", "rows"}: the calls into the general elimination from now
+    on, with cold caches, and the rows they hand it."""
     seen = {"calls": 0, "rows": 0}
     diagonal = abelian._diagonal
 
@@ -409,9 +409,33 @@ def test_no_tensor_lattice_reaches_the_general_diagonal(monkeypatch):
 
     monkeypatch.setattr(abelian, "_diagonal", counting)
     _clear_caches(kunneth, kmods)
+    return seen
+
+
+def test_no_tensor_lattice_reaches_the_general_diagonal(monkeypatch):
+    # the content peel takes every row of every lattice that the sweeps of
+    # the benchmark's even grid, (p, top) = (2, 80), (3, 72), (5, 96),
+    # eliminate, tensor terms and the slices they read, so the general
+    # elimination receives none (5,783 rows before content pivots)
+    seen = _count_diagonal_rows(monkeypatch)
     for p, top in ((2, 80), (3, 72), (5, 96)):
         for n in range(0, top + 1, 2):
             tensor_part(p, n)
+    assert seen["calls"] > 0 and seen["rows"] == 0
+
+
+def test_no_lattice_of_the_battery_the_audit_or_tor_reaches_the_general_diagonal(monkeypatch):
+    # the acceptance battery, the smash audit and the resolution Tor grid of
+    # the benchmark's odd workload, p in {2, 3, 5} and odd n <= 121: the
+    # content peel takes every row they eliminate, criterion 10's K-ring
+    # products and their quotients by t (x) t among them (200 rows while
+    # one peel that kept t served both)
+    seen = _count_diagonal_rows(monkeypatch)
+    run_acceptance()
+    bott_audit("smash", 48)
+    for p in (2, 3, 5):
+        for n in range(1, 122, 2):
+            kunneth_smash_group(p, n, "resolution")
     assert seen["calls"] > 0 and seen["rows"] == 0
 
 
