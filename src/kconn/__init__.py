@@ -22,7 +22,7 @@ _HOMES = {
              "lu_closed_form realize_degree",
     "kunneth": "KunnethReport kunneth_smash_group tensor_degree tor1_degree "
                "tor_closed_form verify_bu_decomposition",
-    "steenrod": "SteenrodModule hom_dim sq_action verify_hom_sequence x_count",
+    "steenrod": "SteenrodModule hom_dim verify_hom_sequence x_count",
     "verify": "run_acceptance",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -91,6 +91,8 @@ class FgAbelianGroup(Record):
     @classmethod
     def from_cyclic_orders(cls, free_rank: int, orders) -> "FgAbelianGroup":
         """Canonicalise an arbitrary list of cyclic orders (0 meaning Z)."""
+        if index(free_rank) < 0:
+            raise ValueError("negative free rank")
         orders = [abs(index(d)) for d in orders]
         return _canonical(index(free_rank) + orders.count(0), _chain(d for d in orders if d))
 

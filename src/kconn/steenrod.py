@@ -1,16 +1,17 @@
 """Mod-2 cohomology of projective space and its smash square as modules over
 the subalgebras generated by the first two squaring operations.
 
-Everything is linear algebra over F2 on monomial bases; rows of action
-matrices are stored as bitmasks.  Hom spaces into the trivial module are
-annihilators of the positive-degree action image, so their dimensions are
-corank computations.
+Everything is linear algebra over F2, and no monomial is ever built: the
+basis of a degree d, x^d on projective space and x^a y^(d - a) for 0 < a < d
+on the smash square, is known by its indices alone, and each action row is a
+bitmask built from the exponents by index arithmetic.  Hom spaces into the
+trivial module are annihilators of the positive-degree action image, so
+their dimensions are corank computations.
 
-Action rows are built by index arithmetic on the exponents, straight from
-the degree.  Rank, echelon form and nullspace share one reduction loop: each
-row is XORed with the pivot row owning its lowest set bit until that bit has
-no owner, and is then kept as the owner of it.  A row meets only the pivots
-its own lowest bits meet, so a degree costs about what its sparse rows hold.
+Rank, echelon form and nullspace share one reduction loop: each row is XORed
+with the pivot row owning its lowest set bit until that bit has no owner,
+and is then kept as the owner of it.  A row meets only the pivots its own
+lowest bits meet, so a degree costs about what its sparse rows hold.
 """
 
 from __future__ import annotations
@@ -18,38 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record, as_dict
-
-Monomial = tuple[int, ...]  # (a,) for one factor, (a, b) for the smash
-
-
-def choose_mod2(n: int, k: int) -> int:
-    """Binomial coefficient parity by the carry-free criterion."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return 1 if (n - k) & k == 0 else 0
-
-
-def sq_action(k: int, mono: Monomial) -> frozenset[Monomial]:
-    """Squaring operation on a monomial, expanded by the product rule with
-    binomial parities; the result is a formal F2 sum of monomials."""
-    if k not in (1, 2):
-        raise ValueError("only the first two squaring operations are supported")
-    if len(mono) == 1:
-        (a,) = mono
-        if a < 1:
-            raise ValueError("exponent must be positive")
-        return frozenset({(a + k,)}) if choose_mod2(a, k) else frozenset()
-    if len(mono) == 2:
-        a, b = mono
-        if a < 1 or b < 1:
-            raise ValueError("smash monomials need both exponents positive")
-        out: set[Monomial] = set()
-        for i in range(k + 1):
-            j = k - i
-            if choose_mod2(a, i) and choose_mod2(b, j):
-                out.symmetric_difference_update({(a + i, b + j)})
-        return frozenset(out)
-    raise ValueError("monomials have one or two exponents")
 
 
 # --- F2 matrices as lists of bitmask rows ------------------------------------
@@ -133,22 +102,15 @@ def f2_compose(first: list[int], then: list[int]) -> list[int]:
 # --- the two modules -----------------------------------------------------------
 
 class SteenrodModule(Record):
-    """Monomial basis of the reduced mod-2 cohomology of projective space
-    ("rp") or of the smash square ("smash"), with action matrices between
-    adjacent degrees."""
+    """The reduced mod-2 cohomology of projective space ("rp") or of the
+    smash square ("smash"): its action matrices between adjacent degrees,
+    built by index arithmetic on the monomial basis of each degree."""
 
     space: str
 
     def __post_init__(self):
         if self.space not in ("rp", "smash"):
             raise ValueError("space must be 'rp' or 'smash'")
-
-    def basis(self, degree: int) -> tuple[Monomial, ...]:
-        if degree < 0:
-            return ()
-        if self.space == "rp":
-            return ((degree,),) if degree >= 1 else ()
-        return tuple((a, degree - a) for a in range(1, degree))
 
     def sq_matrix(self, k: int, degree: int) -> list[int]:
         """Rows indexed by the degree basis, bits by the degree+k basis, built

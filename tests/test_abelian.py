@@ -747,6 +747,14 @@ def test_invalid_chain_rejected():
         FgAbelianGroup(0, (4, 6))
 
 
+@pytest.mark.parametrize("orders", [[0], [0, 0]])
+def test_negative_rank_does_not_cancel_against_zero_orders(orders):
+    # a zero order is one more copy of Z, but the given rank is checked first,
+    # as FgAbelianGroup(-1) checks it
+    with pytest.raises(ValueError, match="negative free rank"):
+        FgAbelianGroup.from_cyclic_orders(-1, orders)
+
+
 def test_isomorphism_is_equivalence_and_permutation_invariant():
     rng = random.Random(3)
     for _ in range(40):

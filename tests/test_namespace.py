@@ -51,7 +51,10 @@ def test_kunneth_loads_only_what_it_needs_and_star_binds_every_name():
 
 
 def test_unknown_name_is_an_attribute_error():
+    # a retired name is as unknown as one that never existed
     import kconn
 
-    with pytest.raises(AttributeError, match="no_such_name"):
-        kconn.no_such_name
+    for name in ("no_such_name", "sq_action"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(kconn, name)
+    assert "sq_action" not in kconn.__all__

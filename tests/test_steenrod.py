@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from kconn import steenrod
 from kconn.abelian import cokernel_group
 from kconn.steenrod import (
     SteenrodModule,
-    choose_mod2,
     expected_dims,
     f2_compose,
     f2_echelon,
@@ -17,7 +17,6 @@ from kconn.steenrod import (
     f2_rank,
     hom_basis,
     hom_dim,
-    sq_action,
     verify_hom_sequence,
     x_count,
 )
@@ -61,57 +60,62 @@ def sq_oracle(k, mono):
     return frozenset(m for m in total_square(mono) if sum(m) == target)
 
 
+def product_rule(k, mono):
+    # Sq^k x^a = C(a, k) x^(a + k), extended to x^a y^b by the Cartan formula
+    splits = [(k,)] if len(mono) == 1 else [(i, k - i) for i in range(k + 1)]
+    return {tuple(a + i for a, i in zip(mono, split))
+            for split in splits if all(comb(a, i) % 2 for a, i in zip(mono, split))}
+
+
+def basis(space, degree):
+    # the monomials of a degree, in the order of the action matrices' rows and bits
+    if space == "rp":
+        return [(degree,)] if degree >= 1 else []
+    return [(a, degree - a) for a in range(1, degree)]
+
+
+def action_row(action, space, k, mono):
+    # the image of a monomial under an action, as a bitmask over the basis k
+    # degrees up: the row of the monomial in the action matrix
+    target = basis(space, sum(mono) + k)
+    return sum(1 << target.index(m) for m in action(k, mono))
+
+
 def test_sq_action_examples():
-    assert sq_action(1, (1, 1)) == frozenset({(2, 1), (1, 2)})
-    assert sq_action(2, (2, 2)) == frozenset({(4, 2), (2, 4)})
-    assert sq_action(2, (3,)) == frozenset({(5,)})
+    # Sq1(xy) = x^2 y + x y^2, Sq2(x^2 y^2) = x^4 y^2 + x^2 y^4, Sq2(x^3) = x^5
+    assert sq_oracle(1, (1, 1)) == frozenset({(2, 1), (1, 2)})
+    assert sq_oracle(2, (2, 2)) == frozenset({(4, 2), (2, 4)})
+    assert sq_oracle(2, (3,)) == frozenset({(5,)})
+    # as rows: x y^2, x^2 y are bits 0, 1 of degree 3; x^2 y^2 is row 1 of
+    # degree 4, and x^2 y^4, x^4 y^2 are bits 1, 3 of degree 6
+    smash = SteenrodModule("smash")
+    assert smash.sq_matrix(1, 2) == [0b11]
+    assert smash.sq_matrix(2, 4)[1] == 0b1010
+    assert SteenrodModule("rp").sq_matrix(2, 3) == [1]
 
 
 def test_sq_action_against_total_square_oracle():
-    for a in range(1, 13):
-        for k in (1, 2):
-            assert sq_action(k, (a,)) == sq_oracle(k, (a,)), (k, a)
-    for a in range(1, 9):
-        for b in range(1, 9):
-            for k in (1, 2):
-                assert sq_action(k, (a, b)) == sq_oracle(k, (a, b)), (k, a, b)
-
-
-def test_sq_action_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sq_action(3, (2,))
-    with pytest.raises(ValueError):
-        sq_action(1, (0, 2))
-
-
-def test_choose_mod2():
-    # parity of a small Pascal triangle, computed directly
-    pascal = [[1]]
-    for n in range(1, 16):
-        prev = pascal[-1]
-        pascal.append(
-            [1] + [(prev[k - 1] + prev[k]) for k in range(1, n)] + [1]
-        )
-    for n, row in enumerate(pascal):
-        for k, val in enumerate(row):
-            assert choose_mod2(n, k) == val % 2, (n, k)
+    # the action matrices against the multiplicative total square, with no
+    # binomial arithmetic: x^a for a up to 12, and every x^a y^b with a and b
+    # up to 8
+    rp, smash = SteenrodModule("rp"), SteenrodModule("smash")
+    for k in (1, 2):
+        for a in range(1, 13):
+            assert rp.sq_matrix(k, a) == [action_row(sq_oracle, "rp", k, (a,))], (k, a)
+        for a in range(1, 9):
+            for b in range(1, 9):
+                row = action_row(sq_oracle, "smash", k, (a, b))
+                assert smash.sq_matrix(k, a + b)[a - 1] == row, (k, a, b)
 
 
 @pytest.mark.parametrize("space", ["rp", "smash"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_sq_matrix_matches_sq_action(space, k):
-    # the action matrices, rebuilt monomial by monomial from the reference
-    # action: row i is the image of the i-th basis monomial in the
-    # degree + k basis
+def test_sq_matrix_matches_the_product_rule(space, k):
+    # the action matrices, rebuilt monomial by monomial from binomial
+    # coefficients, with no bit tricks
     mod = SteenrodModule(space)
     for degree in range(0, 81):
-        target = {m: i for i, m in enumerate(mod.basis(degree + k))}
-        rows = []
-        for mono in mod.basis(degree):
-            acc = 0
-            for img in sq_action(k, mono):
-                acc ^= 1 << target[img]
-            rows.append(acc)
+        rows = [action_row(product_rule, space, k, mono) for mono in basis(space, degree)]
         assert mod.sq_matrix(k, degree) == rows, (space, k, degree)
 
 
@@ -130,7 +134,7 @@ def test_q1_matrix_is_the_commutator(space):
 def test_sq_matrix_rejects_other_operations(space):
     mod = SteenrodModule(space)
     for degree in range(1, 20):
-        if mod.basis(degree):
+        if basis(space, degree):
             with pytest.raises(ValueError):
                 mod.sq_matrix(3, degree)
 
@@ -227,13 +231,13 @@ def test_hom_dim_additivity():
     # degree: the hand proof, from the action and the functional bases alone
     # (functionals are bitmasks over the dual of the monomial basis)
     mod = SteenrodModule("smash")
-    assert mod.basis(4) == ((1, 3), (2, 2), (3, 1))
+    assert basis("smash", 4) == [(1, 3), (2, 2), (3, 1)]
     # xy is hit by nothing, so every degree-2 functional survives
     assert hom_basis("B", "smash", 2) == [0b1]
     # every action into degree 4 lands on x^2 y^2, and Q1 has no source
-    assert sq_action(1, (1, 2)) == frozenset({(2, 2)})
-    assert sq_action(1, (2, 1)) == frozenset({(2, 2)})
-    assert sq_action(2, (1, 1)) == frozenset({(2, 2)})
+    assert sq_oracle(1, (1, 2)) == frozenset({(2, 2)})
+    assert sq_oracle(1, (2, 1)) == frozenset({(2, 2)})
+    assert sq_oracle(2, (1, 1)) == frozenset({(2, 2)})
     assert mod.q1_matrix(1) == []
     # so the inclusion is an isomorphism onto the annihilator of x^2 y^2
     functionals = hom_basis("B", "smash", 4)
@@ -249,9 +253,8 @@ def test_hom_dim_additivity():
 
 def test_hom_dim_brute_force_degree_3():
     # basis {x y^2, x^2 y}, image from Sq1(xy); one functional survives
-    mod = SteenrodModule("smash")
-    assert len(mod.basis(3)) == 2
-    assert f2_rank(mod.sq_matrix(1, 2)) == 1
+    assert len(basis("smash", 3)) == 2
+    assert f2_rank(SteenrodModule("smash").sq_matrix(1, 2)) == 1
     assert hom_dim("B", "smash", 3) == 1
 
 
@@ -418,15 +421,15 @@ def test_action_matrices_match_the_basis_tuples():
     # tuples that they replaced, and the arithmetic widths against the bases
     mod = SteenrodModule("smash")
     for d in range(-2, 401):
-        basis = mod.basis(d)
-        assert mod.sq_matrix(1, d) == [(b & 1) << (a - 1) | (a & 1) << a for a, b in basis], d
+        monos = basis("smash", d)
+        assert mod.sq_matrix(1, d) == [(b & 1) << (a - 1) | (a & 1) << a for a, b in monos], d
         assert mod.sq_matrix(2, d) == [
             (b >> 1 & 1) << (a - 1) | (a & b & 1) << a | (a >> 1 & 1) << (a + 1)
-            for a, b in basis
+            for a, b in monos
         ], d
-        assert mod.q1_matrix(d) == [(a & 1) << (a + 2) | (b & 1) << (a - 1) for a, b in basis], d
+        assert mod.q1_matrix(d) == [(a & 1) << (a + 2) | (b & 1) << (a - 1) for a, b in monos], d
         for space in ("rp", "smash"):
-            assert steenrod._width(space, d) == len(SteenrodModule(space).basis(d)), (space, d)
+            assert steenrod._width(space, d) == len(basis(space, d)), (space, d)
 
 
 def test_hom_basis_golden_to_160():
