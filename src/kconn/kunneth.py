@@ -6,9 +6,14 @@ factor N, read slice by slice from :func:`kmods.realize_slice`.  H0 of Tot
 is m (x) N.  H1 is Tor_1(m, N) when the relations of both factors are
 independent over Z[v], as for the classifying-space module, the direct sum
 of its cyclic-tower summands: for N this is checked, for m the caller
-guarantees it.  No kernel is computed (as in Dumas, Saunders & Villard, J.
-Symbolic Comput. 32, 2001): Tot0 is free, so ker d1 is a direct summand of
-Tot1, and H1 has the torsion of coker d2 and its free rank less rank d1.
+guarantees it.  H1 is read off the Morse reduction of Tot by the matching
+of m that kmods applies to slices: a relation r of m with top term
+unit v^a g pairs each cell r (x) y with g (x) v^a y, so d2' has rows only
+for the unmatched relations, p - 1 of them for lu.  No kernel is computed
+(as in Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001): Tot0 is
+free, so ker d1 is a direct summand of the critical part of Tot1, and H1
+has the torsion of coker d2' and its free rank less the matched pairs and
+rank d1.
 The short exact sequence then assembles the K-homology of the smash square,
 which is cross-checked against the direct-sum decomposition.
 """
@@ -24,6 +29,7 @@ from .kmods import (
     GradedModulePresentation,
     _ku_degrees,
     _lu_window,
+    _matching,
     bu_bzp_group,
     check_prime,
     realize_slice,
@@ -79,18 +85,48 @@ class _Tot:
         return rows + [{self.gen0[g] + col: x for col, x in b}
                        for g, slc in self.gens.items() for b in slc.boundary]
 
-    def d2(self) -> list[dict[int, int]]:
-        """d2(r (x) y) = sum of c g (x) v^k y over the terms (c, k, g) of r,
-        less r (x) d'y; v^k y is critical, since G' is v-stable."""
-        rows = []
-        for r, slc in self.rels.items():
+    def reduced_d2(self) -> tuple[list[dict[int, int]], int]:
+        """(rows, pairs): d2' of the Morse reduction of Tot by the matching of
+        ``m``, and how many cell pairs it takes out.  A relation r' whose top
+        term is unit v^a g pairs each cell r' (x) y with g (x) v^a y, critical
+        in G'1 since G' is v-stable, so rows come only from the unmatched
+        relations.  d2(r (x) y) is the sum of c g (x) v^k y over the terms
+        (c, k, g) of r, less r (x) d'y.  A matched cell g (x) v^a y that a
+        row reaches stands for unit (r' (x) d'y - sum of c h (x) v^b y over
+        the other terms (c, b, h) of r'), whose cells have lower
+        v-exponents, so one walk over the pending cells, highest exponent
+        first and coalesced, ends on critical cells."""
+        match, relations = _matching(self.m), self.m.relations
+        rels, rel0, gens, gen1 = self.rels, self.rel0, self.gens, self.gen1
+        matched = {r for r, _, _ in match.values()}
+        pairs, rows = 0, []
+        for r, slc in rels.items():
+            if r in matched:
+                pairs += len(slc.cells1)
+                continue
             for (j, t), i in slc.cells1.items():
-                row = {self.rel0[r] + col: -x for col, x in slc.boundary[i]}
-                for c, k, g in self.m.relations[r]:
-                    col = self.gen1[g] + self.gens[g].cells1[j + k, t]
-                    row[col] = row.get(col, 0) + c
+                row = {rel0[r] + col: -x for col, x in slc.boundary[i]}
+                pending: dict[tuple[int, int], int] = {}  # (v-exponent, g): coefficient
+                for c, k, g in relations[r]:
+                    pending[j + k, g] = pending.get((j + k, g), 0) + c
+                while pending:
+                    e, g = key = max(pending)
+                    x = pending.pop(key)
+                    if not x:
+                        continue
+                    if g not in match or e < match[g][1]:
+                        row[gen1[g] + gens[g].cells1[e, t]] = x
+                        continue
+                    r2, a, unit = match[g]
+                    x *= unit
+                    off, slc2 = rel0[r2], rels[r2]
+                    for col, y in slc2.boundary[slc2.cells1[e - a, t]]:
+                        row[off + col] = row.get(off + col, 0) + x * y
+                    for c, b, h in relations[r2]:
+                        if b < a:
+                            pending[e - a + b, h] = pending.get((e - a + b, h), 0) - x * c
                 rows.append(row)
-        return rows
+        return rows, pairs
 
 
 @lru_cache(maxsize=None)
@@ -108,17 +144,21 @@ def tor1_degree(
     m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
 ) -> FgAbelianGroup:
     """Degree-n piece of the first derived functor over Z[v]: H1 of Tot, read
-    off coker d2 and rank d1.  It is Tor_1 only when the relations of ``m``
-    are independent over Z[v]; the caller guarantees it.  Raises
+    off coker d2' on the Morse reduction of Tot, the cell pairs it takes
+    out, and rank d1.  The matched Tot1 cells are columns that no row of
+    d2' meets, so they count in the free rank of the cokernel and are
+    subtracted again.  It is Tor_1 only when the relations of ``m`` are
+    independent over Z[v]; the caller guarantees it.  Raises
     ``ValueError`` when those of ``n_mod`` are not, as a slice shows."""
     tot = _Tot(m, n_mod, n)
     if any(s.rank < len(s.cells1) for s in tot.slices.values()):
         raise ValueError("relations of the second factor are dependent over Z[v]")
-    h1 = cokernel_group(tot.n1, tot.d2())
+    rows, pairs = tot.reduced_d2()
+    h1 = cokernel_group(tot.n1, rows)
     # the block-diagonal bound is rank d1 when it reaches dim Tot0
     exact = tot.d1_rank_bound() == tot.n0
     rank_d1 = tot.n0 if exact else tot.n0 - tensor_degree(m, n_mod, n).free_rank
-    return _canonical(h1.free_rank - rank_d1, h1.invariant_factors)
+    return _canonical(h1.free_rank - pairs - rank_d1, h1.invariant_factors)
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

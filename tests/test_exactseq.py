@@ -298,6 +298,14 @@ def test_check_preconditions():
         image_order_solve(seq_of(trivial(), FgAbelianGroup.free(1), trivial()))
 
 
+@pytest.mark.parametrize("groups", [(), (trivial(),)], ids=["no_node", "one_node"])
+def test_a_sequence_of_fewer_than_two_nodes_is_too_short_to_check(groups):
+    # a lone zero node begins and ends at zero, so only the length check
+    # refuses it
+    with pytest.raises(ValueError, match="sequence too short to check"):
+        image_order_solve(seq_of(*groups))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]), max_size=6))
 def test_feasible_implies_alternating_product_one(orders):
@@ -510,6 +518,19 @@ def test_bott_audit_notes_cover_column():
     audit = bott_audit("smash", 24)
     assert any("8n+3" in note for note in audit.notes)
     assert any("8n+7" in note for note in audit.notes)
+
+
+def test_audit_text_lists_cover_notes_when_no_row_is_flagged():
+    # without its printed smash rows the audit has no findings, so no
+    # errata, but the printed cover column still disagrees with the cover
+    # table: its notes go under "errata:", which must not read "none"
+    table = load_fixture_table()
+    table = FixtureTable(tuple(r for r in table.rows if r.theory != "bo_smash_printed"))
+    audit = bott_audit("smash", 48, table)
+    assert not audit.findings and not audit.has_errata and audit.notes
+    text = audit.to_text()
+    assert "errata: none" not in text
+    assert text.split("\nerrata:\n")[1].splitlines() == [f"  {n}" for n in audit.notes]
 
 
 def test_audit_serialisation(capsys):

@@ -167,17 +167,50 @@ def reference_tor(m, n_mod, n):
     return kernel_of_map(*reference_tensor_map(m, n_mod, n))
 
 
+def full_d2(tot):
+    """d2 of the unreduced complex Tot: d2(r (x) y) = sum of c g (x) v^k y
+    over the terms (c, k, g) of r, less r (x) d'y, for every relation r of
+    ``m``; v^k y is critical, since G' is v-stable.  The reference for the
+    reduced rows that the Tor path eliminates."""
+    rows = []
+    for r, slc in tot.rels.items():
+        for (j, t), i in slc.cells1.items():
+            row = {tot.rel0[r] + col: -x for col, x in slc.boundary[i]}
+            for c, k, g in tot.m.relations[r]:
+                col = tot.gen1[g] + tot.gens[g].cells1[j + k, t]
+                row[col] = row.get(col, 0) + c
+            rows.append(row)
+    return rows
+
+
+def matched_columns(tot):
+    """The Tot1 columns g (x) v^k y, k >= a, that the matching of ``m``
+    pairs off with r (x) v^(k-a) y, g matched with r by its top term unit
+    v^a g."""
+    match = kmods._matching(tot.m)
+    return {tot.gen1[g] + i for g, slc in tot.gens.items() if g in match
+            for (k, _), i in slc.cells1.items() if k >= match[g][1]}
+
+
 def assert_composes_to_zero(tot, where):
-    """d1 o d2 == 0 for the complex ``tot``: each row of d2, a combination of
-    Tot1's basis, sent through the rows of d1."""
+    """d1 o d2 == 0 for the complex ``tot``, and d1 o d2' == 0 for its Morse
+    reduction: each row of d2 or d2', a combination of Tot1's basis, sent
+    through the rows of d1.  The reduced rows meet no matched column, and
+    the matched columns are as many as the pairs taken out.  Returns the
+    number of reduced rows."""
     d1 = tot.d1()
     assert len(d1) == tot.n1, where
-    for row in tot.d2():
+    reduced, pairs = tot.reduced_d2()
+    for row in full_d2(tot) + reduced:
         image: dict[int, int] = {}
         for i, c in row.items():
             for col, x in d1[i].items():
                 image[col] = image.get(col, 0) + c * x
         assert not any(image.values()), (where, row)
+    matched = matched_columns(tot)
+    assert len(matched) == pairs, where
+    assert not any(matched.intersection(row) for row in reduced), where
+    return len(reduced)
 
 
 WINDOW = 16  # truncation of the random presentations
@@ -253,6 +286,9 @@ def test_tor_and_tensor_match_the_reference_engines_on_towers(pair):
     for n in range(WINDOW + 1):
         assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
+        # tops 2 and -3 leave some relations of m unmatched, so reduced rows
+        # reach matched cells through chains of both kinds
+        assert_composes_to_zero(kunneth._Tot(m, n_mod, n), n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,13 +395,18 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_tor_complexes_compose_to_zero(p):
-    # every internal degree k <= 121, lu (x) lu and each summand (x) lu
+    # every internal degree k <= 121, lu (x) lu and each summand (x) lu,
+    # unreduced and reduced; only the bottom p - 1 relations of lu and the
+    # bottom one of each summand stay unmatched, so few reduced rows are
+    # checked in all
+    seen = 0
     for k in range(122):
         lu = kmods._lu_window(p, k)
-        assert_composes_to_zero(kunneth._Tot(lu, lu, k), (p, k))
+        seen += assert_composes_to_zero(kunneth._Tot(lu, lu, k), (p, k))
         for i in range(1, p):
             summand = summand_presentation(p, i, lu.truncation_degree)
-            assert_composes_to_zero(kunneth._Tot(summand, lu, k), (p, i, k))
+            seen += assert_composes_to_zero(kunneth._Tot(summand, lu, k), (p, i, k))
+    assert seen == {2: 120, 3: 238, 5: 468, 7: 690}[p]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
