@@ -18,8 +18,7 @@ _HOMES = {
     "abelian": "FgAbelianGroup cokernel_group parse_group render_group",
     "exactseq": "LongExactSequence bo1_les_consistency bo_smash_group bott_audit "
                 "image_order_solve load_fixture_table table_group",
-    "kmods": "GradedModulePresentation bu_bzp_group ku_smash_check lu_bzp_presentation "
-             "lu_closed_form realize_degree",
+    "kmods": "bu_bzp_group ku_smash_check lu_closed_form lu_module realize_degree",
     "kunneth": "KunnethReport kunneth_smash_group tensor_degree tor1_degree "
                "tor_closed_form verify_bu_decomposition",
     "steenrod": "SteenrodModule hom_dim verify_hom_sequence x_count",

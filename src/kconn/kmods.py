@@ -1,8 +1,10 @@
 """Graded modules for the connective K-homology of B Z/p.
 
-The classifying-space module over Z[v] (deg v = 2p-2) is held as a truncated
-presentation F', and its degree pieces are built once, as slices of an
-algebraic Morse reduction (Skoldberg, Trans. AMS 358, 2006): a relation
+The classifying-space module over Z[v] (deg v = 2p-2) has a presentation
+F' with one generator in every odd degree, which :class:`LuModule` lists
+through any degree by index arithmetic, with no truncation.  Its degree
+pieces are built once, as slices of an algebraic Morse reduction
+(Skoldberg, Trans. AMS 358, 2006): a relation
 whose strictly highest v-exponent term is +-1 on a generator g is matched
 with g, at most one relation per generator.  The matched cells v^k r,
 v^(k+a) g span an acyclic, v-stable subcomplex M, so G' = F'/M is a complex
@@ -25,9 +27,6 @@ from typing import NamedTuple
 from ._record import Record
 from .abelian import FgAbelianGroup, _order_from_quotient, _peeled, cokernel_group
 
-# a relation is a homogeneous sum of terms (coefficient, v-exponent, generator)
-Term = tuple[int, int, int]
-Relation = tuple[Term, ...]
 Row = tuple[tuple[int, int], ...]  # sparse (column, value) pairs
 
 
@@ -52,110 +51,52 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-class GradedModulePresentation(Record):
-    """Generators and homogeneous relations over Z[v], truncated at a degree.
-
-    ``gen_degrees[i]`` is the internal degree of generator i; every relation
-    is a tuple of (coefficient, v-exponent, generator index) terms landing in
-    a single degree, ``relation_degrees[r]`` for relation r.  The presentation
-    is complete through ``truncation_degree``: it holds every generator and
-    relation of degree at most that, so each such degree is exact.
-    """
+class LuModule(Record):
+    """The classifying-space module of Z/p over Z[v], deg v = 2p-2, in every
+    degree: generator g_k in degree 2k+1, the relation ("p", k), p g_k, on
+    the bottom p-1 generators, and ("v", k), v g_k - p g_(k+p-1), on each.
+    Summand i, 1 <= i <= p-1, is the cyclic tower on the residue class of
+    generators in degrees 2k(p-1) + 2i - 1 and the relations on them;
+    summand 0 is all of lu.  Build it through :func:`lu_module`, which
+    interns it; the hash is taken once, since lru caches look a module up
+    per degree."""
 
     p: int
-    ring_degree: int
-    gen_degrees: tuple[int, ...]
-    relations: tuple[Relation, ...]
-    truncation_degree: int
+    summand: int = 0
 
     def __post_init__(self):
-        if self.ring_degree < 1:
-            raise ValueError("ring degree must be positive")
-        for deg in self.gen_degrees:
-            if deg > self.truncation_degree:
-                raise ValueError("generator outside the truncation window")
-        degrees = []
-        for rel in self.relations:
-            if not rel:
-                raise ValueError("empty relation")
-            degs = set()
-            for coeff, exp, gi in rel:
-                if exp < 0:
-                    raise ValueError("negative v-exponent")
-                if not 0 <= gi < len(self.gen_degrees):
-                    raise ValueError("relation names a missing generator")
-                degs.add(exp * self.ring_degree + self.gen_degrees[gi])
-            if len(degs) != 1:
-                raise ValueError("inhomogeneous relation")
-            degrees.append(degs.pop())
-        # derived values, not fields: the degree of each relation, and the
-        # hash of the field tuple, taken once since lru caches look a module
-        # up per degree
-        object.__setattr__(self, "relation_degrees", tuple(degrees))
-        fields = (self.p, self.ring_degree, self.gen_degrees, self.relations,
-                  self.truncation_degree)
-        object.__setattr__(self, "_hash", hash(fields))
+        check_prime(self.p)
+        if not 0 <= self.summand <= self.p - 1:
+            raise ValueError("summand index out of range")
+        # derived values, not fields
+        object.__setattr__(self, "ring_degree", 2 * self.p - 2)
+        object.__setattr__(self, "_hash", hash((self.p, self.summand)))
 
     def __hash__(self) -> int:
         return self._hash
 
-
-@lru_cache(maxsize=None)
-def lu_bzp_presentation(p: int, max_degree: int) -> GradedModulePresentation:
-    """The reduced classifying-space module of Z/p over Z[v], deg v = 2p-2:
-    one generator in every odd degree, p-torsion relations on the bottom
-    p-1 generators, and v * g_n = p * g_{n + 2p-2} thereafter."""
-    check_prime(p)
-    if max_degree < 1:
-        raise ValueError("degree bound must be at least 1")
-    d = 2 * p - 2
-    degrees = tuple(range(1, max_degree + 1, 2))
-    index = {deg: i for i, deg in enumerate(degrees)}
-    rels: list[Relation] = []
-    for deg in degrees:
-        if deg <= 2 * p - 3:
-            rels.append(((p, 0, index[deg]),))
-        if deg + d <= max_degree:
-            rels.append(((1, 1, index[deg]), (-p, 0, index[deg + d])))
-    return GradedModulePresentation(p, d, degrees, tuple(rels), max_degree)
-
-
-def _lu_window(p: int, n: int) -> GradedModulePresentation:
-    # serves degree n; 64-degree buckets let a sweep share one presentation
-    return lu_bzp_presentation(p, (max(n, 0) // 64 + 1) * 64)
+    def through(self, e: int) -> tuple[dict, dict, dict]:
+        """(gens, relations, matching) of degree at most e, by index
+        arithmetic: {k: degree of g_k}, {name: (terms, degree)} in the order
+        p g_k, v g_k for each k in turn, a term being (coefficient,
+        v-exponent, generator), and the Morse matching
+        {k: (("v", k), 1, 1)}, each v-relation with its unit top term."""
+        p, d, i = self.p, self.ring_degree, self.summand
+        gens, rels, match = {}, {}, {}
+        for k in range(max(i - 1, 0), (e + 1) // 2, p - 1 if i else 1):
+            gens[k] = deg = 2 * k + 1
+            if k < p - 1:
+                rels["p", k] = ((p, 0, k),), deg
+            if deg + d <= e:
+                rels["v", k] = ((1, 1, k), (-p, 0, k + p - 1)), deg + d
+                match[k] = ("v", k), 1, 1
+        return gens, rels, match
 
 
 @lru_cache(maxsize=None)
-def summand_presentation(p: int, i: int, max_degree: int) -> GradedModulePresentation:
-    """The cyclic-tower direct summand of the classifying-space module whose
-    generators sit in degrees 2k(p-1) + 2i - 1: that residue class of the
-    generators of :func:`lu_bzp_presentation`, and the relations on them,
-    re-indexed in order."""
-    check_prime(p)
-    if not 1 <= i <= p - 1:
-        raise ValueError("summand index out of range")
-    if max_degree < 2 * i - 1:
-        raise ValueError("window below the bottom generator")
-    lu = lu_bzp_presentation(p, max_degree)
-    gens = [g for g, deg in enumerate(lu.gen_degrees) if deg % lu.ring_degree == 2 * i - 1]
-    new = {g: j for j, g in enumerate(gens)}
-    rels = tuple(tuple((c, k, new[g]) for c, k, g in rel)
-                 for rel in lu.relations if rel[0][2] in new)
-    return GradedModulePresentation(p, lu.ring_degree, tuple(lu.gen_degrees[g] for g in gens),
-                                    rels, max_degree)
-
-
-@lru_cache(maxsize=None)
-def _matching(module: GradedModulePresentation) -> dict[int, tuple[int, int, int]]:
-    """{generator g: (relation, a, unit)} for each relation whose one term of
-    highest v-exponent a is unit * v^a g, +-1, at most one per generator."""
-    match: dict[int, tuple[int, int, int]] = {}
-    for r, rel in enumerate(module.relations):
-        top = max(k for _, k, _ in rel)
-        tops = [(c, g) for c, k, g in rel if k == top]
-        if len(tops) == 1 and tops[0][0] in (1, -1) and tops[0][1] not in match:
-            match[tops[0][1]] = (r, top, tops[0][0])
-    return match
+def lu_module(p: int, summand: int = 0) -> LuModule:
+    """The interned :class:`LuModule` of (p, summand)."""
+    return LuModule(p, summand)
 
 
 class DegreeSlice(NamedTuple):
@@ -174,47 +115,44 @@ class DegreeSlice(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def realize_slice(module: GradedModulePresentation, e: int) -> DegreeSlice:
+def realize_slice(module: LuModule, e: int) -> DegreeSlice:
     """Degree e of the Morse reduction G' of ``module``, shared by
     :func:`realize_degree` and every tensor and Tor degree whose blocks
-    include it.  0-cells are reduced by increasing v-exponent: the other
-    terms of a matched cell's relation have smaller exponents in the same
-    degree, so they are in normal form."""
-    if e > module.truncation_degree:
-        raise ValueError(
-            f"degree {e} outside the safe window of the truncated presentation"
-        )
-    match, d = _matching(module), module.ring_degree
+    include it.  The module is read through ``ring_degree`` and
+    ``through(e)`` alone.  0-cells are reduced by increasing v-exponent:
+    the other terms of a matched cell's relation have smaller exponents in
+    the same degree, so they are in normal form."""
+    gens, relations, match = module.through(e)
+    d = module.ring_degree
     cells, nf = [], {}
-    for j, g in sorted(((e - deg) // d, g) for g, deg in enumerate(module.gen_degrees)
-                       if deg <= e and (e - deg) % d == 0):
+    for j, g in sorted(((e - deg) // d, g) for g, deg in gens.items() if (e - deg) % d == 0):
         if g not in match or j < match[g][1]:
             nf[j, g] = ((len(cells), 1),)
             cells.append((j, g))
             continue
         r, a, unit = match[g]
         row: dict[int, int] = {}
-        for c, b, h in module.relations[r]:
+        for c, b, h in relations[r][0]:
             for col, x in nf[j - a + b, h] if b < a else ():
                 row[col] = row.get(col, 0) - unit * c * x
         nf[j, g] = tuple((col, x) for col, x in row.items() if x)
     matched = {r for r, _, _ in match.values()}
     cells1, boundary = {}, []
-    for r, (rel, deg) in enumerate(zip(module.relations, module.relation_degrees)):
-        rem = e - deg
-        if r not in matched and rem >= 0 and rem % d == 0:
+    for r, (rel, deg) in relations.items():
+        j, rem = divmod(e - deg, d)
+        if r not in matched and not rem:
             row = {}
             for c, b, h in rel:
-                for col, x in nf[rem // d + b, h]:
+                for col, x in nf[j + b, h]:
                     row[col] = row.get(col, 0) + c * x
-            cells1[rem // d, r] = len(boundary)
+            cells1[j, r] = len(boundary)
             boundary.append(tuple((col, x) for col, x in row.items() if x))
     h0 = cokernel_group(len(cells), [dict(b) for b in boundary])
     return DegreeSlice(tuple(cells), MappingProxyType(nf), MappingProxyType(cells1),
                        tuple(boundary), len(cells) - h0.free_rank, h0)
 
 
-def realize_degree(module: GradedModulePresentation, n: int) -> FgAbelianGroup:
+def realize_degree(module: LuModule, n: int) -> FgAbelianGroup:
     """The degree-n piece, realised exactly as the cokernel of the reduced
     boundary (the reduction keeps H0), which its slice already holds."""
     if n < 0:

@@ -26,14 +26,12 @@ from ._record import Record
 from .abelian import FgAbelianGroup, _canonical, cokernel_group
 from .kmods import (
     DegreeSlice,
-    GradedModulePresentation,
+    LuModule,
     _ku_degrees,
-    _lu_window,
-    _matching,
     bu_bzp_group,
     check_prime,
+    lu_module,
     realize_slice,
-    summand_presentation,
 )
 
 
@@ -49,19 +47,18 @@ def _offsets(blocks: dict[int, DegreeSlice], field: str, start: int = 0):
 class _Tot:
     """Degree n of Tot = F (x) G' for the presentation F of ``m`` and the
     reduction G' of ``n_mod``.  A generator or relation of ``m`` in degree
-    e <= n contributes blocks from the slice of G' in degree n - e.  Tot1's
-    basis is F1 (x) G'0, then F0 (x) G'1.  Both factors must live over one
-    graded ring, and degree n must lie within the truncation of both."""
+    e <= n, as ``m.through(n)`` lists them, contributes blocks from the
+    slice of G' in degree n - e.  Tot1's basis is F1 (x) G'0, then
+    F0 (x) G'1.  Both factors must live over one graded ring."""
 
-    def __init__(self, m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int):
+    def __init__(self, m: LuModule, n_mod: LuModule, n: int):
         if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
-            raise ValueError("presentations live over different graded rings")
-        if n > min(m.truncation_degree, n_mod.truncation_degree):
-            raise ValueError(f"degree {n} outside the safe window of the factors")
-        self.m, self.slices = m, {e: realize_slice(n_mod, n - e)
-                                  for e in {*m.gen_degrees, *m.relation_degrees} if e <= n}
-        self.gens = {g: self.slices[e] for g, e in enumerate(m.gen_degrees) if e <= n}
-        self.rels = {r: self.slices[e] for r, e in enumerate(m.relation_degrees) if e <= n}
+            raise ValueError("modules live over different graded rings")
+        gens, self.relations, self.match = m.through(n)
+        self.slices = {e: realize_slice(n_mod, n - e)
+                       for e in {*gens.values(), *(e for _, e in self.relations.values())}}
+        self.gens = {g: self.slices[e] for g, e in gens.items()}
+        self.rels = {r: self.slices[e] for r, (_, e) in self.relations.items()}
         self.gen0, self.n0 = _offsets(self.gens, "cells")
         self.rel0, n_rel0 = _offsets(self.rels, "cells")
         self.gen1, self.n1 = _offsets(self.gens, "cells1", n_rel0)
@@ -78,7 +75,7 @@ class _Tot:
         for r, slc in self.rels.items():
             for j, h in slc.cells:
                 row: dict[int, int] = {}
-                for c, k, g in self.m.relations[r]:
+                for c, k, g in self.relations[r][0]:
                     for col, x in self.gens[g].nf[j + k, h]:
                         row[self.gen0[g] + col] = row.get(self.gen0[g] + col, 0) + c * x
                 rows.append(row)
@@ -96,7 +93,7 @@ class _Tot:
         the other terms (c, b, h) of r'), whose cells have lower
         v-exponents, so one walk over the pending cells, highest exponent
         first and coalesced, ends on critical cells."""
-        match, relations = _matching(self.m), self.m.relations
+        match, relations = self.match, self.relations
         rels, rel0, gens, gen1 = self.rels, self.rel0, self.gens, self.gen1
         matched = {r for r, _, _ in match.values()}
         pairs, rows = 0, []
@@ -107,7 +104,7 @@ class _Tot:
             for (j, t), i in slc.cells1.items():
                 row = {rel0[r] + col: -x for col, x in slc.boundary[i]}
                 pending: dict[tuple[int, int], int] = {}  # (v-exponent, g): coefficient
-                for c, k, g in relations[r]:
+                for c, k, g in relations[r][0]:
                     pending[j + k, g] = pending.get((j + k, g), 0) + c
                 while pending:
                     e, g = key = max(pending)
@@ -122,7 +119,7 @@ class _Tot:
                     off, slc2 = rel0[r2], rels[r2]
                     for col, y in slc2.boundary[slc2.cells1[e - a, t]]:
                         row[off + col] = row.get(off + col, 0) + x * y
-                    for c, b, h in relations[r2]:
+                    for c, b, h in relations[r2][0]:
                         if b < a:
                             pending[e - a + b, h] = pending.get((e - a + b, h), 0) - x * c
                 rows.append(row)
@@ -130,9 +127,7 @@ class _Tot:
 
 
 @lru_cache(maxsize=None)
-def tensor_degree(
-    m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
-) -> FgAbelianGroup:
+def tensor_degree(m: LuModule, n_mod: LuModule, n: int) -> FgAbelianGroup:
     """Degree-n piece of the tensor product over Z[v]: H0 of Tot, the
     cokernel of d1."""
     tot = _Tot(m, n_mod, n)
@@ -140,9 +135,7 @@ def tensor_degree(
 
 
 @lru_cache(maxsize=None)
-def tor1_degree(
-    m: GradedModulePresentation, n_mod: GradedModulePresentation, n: int
-) -> FgAbelianGroup:
+def tor1_degree(m: LuModule, n_mod: LuModule, n: int) -> FgAbelianGroup:
     """Degree-n piece of the first derived functor over Z[v]: H1 of Tot, read
     off coker d2' on the Morse reduction of Tot, the cell pairs it takes
     out, and rank d1.  The matched Tot1 cells are columns that no row of
@@ -164,14 +157,20 @@ def tor1_degree(
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     """Closed form of the summand Tor piece: cyclic of order p^(t+1) where
     the internal degree 2m satisfies 2m - 2i + 1 = 2t(p-1) + 2j - 1."""
-    check_prime(p)
-    if not 1 <= i <= p - 1:
-        raise ValueError("summand index out of range")
+    _check_summand(p, i)
     if internal_degree % 2 or internal_degree < 2 * i - 1:
         return FgAbelianGroup.trivial()
     m = internal_degree // 2
     t = (m - i) // (p - 1)
     return FgAbelianGroup.cyclic(p ** (t + 1))
+
+
+def _check_summand(p: int, i: int) -> None:
+    """Reject a p that is not prime and a summand index outside 1..p-1: the
+    module summand 0 is all of lu, not one summand."""
+    check_prime(p)
+    if not 1 <= i <= p - 1:
+        raise ValueError("summand index out of range")
 
 
 def _check_tor_args(p: int, method: str) -> None:
@@ -186,10 +185,8 @@ def tor_summand_group(p: int, i: int, internal_degree: int) -> FgAbelianGroup:
     """Tor piece for one summand at one internal degree, via the resolution;
     :func:`tor_closed_form` is its certified closed form.  Below the bottom
     generator the complex is empty, so its H1 is 0, as the closed form says."""
-    if internal_degree < 2 * i - 1:
-        return tor_closed_form(p, i, internal_degree)
-    lu = _lu_window(p, internal_degree)
-    return tor1_degree(summand_presentation(p, i, lu.truncation_degree), lu, internal_degree)
+    _check_summand(p, i)
+    return tor1_degree(lu_module(p, i), lu_module(p), internal_degree)
 
 
 def wedge_count(p: int, n: int) -> int:
@@ -201,11 +198,9 @@ def wedge_count(p: int, n: int) -> int:
 
 def tensor_part(p: int, n: int) -> FgAbelianGroup:
     """Tensor half of the smash answer in total degree n, reassembled over
-    the shifted summand copies; nonzero only in even degrees.  Each shift is
-    read from its own window, as in :func:`tor_part`, so a sweep computes
-    each degree once."""
-    parts = [tensor_degree(lu, lu, deg)
-             for deg in _ku_degrees(p, n) for lu in [_lu_window(p, deg)]]
+    the shifted summand copies; nonzero only in even degrees."""
+    lu = lu_module(p)
+    parts = [tensor_degree(lu, lu, deg) for deg in _ku_degrees(p, n)]
     return FgAbelianGroup.trivial().direct_sum(*parts)
 
 
@@ -215,10 +210,9 @@ def tor_part(p: int, n: int, method: str = "resolution") -> FgAbelianGroup:
     the shifted summand copies; nonzero only in odd degrees.  The closed form
     reads each internal degree as the sum of its summand pieces."""
     _check_tor_args(p, method)
-    parts = []
+    parts, lu = [], lu_module(p)
     for internal in _ku_degrees(p, n - 1):
         if method == "resolution":
-            lu = _lu_window(p, internal)
             parts.append(tor1_degree(lu, lu, internal))
         else:  # summand i is 0 below its bottom generator, 2i - 1
             parts.extend(tor_closed_form(p, i, internal)

@@ -26,10 +26,10 @@ from .exactseq import (
     load_fixture_table,
 )
 from .kmods import (
-    _lu_window,
     bu_bzp_group,
     ku_smash_check,
     lu_closed_form,
+    lu_module,
     realize_degree,
 )
 from .kunneth import (
@@ -63,7 +63,7 @@ def criterion_1() -> CriterionResult:
     """Closed form vs engine for the classifying-space module."""
     failures = []
     for p in (2, 3, 5):
-        module = _lu_window(p, 60)
+        module = lu_module(p)
         for n in range(61):
             engine = realize_degree(module, n)
             closed = lu_closed_form(p, n)

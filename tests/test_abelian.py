@@ -27,7 +27,7 @@ from kconn.abelian import (
     render_group,
     simplify_presentation,
 )
-from kconn.kmods import ku_smash_check, lu_bzp_presentation
+from kconn.kmods import ku_smash_check, lu_module
 from kconn.kunneth import tor1_degree
 
 Z = FgAbelianGroup.free
@@ -776,7 +776,7 @@ def test_direct_sum_canonicalises():
 
 
 def _tor1_at_6():
-    lu = lu_bzp_presentation(2, 20)
+    lu = lu_module(2)
     return tor1_degree(lu, lu, 6)
 
 
@@ -854,21 +854,19 @@ def cone_kernel(source, target, images):
 
 
 def unreduced_slice(module, n):
-    """Degree n of a graded module presentation, unreduced: the monomial
-    basis v^k g as (k, generator) labels, and the presented group whose rows
-    are the relations v^k r landing in degree n.  Test-local, as the library
-    builds only the Morse-reduced slice."""
+    """Degree n of a graded module, unreduced, read through
+    ``module.through(n)``: the monomial basis v^k g as (k, generator)
+    labels, and the presented group whose rows are the relations v^k r
+    landing in degree n.  Test-local, as the library builds only the
+    Morse-reduced slice."""
     d = module.ring_degree
-    basis = []
-    for gi, gdeg in enumerate(module.gen_degrees):
-        rem = n - gdeg
-        if rem >= 0 and rem % d == 0:
-            basis.append((rem // d, gi))
+    gens, relations, _ = module.through(n)
+    basis = [((n - gdeg) // d, gi) for gi, gdeg in gens.items() if (n - gdeg) % d == 0]
     pos = {bk: idx for idx, bk in enumerate(basis)}
     rows = []
-    for rel, deg in zip(module.relations, module.relation_degrees):
+    for rel, deg in relations.values():
         rem = n - deg
-        if rem < 0 or rem % d:
+        if rem % d:
             continue
         row: dict[int, int] = {}
         for coeff, exp, gi in rel:
@@ -921,7 +919,7 @@ def test_kernel_of_map_runs_one_echelon(monkeypatch):
         (z8, z8, [{0: 2}]),
         (pres(2, []), pres(1, []), [{0: 1}, {0: 1}]),
         (pres(2, [[2, 0], [0, 3]]), pres(2, [[4, 0], [0, 9]]), [{0: 2}, {1: 3}]),
-        v_multiplication_map(lu_bzp_presentation(3, 40), 9),
+        v_multiplication_map(lu_module(3), 9),
     ]
     calls = []
 

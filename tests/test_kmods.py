@@ -15,20 +15,19 @@ from kconn.abelian import (
     element_order,
     kernel_of_map,
 )
+from kconn._record import Record
 from kconn.kmods import (
-    GradedModulePresentation,
     KuSmashCheck,
+    LuModule,
     _ku_ring_relations,
-    _lu_window,
     bu_bzp_group,
     ku_smash_check,
-    lu_bzp_presentation,
     lu_closed_form,
+    lu_module,
     realize_degree,
     realize_slice,
-    summand_presentation,
 )
-from kconn.kunneth import tensor_degree
+from kconn.kunneth import tensor_degree, tor_closed_form, tor_summand_group
 
 from .test_abelian import (
     SRC,
@@ -50,64 +49,211 @@ def ahss_order(p, n):
     return p**count
 
 
-# --- presentation construction -------------------------------------------------
+# --- the test-side reference for custom modules ------------------------------------
+
+class GradedModulePresentation(Record):
+    """Generators and homogeneous relations over Z[v], truncated at a degree:
+    the finite presentations the tests build, read by the library as it
+    reads :class:`kconn.kmods.LuModule`, through ``p``, ``ring_degree`` and
+    ``through(e)``.
+
+    ``gen_degrees[i]`` is the internal degree of generator i; every relation
+    is a tuple of (coefficient, v-exponent, generator index) terms landing in
+    a single degree.  Generators and relations are named by position.  The
+    presentation is complete through ``truncation_degree``, so each degree
+    up to it is exact, and ``through`` refuses any degree above it.
+    """
+
+    p: int
+    ring_degree: int
+    gen_degrees: tuple
+    relations: tuple
+    truncation_degree: int
+
+    def __post_init__(self):
+        if self.ring_degree < 1:
+            raise ValueError("ring degree must be positive")
+        for deg in self.gen_degrees:
+            if deg > self.truncation_degree:
+                raise ValueError("generator outside the truncation window")
+        degrees = []
+        for rel in self.relations:
+            if not rel:
+                raise ValueError("empty relation")
+            degs = set()
+            for coeff, exp, gi in rel:
+                if exp < 0:
+                    raise ValueError("negative v-exponent")
+                if not 0 <= gi < len(self.gen_degrees):
+                    raise ValueError("relation names a missing generator")
+                degs.add(exp * self.ring_degree + self.gen_degrees[gi])
+            if len(degs) != 1:
+                raise ValueError("inhomogeneous relation")
+            degrees.append(degs.pop())
+        # derived values, not fields: the degree of each relation, the
+        # first-come matching, and the hash of the field tuple, taken once
+        # since lru caches look a module up per degree
+        object.__setattr__(self, "relation_degrees", tuple(degrees))
+        object.__setattr__(self, "matching", first_come_matching(self.relations))
+        fields = (self.p, self.ring_degree, self.gen_degrees, self.relations,
+                  self.truncation_degree)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
+
+    def through(self, e):
+        if e > self.truncation_degree:
+            raise ValueError(f"degree {e} outside the safe window of the truncated presentation")
+        gens = {g: deg for g, deg in enumerate(self.gen_degrees) if deg <= e}
+        rels = {r: (rel, deg) for r, (rel, deg)
+                in enumerate(zip(self.relations, self.relation_degrees)) if deg <= e}
+        return gens, rels, {g: m for g, m in self.matching.items() if m[0] in rels}
+
+
+def first_come_matching(relations):
+    """{generator g: (relation, a, unit)} for each relation, in order, whose
+    one term of highest v-exponent a is unit * v^a g, +-1, at most one per
+    generator: the scan the library ran over every presentation before lu
+    listed its matching by index arithmetic."""
+    match = {}
+    for r, rel in enumerate(relations):
+        top = max(k for _, k, _ in rel)
+        tops = [(c, g) for c, k, g in rel if k == top]
+        if len(tops) == 1 and tops[0][0] in (1, -1) and tops[0][1] not in match:
+            match[tops[0][1]] = (r, top, tops[0][0])
+    return match
+
+
+def explicit_lu(p, max_degree):
+    """lu written out through ``max_degree``: one generator in every odd
+    degree, p g on the bottom p - 1 generators, and v g_k - p g_(k+p-1)
+    where it fits, each generator's relations in turn."""
+    d = 2 * p - 2
+    degrees = tuple(range(1, max_degree + 1, 2))
+    rels = []
+    for k, deg in enumerate(degrees):
+        if deg <= 2 * p - 3:
+            rels.append(((p, 0, k),))
+        if deg + d <= max_degree:
+            rels.append(((1, 1, k), (-p, 0, k + p - 1)))
+    return GradedModulePresentation(p, d, degrees, tuple(rels), max_degree)
+
+
+def explicit_summand(p, i, max_degree):
+    """The summand on degrees 2k(p-1) + 2i - 1, written out directly: p g_0
+    and v g_j - p g_(j+1).  Test-local, and builds no module from lu."""
+    d = 2 * p - 2
+    degrees = tuple(range(2 * i - 1, max_degree + 1, d))
+    rels = [((p, 0, 0),)] + [((1, 1, j), (-p, 0, j + 1)) for j in range(len(degrees) - 1)]
+    return GradedModulePresentation(p, d, degrees, tuple(rels[:len(degrees)]), max_degree)
+
+
+def named_by_position(through):
+    """``through(e)`` of a module with generators and relations renamed by
+    their position, so that two descriptions compare up to names."""
+    gens, rels, match = through
+    gen, rel = {g: j for j, g in enumerate(gens)}, {r: j for j, r in enumerate(rels)}
+    return (tuple(gens.values()),
+            tuple((tuple((c, k, gen[g]) for c, k, g in terms), deg) for terms, deg in rels.values()),
+            {gen[g]: (rel[r], a, unit) for g, (r, a, unit) in match.items()})
+
+
+# --- the module lu -----------------------------------------------------------------
 
 def test_presentation_p2():
-    m = lu_bzp_presentation(2, 5)
-    assert m.gen_degrees == (1, 3, 5)
-    assert m.ring_degree == 2
-    # relations: 2 g_1, v g_1 - 2 g_3, v g_3 - 2 g_5
-    assert ((2, 0, 0),) in m.relations
-    assert ((1, 1, 0), (-2, 0, 1)) in m.relations
-    assert ((1, 1, 1), (-2, 0, 2)) in m.relations
-    assert len(m.relations) == 3
+    gens, rels, match = lu_module(2).through(5)
+    assert gens == {0: 1, 1: 3, 2: 5}
+    assert lu_module(2).ring_degree == 2
+    # relations: 2 g_0, v g_0 - 2 g_1, v g_1 - 2 g_2, named by kind and generator
+    assert rels == {("p", 0): (((2, 0, 0),), 1),
+                    ("v", 0): (((1, 1, 0), (-2, 0, 1)), 3),
+                    ("v", 1): (((1, 1, 1), (-2, 0, 2)), 5)}
+    assert list(rels) == [("p", 0), ("v", 0), ("v", 1)]
+    assert match == {0: (("v", 0), 1, 1), 1: (("v", 1), 1, 1)}
 
 
 def test_presentation_p3_low_window():
-    m = lu_bzp_presentation(3, 3)
-    assert m.gen_degrees == (1, 3)
-    # only the two p-torsion relations fit below the bound (deg v = 4)
-    assert m.relations == (((3, 0, 0),), ((3, 0, 1),))
+    gens, rels, match = lu_module(3).through(3)
+    assert gens == {0: 1, 1: 3}
+    # only the two p-torsion relations lie in degree <= 3 (deg v = 4)
+    assert rels == {("p", 0): (((3, 0, 0),), 1), ("p", 1): (((3, 0, 1),), 3)}
+    assert match == {}
 
 
 def test_presentation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lu_bzp_presentation(2, 0)
-    with pytest.raises(ValueError):
-        lu_bzp_presentation(4, 9)
+    # lu_module(p, i) takes i in 0..p-1 (0 is all of lu) and a prime p
+    for p, i in ((3, -1), (3, 3), (2, 2), (5, 5), (5, -2)):
+        with pytest.raises(ValueError, match="summand index out of range"):
+            lu_module(p, i)
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError, match="p must be prime"):
+            lu_module(p)
+    with pytest.raises(ValueError, match="p must be prime"):
+        lu_module(4, 1)
+
+
+def test_lu_module_is_interned():
+    assert lu_module(3) is lu_module(3) and lu_module(3, 2) is lu_module(3, 2)
+    assert lu_module(3) == LuModule(3) == LuModule(3, 0) != lu_module(3, 1)
+    assert lu_module(3).summand == 0 and lu_module(3).ring_degree == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_summand_is_a_residue_class_of_lu(p):
+    # a second description of lu and of each summand, written out through
+    # every degree T < 130: the same generators, relations and matching,
+    # up to names, and the matching is the first-come scan
+    for i in range(p):
+        module = lu_module(p, i)
+        for top in range(-2, 130):
+            written = explicit_summand(p, i, top) if i else explicit_lu(p, top)
+            assert named_by_position(module.through(top)) == named_by_position(
+                written.through(top)), (p, i, top)
+
+
+def test_relation_degrees_are_stored():
+    # each relation's degree is that of every one of its terms
+    gens, rels, _ = lu_module(3).through(13)
+    for terms, deg in rels.values():
+        assert {k * 4 + gens[g] for _, k, g in terms} == {deg}
+    m = explicit_lu(3, 13)
+    assert m.relation_degrees == tuple(deg for _, deg in rels.values())
 
 
 # --- degree realisation ----------------------------------------------------------
 
 def test_realize_examples():
-    m2 = lu_bzp_presentation(2, 9)
+    m2 = lu_module(2)
     assert realize_degree(m2, 5) == C(8)
     assert realize_degree(m2, 4) == trivial()
-    m3 = lu_bzp_presentation(3, 9)
+    m3 = lu_module(3)
     assert realize_degree(m3, 3) == C(3)
 
 
 def test_realize_out_of_window():
-    # exact through the top degree of the truncation, refused above it
-    m = lu_bzp_presentation(2, 9)
+    # a test-side presentation is exact through the top degree of its
+    # truncation, and its through refuses any degree above it
+    m = explicit_lu(2, 9)
     assert realize_degree(m, 9) == lu_closed_form(2, 9)
     with pytest.raises(ValueError, match="outside the safe window"):
         realize_degree(m, 10)
 
 
-def test_lu_window_covers_its_degree():
-    # one presentation per 64-degree bucket, complete through the degree it
-    # serves; a negative degree is served by the lowest bucket
-    for n in range(-3, 200):
-        top = _lu_window(2, n).truncation_degree
-        assert top % 64 == 0 and 0 < top - max(n, 0) <= 64, n
-    assert _lu_window(3, 63) is _lu_window(3, 0) is lu_bzp_presentation(3, 64)
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_realize_past_every_old_window(p):
+    # lu has no truncation: degree 1001 is one slice, of lu_module(p)
+    assert realize_degree(lu_module(p), 1001) == lu_closed_form(p, 1001)
+
+
+def test_tor_summand_past_every_old_window():
+    assert tor_summand_group(2, 1, 1000) == tor_closed_form(2, 1, 1000)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_realize_matches_closed_form(p):
     bound = 30
-    m = lu_bzp_presentation(p, bound)
+    m = lu_module(p)
     for n in range(bound + 1):
         assert realize_degree(m, n) == lu_closed_form(p, n), (p, n)
 
@@ -130,7 +276,7 @@ def test_criterion_1_eliminates_each_degree_once(monkeypatch):
 
 def test_v_multiplication_injective_on_odd_degrees():
     for p in [2, 3]:
-        m = lu_bzp_presentation(p, 40)
+        m = lu_module(p)
         for n in range(1, 25, 2):
             f = v_multiplication_map(m, n)
             if realize_degree(m, n).is_trivial():
@@ -199,40 +345,15 @@ def test_bu_order_against_cell_count(p):
 
 # --- the cyclic-tower summands ----------------------------------------------------------
 
-def explicit_summand(p, i, max_degree):
-    """The summand on degrees 2k(p-1) + 2i - 1, written out directly: p g_0
-    and v g_j - p g_(j+1).  Test-local, and builds no module from lu."""
-    d = 2 * p - 2
-    degrees = tuple(range(2 * i - 1, max_degree + 1, d))
-    rels = [((p, 0, 0),)] + [((1, 1, j), (-p, 0, j + 1)) for j in range(len(degrees) - 1)]
-    return GradedModulePresentation(p, d, degrees, tuple(rels), max_degree)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_summand_is_a_residue_class_of_lu(p):
-    for i in range(1, p):
-        for window in range(2 * i - 1, 130):
-            summand = summand_presentation(p, i, window)
-            assert summand == explicit_summand(p, i, window), (p, i, window)
-            assert hash(summand) == hash(explicit_summand(p, i, window))
-
-
 def test_summand_rejects_bad_input():
+    # summand 0 of lu_module is all of lu, not a summand: tor_summand_group
+    # refuses it, and p, below the bottom generator 2i - 1 and above it
+    for p, i in ((2, 0), (2, 2), (3, 0), (3, 3), (5, 0), (5, 5)):
+        for n in (2 * i - 3, 2 * i - 2, 2 * i, 2 * i + 7, 40):
+            with pytest.raises(ValueError, match="summand index out of range"):
+                tor_summand_group(p, i, n)
     with pytest.raises(ValueError, match="p must be prime"):
-        summand_presentation(4, 1, 9)
-    for i in (0, 3):
-        with pytest.raises(ValueError, match="summand index out of range"):
-            summand_presentation(3, i, 9)
-    for window in (0, 2):
-        with pytest.raises(ValueError, match="window below the bottom generator"):
-            summand_presentation(3, 2, window)
-
-
-def test_relation_degrees_are_stored():
-    m = lu_bzp_presentation(3, 13)
-    assert m.relation_degrees == tuple(
-        k * m.ring_degree + m.gen_degrees[g] for (_, k, g), *_ in m.relations)
-    assert "relation_degrees" not in m._fields
+        tor_summand_group(4, 1, 9)
 
 
 # --- truncated KU ring -----------------------------------------------------------------
@@ -387,8 +508,6 @@ def test_ku_smash_check_rejects_bad_truncations():
 
 
 def test_presentation_rejects_inhomogeneous_relation():
-    from kconn.kmods import GradedModulePresentation
-
     with pytest.raises(ValueError):
         GradedModulePresentation(
             p=2,
@@ -414,6 +533,17 @@ def _tower(coeff):
 
 
 def test_module_hash_is_the_dataclass_hash_taken_once():
+    # lu_module's hash is that of (p, summand), stored when it is built, so a
+    # cache lookup hashes no field again
+    lu = LuModule(_CountingInt(3))
+    assert hash(lu) == hash(LuModule(3)) == hash((3, 0))
+    before = _CountingInt.hashes
+    for n in range(1, 9):
+        realize_slice(lu, n)
+        tensor_degree(lu, lu, n)
+    assert _CountingInt.hashes == before
+    _CountingInt.hashes = 0
+    # and a test-side presentation hashes its relations once, when built
     a, b = _tower(2), _tower(2)
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash((2, 2, (1, 3), a.relations, 20))

@@ -19,14 +19,12 @@ from kconn.abelian import (
 )
 from kconn.exactseq import bott_audit
 from kconn.kmods import (
-    GradedModulePresentation,
     bu_bzp_group,
     ku_smash_check,
-    lu_bzp_presentation,
     lu_closed_form,
+    lu_module,
     realize_degree,
     realize_slice,
-    summand_presentation,
 )
 from kconn.kunneth import (
     decomposition_crosscheck,
@@ -43,6 +41,7 @@ from kconn.kunneth import (
 from kconn.verify import run_acceptance
 
 from .test_abelian import SRC, cone_kernel, unreduced_slice, v_multiplication_map
+from .test_kmods import GradedModulePresentation, explicit_lu, explicit_summand
 
 C = FgAbelianGroup.cyclic
 trivial = FgAbelianGroup.trivial
@@ -55,15 +54,15 @@ def elem(p, k):
 # --- tensor ------------------------------------------------------------------
 
 def test_tensor_examples():
-    lu2 = lu_bzp_presentation(2, 20)
+    lu2 = lu_module(2)
     assert tensor_degree(lu2, lu2, 6) == elem(2, 3)
-    lu3 = lu_bzp_presentation(3, 20)
+    lu3 = lu_module(3)
     assert tensor_degree(lu3, lu3, 4) == elem(3, 2)
 
 
 def test_tensor_odd_degrees_trivial():
-    lu2 = lu_bzp_presentation(2, 30)
-    lu3 = lu_bzp_presentation(3, 30)
+    lu2 = lu_module(2)
+    lu3 = lu_module(3)
     for n in range(1, 25, 2):
         assert tensor_degree(lu2, lu2, n) == trivial()
         assert tensor_degree(lu3, lu3, n) == trivial()
@@ -73,7 +72,7 @@ def test_tensor_dimension_count():
     # even degree 2m carries an elementary group of dimension m (one class
     # for each splitting of 2m into two odd generator degrees)
     for p in [2, 3]:
-        lu = lu_bzp_presentation(p, 40)
+        lu = lu_module(p)
         for m in range(1, 16):
             expected = elem(p, m)
             assert tensor_degree(lu, lu, 2 * m) == expected, (p, m)
@@ -92,20 +91,19 @@ def test_tensor_counts_a_generator_in_degree_n():
 def reference_tensor(m, n_mod, n):
     """Degree-n piece of the tensor product from the standard presentation:
     generators v^k g_a (x) g_b, and each factor's relations times each
-    generator of the other factor."""
+    generator of the other factor, both factors read through degree n."""
     d = m.ring_degree
-    pos: dict[tuple[int, int, int], int] = {}  # (v-exponent, gen of m, gen of n)
-    for ga, da in enumerate(m.gen_degrees):
-        if da > n:
-            continue
-        for gb, db in enumerate(n_mod.gen_degrees):
+    (m_gens, m_rels, _), (n_gens, n_rels, _) = m.through(n), n_mod.through(n)
+    pos: dict[tuple, int] = {}  # (v-exponent, gen of m, gen of n)
+    for ga, da in m_gens.items():
+        for gb, db in n_gens.items():
             rem = n - da - db
             if rem >= 0 and rem % d == 0:
                 pos[(rem // d, ga, gb)] = len(pos)
     rows = []
-    for rel_mod, other, left in ((m, n_mod, True), (n_mod, m, False)):
-        for rel, rel_deg in zip(rel_mod.relations, rel_mod.relation_degrees):
-            for g, dg in enumerate(other.gen_degrees):
+    for rels, other, left in ((m_rels, n_gens, True), (n_rels, m_gens, False)):
+        for rel, rel_deg in rels.values():
+            for g, dg in other.items():
                 rem = n - rel_deg - dg
                 if rem < 0 or rem % d:
                     continue
@@ -133,28 +131,28 @@ def reference_tensor_map(m, n_mod, n):
     the simplified slice of N in degree n - e.  A relation term (c, k, g)
     sends the old coordinate v^j g_i of its block to c v^(j+k) g_i, read
     through ``to_min`` of the block of g."""
-    slices = {e: _reference_slice(n_mod, n - e)
-              for e in {*m.gen_degrees, *m.relation_degrees} if e <= n}
+    gens, relations, _ = m.through(n)
+    rel_degrees = {r: e for r, (_, e) in relations.items()}
+    slices = {e: _reference_slice(n_mod, n - e) for e in {*gens.values(), *rel_degrees.values()}}
 
     def blocks(degrees):
         out, total = {}, 0
-        for idx, e in enumerate(degrees):
-            if e <= n:
-                out[idx] = (total, *slices[e])
-                total += slices[e][1].presentation.n_gens
+        for idx, e in degrees.items():
+            out[idx] = (total, *slices[e])
+            total += slices[e][1].presentation.n_gens
         rows = [{off + c: x for c, x in rel.items()}
                 for off, _, simp in out.values() for rel in simp.presentation.relations]
         return out, GroupPresentation(total, rows)
 
-    rel_blocks, source = blocks(m.relation_degrees)
-    gen_blocks, target = blocks(m.gen_degrees)
+    rel_blocks, source = blocks(rel_degrees)
+    gen_blocks, target = blocks(gens)
     images = []
     for r, (_, basis, simp) in rel_blocks.items():
         for old in simp.from_min:
             row: dict[int, int] = {}
             for q, x in old.items():
                 j, gi = basis[q]
-                for c, k, g in m.relations[r]:
+                for c, k, g in relations[r][0]:
                     off, g_basis, g_simp = gen_blocks[g]
                     for col, y in g_simp.to_min[g_basis.index((j + k, gi))].items():
                         row[off + col] = row.get(off + col, 0) + c * x * y
@@ -176,7 +174,7 @@ def full_d2(tot):
     for r, slc in tot.rels.items():
         for (j, t), i in slc.cells1.items():
             row = {tot.rel0[r] + col: -x for col, x in slc.boundary[i]}
-            for c, k, g in tot.m.relations[r]:
+            for c, k, g in tot.relations[r][0]:
                 col = tot.gen1[g] + tot.gens[g].cells1[j + k, t]
                 row[col] = row.get(col, 0) + c
             rows.append(row)
@@ -187,7 +185,7 @@ def matched_columns(tot):
     """The Tot1 columns g (x) v^k y, k >= a, that the matching of ``m``
     pairs off with r (x) v^(k-a) y, g matched with r by its top term unit
     v^a g."""
-    match = kmods._matching(tot.m)
+    match = tot.match
     return {tot.gen1[g] + i for g, slc in tot.gens.items() if g in match
             for (k, _), i in slc.cells1.items() if k >= match[g][1]}
 
@@ -306,18 +304,17 @@ def test_realize_degree_matches_the_unreduced_slice_on_towers(module):
                                         ("summand", "lu"), ("summand", "summand")])
 def test_tensor_matches_standard_presentation_on_grid(p, left, right):
     window = 90
-    modules = {"lu": lu_bzp_presentation(p, window),
-               "summand": summand_presentation(p, p - 1, window)}
+    modules = {"lu": lu_module(p), "summand": lu_module(p, p - 1)}
     m, n_mod = modules[left], modules[right]
     for n in range(window + 1):
         assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
 
 
 def test_tensor_ring_mismatch_rejected():
-    lu2 = lu_bzp_presentation(2, 20)
-    lu3 = lu_bzp_presentation(3, 20)
-    with pytest.raises(ValueError):
-        tensor_degree(lu2, lu3, 4)
+    with pytest.raises(ValueError, match="different graded rings"):
+        tensor_degree(lu_module(2), lu_module(3), 4)
+    with pytest.raises(ValueError, match="different graded rings"):
+        tensor_degree(lu_module(3), explicit_lu(2, 20), 4)
 
 
 # --- the resolution ------------------------------------------------------------
@@ -332,13 +329,15 @@ def test_resolution_exact_and_resolves_summand(p, i):
     d = 2 * p - 2
     window = 60
     if i == "lu":
-        module = lu_bzp_presentation(p, window)
-        assert module.gen_degrees == tuple(range(1, window + 1, 2))
+        module = lu_module(p)
+        assert tuple(module.through(window)[0].values()) == tuple(range(1, window + 1, 2))
     else:
-        module = summand_presentation(p, i, window)
-        assert module.gen_degrees == tuple(
-            2 * j * (p - 1) + 2 * i - 1 for j in range(len(module.gen_degrees)))
-        assert module.relation_degrees == module.gen_degrees
+        module = lu_module(p, i)
+        gens, rels, _ = module.through(window)
+        assert tuple(gens.values()) == tuple(
+            2 * j * (p - 1) + 2 * i - 1 for j in range(len(gens)))
+        # p g at the bottom, then v g_j - p g_(j+1): one relation per generator
+        assert tuple(e for _, e in rels.values()) == tuple(gens.values())
     for n in range(window + 1):
         _, slc = unreduced_slice(module, n)
         rank = slc.n_gens - cokernel_group(slc.n_gens, slc.relations).free_rank
@@ -352,16 +351,13 @@ def test_resolution_exact_and_resolves_summand(p, i):
 # --- Tor ------------------------------------------------------------------------
 
 def test_tor_examples():
-    lu2 = lu_bzp_presentation(2, 20)
-    assert tor1_degree(summand_presentation(2, 1, 20), lu2, 4) == C(4)
-    lu3 = lu_bzp_presentation(3, 30)
-    assert tor1_degree(summand_presentation(3, 2, 30), lu3, 8) == C(9)
+    assert tor1_degree(lu_module(2, 1), lu_module(2), 4) == C(4)
+    assert tor1_degree(lu_module(3, 2), lu_module(3), 8) == C(9)
 
 
 def test_tor_odd_internal_degree_trivial():
-    lu2 = lu_bzp_presentation(2, 20)
     for n in range(1, 12, 2):
-        assert tor1_degree(summand_presentation(2, 1, 20), lu2, n) == trivial()
+        assert tor1_degree(lu_module(2, 1), lu_module(2), n) == trivial()
 
 
 def test_tor_closed_form_values():
@@ -384,10 +380,9 @@ def test_tor_of_lu_is_the_sum_over_summands(p):
     # tor_part takes one kernel of lu (x) lu per internal degree; lu is the
     # direct sum of its summands, so that kernel splits into the summand
     # kernels, each of which has its closed form
-    lu = kmods._lu_window(p, 121)
+    lu = lu_module(p)
     for k in range(0, 122, 2):
-        by_summand = [tor1_degree(summand_presentation(p, i, lu.truncation_degree), lu, k)
-                      for i in range(1, p)]
+        by_summand = [tor1_degree(lu_module(p, i), lu, k) for i in range(1, p)]
         closed = [tor_closed_form(p, i, k) for i in range(1, p)]
         assert tor1_degree(lu, lu, k) == trivial().direct_sum(*by_summand), (p, k)
         assert by_summand == closed, (p, k)
@@ -399,13 +394,11 @@ def test_tor_complexes_compose_to_zero(p):
     # unreduced and reduced; only the bottom p - 1 relations of lu and the
     # bottom one of each summand stay unmatched, so few reduced rows are
     # checked in all
-    seen = 0
+    seen, lu = 0, lu_module(p)
     for k in range(122):
-        lu = kmods._lu_window(p, k)
         seen += assert_composes_to_zero(kunneth._Tot(lu, lu, k), (p, k))
         for i in range(1, p):
-            summand = summand_presentation(p, i, lu.truncation_degree)
-            seen += assert_composes_to_zero(kunneth._Tot(summand, lu, k), (p, i, k))
+            seen += assert_composes_to_zero(kunneth._Tot(lu_module(p, i), lu, k), (p, i, k))
     assert seen == {2: 120, 3: 238, 5: 468, 7: 690}[p]
 
 
@@ -415,8 +408,8 @@ def test_tor_maps_agree_with_the_mapping_cone(p):
     # sweep over odd n <= 121, and the odd k, whose Tor is 0, come along;
     # H_1 of the reduced complex equals the kernel of F1 (x) N -> F0 (x) N,
     # taken by the kernel echelon and as H_1 of its mapping cone
+    lu = lu_module(p)
     for k in range(122):
-        lu = kmods._lu_window(p, k)
         source, target, images = reference_tensor_map(lu, lu, k)
         kernel = kernel_of_map(source, target, images)
         assert kernel == cone_kernel(source, target, images), (p, k)
@@ -427,7 +420,9 @@ def test_tor_rejects_foreign_ring_degree():
     # the resolution lives over Z[v] with deg v == 2p - 2
     module = GradedModulePresentation(2, 4, (1, 5), (((2, 0, 0),),), 20)
     with pytest.raises(ValueError, match="different graded rings"):
-        tor1_degree(summand_presentation(2, 1, 20), module, 9)
+        tor1_degree(lu_module(2, 1), module, 9)
+    with pytest.raises(ValueError, match="different graded rings"):
+        tor1_degree(explicit_summand(3, 1, 20), lu_module(2), 9)
 
 
 def _clear_caches(*modules):
@@ -481,9 +476,8 @@ def test_no_lattice_of_the_battery_the_audit_or_tor_reaches_the_general_diagonal
 
 
 def test_a_tensor_sweep_computes_each_degree_once():
-    # each shift n - 2a is read from its own window, so the sweep computes
-    # each even degree 0..160 once (91 tensor degrees when every shift was
-    # read from the window of n)
+    # every shift n - 2a is read from the one lu_module(7), so the sweep
+    # computes each even degree 0..160 once
     _clear_caches(kunneth, kmods)
     for n in range(0, 161, 2):
         tensor_part(7, n)
@@ -499,8 +493,7 @@ def test_tor_reduces_each_slice_once():
             tor_part(2, n)
         first = realize_slice.cache_info()
         for n in range(1, 42, 2):
-            kunneth.tor1_degree.__wrapped__(kmods._lu_window(2, n - 1),
-                                            kmods._lu_window(2, n - 1), n - 1)
+            kunneth.tor1_degree.__wrapped__(lu_module(2), lu_module(2), n - 1)
         second = realize_slice.cache_info()
     finally:
         _clear_caches(kunneth, kmods)
@@ -515,7 +508,7 @@ def test_tor_slices_are_minimal(p):
     # uses it must keep one critical 0-cell per cyclic summand, or the
     # blocks of the complex grow, and its H_0 is the degree of lu, the
     # cokernel of the unreduced slice
-    module = kmods._lu_window(p, 121)
+    module = lu_module(p)
     for deg in range(122):
         slc = realize_slice(module, deg)
         g = cokernel_group(len(slc.cells), [dict(b) for b in slc.boundary])
@@ -530,13 +523,12 @@ def _reduced_data(slc):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cached_rows_are_never_mutated(p):
-    # realize_slice reads the cached module and hands out lru-cached rows;
+    # realize_slice reads the interned module and hands out lru-cached rows;
     # no computation that reads them, the tensor and Tor paths included, may
     # change them (the unreduced slices, rebuilt from the module afterwards,
     # show the module unchanged), and a caller cannot; the cached peeled
     # K-ring that ku_smash_check reads is made of tuples, so nothing can
-    module = kmods._lu_window(p, 121)
-    top = module.truncation_degree
+    module, top = lu_module(p), 128
 
     def unreduced():
         return [unreduced_slice(module, d)[1].relations for d in range(top + 1)]
@@ -551,7 +543,7 @@ def test_cached_rows_are_never_mutated(p):
         tensor_degree(module, module, n - 1)
         tor1_degree(module, module, n - 1)
         for i in range(1, p):
-            tor1_degree(summand_presentation(p, i, module.truncation_degree), module, n - 1)
+            tor1_degree(lu_module(p, i), module, n - 1)
     ku_smash_check(6, 6)
     kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
     assert (unreduced(), [_reduced_data(s) for s in reduced], kmods._ku_ring(6)) == saved
@@ -574,9 +566,9 @@ def test_matching_collision_keeps_one_relation_per_generator():
     # first is matched with g0, and the second stays a critical 1-cell
     n_mod = GradedModulePresentation(2, 2, (0, 2), (((1, 1, 0), (-2, 0, 1)),
                                                     ((1, 1, 0), (-4, 0, 1))), 20)
-    assert kmods._matching(n_mod) == {0: (0, 1, 1)}
+    assert n_mod.through(20)[2] == {0: (0, 1, 1)}
     assert realize_slice(n_mod, 4).cells1 == {(1, 1): 0}
-    for m in (lu_bzp_presentation(2, 20), n_mod):
+    for m in (lu_module(2), n_mod):
         for n in range(19):
             assert tor1_degree(m, n_mod, n) == reference_tor(m, n_mod, n), n
             assert tensor_degree(m, n_mod, n) == reference_tensor(m, n_mod, n), n
@@ -584,7 +576,7 @@ def test_matching_collision_keeps_one_relation_per_generator():
 
 def test_tor_rank_of_d1_from_the_bound_or_the_tensor_term():
     # lu (x) lu: the blocks g (x) y reach dim Tot0 in every degree
-    lu = lu_bzp_presentation(2, 40)
+    lu = lu_module(2)
     for n in range(39):
         tot = kunneth._Tot(lu, lu, n)
         assert tot.d1_rank_bound() == tot.n0, n
@@ -603,7 +595,7 @@ def test_tor_rank_of_d1_from_the_bound_or_the_tensor_term():
 def test_tor_rejects_dependent_relations_of_the_second_factor():
     # 2 g and 4 g are dependent over Z[v]; H_1 would see the syzygy, so
     # tor1_degree refuses, while the tensor term needs no independence
-    lu = lu_bzp_presentation(2, 20)
+    lu = lu_module(2)
     dependent = GradedModulePresentation(2, 2, (1,), (((2, 0, 0),), ((4, 0, 0),)), 20)
     with pytest.raises(ValueError, match="dependent"):
         tor1_degree(lu, dependent, 4)
@@ -639,12 +631,11 @@ def test_tensor_threads_match_serial():
 
 
 def test_tor_truncation_stability():
-    # enlarging the window never changes the answer through the smaller one
-    small = lu_bzp_presentation(2, 40)
-    large = lu_bzp_presentation(2, 96)
-    small_summand = summand_presentation(2, 1, 40)
-    large_summand = summand_presentation(2, 1, 96)
-    for internal in range(0, 20, 2):
+    # a written-out presentation truncated at 40 answers as lu does, with no
+    # truncation, through degree 40
+    small, large = explicit_lu(2, 40), lu_module(2)
+    small_summand, large_summand = explicit_summand(2, 1, 40), lu_module(2, 1)
+    for internal in range(0, 41, 2):
         assert (tor1_degree(small_summand, small, internal)
                 == tor1_degree(large_summand, large, internal))
         assert tor1_degree(small, small, internal) == tor1_degree(large, large, internal)
@@ -653,24 +644,22 @@ def test_tor_truncation_stability():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_every_degree_through_the_truncation_is_exact(p):
     # relations are homogeneous, and a slice in degree n reads only the
-    # generators and relations of degree <= n, so a truncation answers every
-    # degree through its top as any wider one does
+    # generators and relations of degree <= n, so a written-out truncation
+    # answers every degree through its top as lu_module does
+    large = lu_module(p)
     for top in (9, 20, 33, 64, 65):
-        small = lu_bzp_presentation(p, top)
-        large = lu_bzp_presentation(p, top + 2 * p - 2 + 64)
+        small = explicit_lu(p, top)
         for n in range(top + 1):
             assert realize_degree(small, n) == realize_degree(large, n), (top, n)
             assert tensor_degree(small, small, n) == tensor_degree(large, large, n), (top, n)
             assert tor1_degree(small, small, n) == tor1_degree(large, large, n), (top, n)
             for i in range(1, p):
-                if 2 * i - 1 <= top:
-                    assert (tor1_degree(summand_presentation(p, i, top), small, n)
-                            == tor1_degree(summand_presentation(p, i, large.truncation_degree),
-                                           large, n)), (top, i, n)
+                assert (tor1_degree(explicit_summand(p, i, top), small, n)
+                        == tor1_degree(lu_module(p, i), large, n)), (top, i, n)
 
 
 def test_a_negative_degree_is_trivial():
-    # the lowest window serves it, and the complex is empty
+    # lu lists nothing below degree 1, so the complex is empty
     assert tensor_part(2, -100) == trivial()
     assert tor_part(2, -100) == trivial()
     assert tor_summand_group(2, 1, -100) == trivial()
@@ -679,8 +668,8 @@ def test_a_negative_degree_is_trivial():
 
 @pytest.mark.parametrize("p", [37, 251])
 def test_tor_summand_below_a_high_bottom_generator_is_trivial(p):
-    # for p > 33 the top summand's bottom generator, in degree 2p - 3, lies
-    # above the lowest window; below it the complex is empty
+    # the top summand's bottom generator lies in degree 2p - 3; below it
+    # the complex is empty
     i = p - 1
     for internal in (0, 10, 63, 2 * i - 2, 2 * i):
         assert tor_summand_group(p, i, internal) == tor_closed_form(p, i, internal), internal
@@ -736,7 +725,7 @@ def uncapped_bu_bzp_group(p, n):
 
 
 def uncapped_tensor_part(p, n):
-    lu = kmods._lu_window(p, n)
+    lu = lu_module(p)
     return trivial().direct_sum(*[tensor_degree(lu, lu, n - 2 * a)
                                   for a in range(p - 1) if n - 2 * a >= 0])
 
@@ -748,8 +737,7 @@ def uncapped_tor_part(p, n, method):
         if internal < 0:
             continue
         if method == "resolution":
-            lu = kmods._lu_window(p, internal)
-            parts.append(tor1_degree(lu, lu, internal))
+            parts.append(tor1_degree(lu_module(p), lu_module(p), internal))
         else:
             parts.extend(tor_closed_form(p, i, internal) for i in range(1, p))
     return trivial().direct_sum(*parts)
@@ -856,9 +844,13 @@ def test_decomposition_crosscheck_values():
 
 
 def test_tor_insufficient_window_rejected():
-    tiny = lu_bzp_presentation(2, 6)
-    with pytest.raises(ValueError):
-        tor1_degree(summand_presentation(2, 1, 6), tiny, 10)
+    # a test-side presentation refuses a degree past its truncation, as
+    # either factor
+    tiny = explicit_lu(2, 6)
+    with pytest.raises(ValueError, match="outside the safe window"):
+        tor1_degree(explicit_summand(2, 1, 6), tiny, 10)
+    with pytest.raises(ValueError, match="outside the safe window"):
+        tor1_degree(lu_module(2), tiny, 10)
 
 
 def test_kunneth_negative_degree_rejected():

@@ -54,7 +54,9 @@ def test_unknown_name_is_an_attribute_error():
     # a retired name is as unknown as one that never existed
     import kconn
 
-    for name in ("no_such_name", "sq_action"):
+    retired = ("sq_action", "GradedModulePresentation", "lu_bzp_presentation")
+    for name in ("no_such_name", *retired):
         with pytest.raises(AttributeError, match=name):
             getattr(kconn, name)
-    assert "sq_action" not in kconn.__all__
+    assert not set(retired) & set(kconn.__all__)
+    assert "lu_module" in kconn.__all__

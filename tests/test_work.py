@@ -9,18 +9,18 @@ CHANGES.md.
 
 import pytest
 
-from kconn import abelian, kmods, kunneth
+from kconn import abelian, kmods, kunneth, verify
 
 from .test_kunneth import _clear_caches
 
 
-def count_tor_sweep(monkeypatch, p, top):
-    """Counts for the resolution Tor sweep, kunneth_smash_group(p, n) for odd
-    n <= top, from cold caches: the Tor degrees and slices it builds, the
-    lattices kunneth hands to cokernel_group and their rows, and the peel
-    pivots of every lattice the sweep eliminates."""
-    seen = {"lattices": 0, "rows": 0, "pivots": 0}
-    cokernel, peel_at = kunneth.cokernel_group, abelian._peel_at
+def count_work(monkeypatch, work):
+    """Counts for ``work()``, run from cold caches: the lattices kunneth
+    hands to cokernel_group and their rows, the peel pivots and heap pops
+    of every lattice it eliminates, and the tensor degrees, Tor degrees and
+    slices it builds."""
+    seen = {"lattices": 0, "rows": 0, "pivots": 0, "pops": 0}
+    cokernel, peel_at, heappop = kunneth.cokernel_group, abelian._peel_at, abelian.heappop
 
     def counting_cokernel(generators, relations):
         relations = list(relations)
@@ -33,12 +33,17 @@ def count_tor_sweep(monkeypatch, p, top):
         seen["pivots"] += peeled
         return peeled
 
+    def counting_pop(heap):
+        seen["pops"] += 1
+        return heappop(heap)
+
     monkeypatch.setattr(kunneth, "cokernel_group", counting_cokernel)
     monkeypatch.setattr(abelian, "_peel_at", counting_peel)
+    monkeypatch.setattr(abelian, "heappop", counting_pop)
     _clear_caches(kunneth, kmods)
     try:
-        for n in range(1, top + 1, 2):
-            kunneth.kunneth_smash_group(p, n, "resolution")
+        work()
+        seen["tensor_degrees"] = kunneth.tensor_degree.cache_info().misses
         seen["tor_degrees"] = kunneth.tor1_degree.cache_info().misses
         seen["slices"] = kmods.realize_slice.cache_info().misses
     finally:
@@ -46,14 +51,56 @@ def count_tor_sweep(monkeypatch, p, top):
     return seen
 
 
-@pytest.mark.parametrize("p,rows,pivots", [(2, 60, 151), (3, 119, 210), (5, 234, 325)])
+def tor_sweep(p, top):
+    for n in range(1, top + 1, 2):
+        kunneth.kunneth_smash_group(p, n, "resolution")
+
+
+@pytest.mark.parametrize("p,rows,pivots", [(2, 60, 120), (3, 119, 179), (5, 234, 294)],
+                         ids=["2", "3", "5"])
 def test_the_tor_sweep_hands_the_peel_only_unmatched_rows(monkeypatch, p, rows, pivots):
     # the benchmark's odd grid: n <= 121 reads the 61 even internal degrees
     # 0..120, and each is one lattice, the d2' of its Tor term; the d1 bound
     # is exact on lu (x) lu, so no tensor term is eliminated.  Only cells of
     # the p - 1 bottom relations give rows: the unreduced d2 has 1,830 rows
     # at each p, 1,921 pivots with the slices'.  The peel pivots on every
-    # row, and the slices' lattices give the other 91 pivots
-    seen = count_tor_sweep(monkeypatch, p, 121)
-    assert seen == {"tor_degrees": 61, "slices": 91, "lattices": 61,
-                    "rows": rows, "pivots": pivots}
+    # row, and the 60 slices of lu in degrees 1..120 give one pivot each;
+    # every heap pop is a pivot
+    seen = count_work(monkeypatch, lambda: tor_sweep(p, 121))
+    assert seen == {"tensor_degrees": 0, "tor_degrees": 61, "slices": 60, "lattices": 61,
+                    "rows": rows, "pivots": pivots, "pops": pivots}
+
+
+@pytest.mark.parametrize("p,top,degrees,rows,pivots,pops", [
+    (2, 80, 41, 1640, 860, 1680), (3, 72, 37, 1332, 702, 1368), (5, 96, 49, 2352, 1224, 2400)],
+    ids=["2-80", "3-72", "5-96"])
+def test_the_tensor_sweep_builds_each_degree_and_slice_once(monkeypatch, p, top, degrees,
+                                                             rows, pivots, pops):
+    # the benchmark's even grid: tensor_part(p, n) for even n <= top reads
+    # the even degrees 0..top once each, one lattice per degree, and the
+    # slices of lu in the odd degrees below top that they meet, once each
+    def sweep():
+        for n in range(0, top + 1, 2):
+            kunneth.tensor_part(p, n)
+
+    assert count_work(monkeypatch, sweep) == {
+        "tensor_degrees": degrees, "tor_degrees": 0, "slices": degrees - 1,
+        "lattices": degrees, "rows": rows, "pivots": pivots, "pops": pops}
+
+
+@pytest.mark.parametrize("top", [240, 480])
+def test_the_p2_sweep_builds_one_slice_per_odd_degree(monkeypatch, top):
+    # kunneth_smash_group(2, n) for every n <= top reads lu_module(2) in the
+    # odd degrees below top, one slice each: linear in top
+    def sweep():
+        for n in range(top + 1):
+            kunneth.kunneth_smash_group(2, n)
+
+    assert count_work(monkeypatch, sweep)["slices"] == top // 2
+
+
+def test_criterion_10_peels_its_rings_and_products(monkeypatch):
+    # the 10 peeled K-rings and the 100 1 x 1 products with their quotients
+    # by t (x) t: every pivot and heap pop of criterion 10
+    seen = count_work(monkeypatch, verify.criterion_10)
+    assert (seen["pivots"], seen["pops"]) == (255, 301)
