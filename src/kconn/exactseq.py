@@ -162,13 +162,13 @@ def parse_fixture_text(text: str) -> FixtureTable:
             min_n=0 if min_n == "-" else _fixture_int(lineno, "min_n", min_n),
             source=source,
         )
+        for field in ("residue", "modulus", "min_n"):
+            if getattr(row, field) < 0:
+                raise ValueError(f"fixture line {lineno}: negative {field} {getattr(row, field)}")
         try:
             row.expression.evaluate(row.min_n)
         except ValueError as exc:
             raise ValueError(f"fixture line {lineno}: {exc}") from None
-        for field in ("residue", "modulus", "min_n"):
-            if getattr(row, field) < 0:
-                raise ValueError(f"fixture line {lineno}: negative {field} {getattr(row, field)}")
         rows.append(row)
     return FixtureTable(tuple(rows))
 

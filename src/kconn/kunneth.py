@@ -2,18 +2,19 @@
 
 Both are homology of one complex per degree, Tot = F (x) G'.  F presents the
 first factor m, free over Z[v]; G' is the Morse reduction of the second
-factor N, read slice by slice from :func:`kmods.realize_slice`.  H0 of Tot
-is m (x) N.  H1 is Tor_1(m, N) when the relations of both factors are
-independent over Z[v], as for the classifying-space module, the direct sum
-of its cyclic-tower summands: for N this is checked, for m the caller
-guarantees it.  H1 is read off the Morse reduction of Tot by the matching
-of m that kmods applies to slices: a relation r of m with top term
-unit v^a g pairs each cell r (x) y with g (x) v^a y, so d2' has rows only
-for the unmatched relations, p - 1 of them for lu.  No kernel is computed
-(as in Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001): Tot0 is
-free, so ker d1 is a direct summand of the critical part of Tot1, and H1
-has the torsion of coker d2' and its free rank less the matched pairs and
-rank d1.
+factor N, read slice by slice from :func:`kmods.realize_slice`.  Tot is
+reduced once more, by the matching of m that kmods applies to slices: a
+relation r of m with top term unit v^a g pairs each cell r (x) t of Tot2
+with g (x) v^a t, so Tot1 keeps its critical cells alone, and d2' has rows
+only for the unmatched relations, p - 1 of them for lu.  Both terms are read
+off this one reduced complex.  No Tot0 cell is matched, and d1 o d2 = 0 on
+r (x) t puts d1 of a matched cell in the span of the others, so
+coker d1' is H0 = m (x) N.  H1 is Tor_1(m, N) when the relations of both
+factors are independent over Z[v], as for lu: for N this is checked, for m
+the caller guarantees it.  No kernel is computed (as in Dumas, Saunders &
+Villard, J. Symbolic Comput. 32, 2001): Tot0 is free, so ker d1' is a
+direct summand of Tot1, and H1 has the torsion of coker d2' and its free
+rank less rank d1'.
 The short exact sequence then assembles the K-homology of the smash square,
 which is cross-checked against the direct-sum decomposition.
 """
@@ -35,12 +36,11 @@ from .kmods import (
 )
 
 
-def _offsets(blocks: dict[int, DegreeSlice], field: str, start: int = 0):
-    """Where the ``field`` block of each generator or relation starts, from
-    ``start`` on, and where the last one ends."""
-    out = {}
+def _offsets(blocks: dict[int, DegreeSlice]):
+    """Where each block of critical 0-cells starts, and where the last ends."""
+    out, start = {}, 0
     for i, slc in blocks.items():
-        out[i], start = start, start + len(getattr(slc, field))
+        out[i], start = start, start + len(slc.cells)
     return out, start
 
 
@@ -48,8 +48,9 @@ class _Tot:
     """Degree n of Tot = F (x) G' for the presentation F of ``m`` and the
     reduction G' of ``n_mod``.  A generator or relation of ``m`` in degree
     e <= n, as ``m.through(n)`` lists them, contributes blocks from the
-    slice of G' in degree n - e.  Tot1's basis is F1 (x) G'0, then
-    F0 (x) G'1.  Both factors must live over one graded ring."""
+    slice of G' in degree n - e.  Tot1's basis is F1 (x) G'0, then the
+    critical cells g (x) v^j t of F0 (x) G'1, g unmatched or j below the
+    exponent of g's match, at ``col1``.  The factors share one ring."""
 
     def __init__(self, m: LuModule, n_mod: LuModule, n: int):
         if m.p != n_mod.p or m.ring_degree != n_mod.ring_degree:
@@ -59,18 +60,21 @@ class _Tot:
                        for e in {*gens.values(), *(e for _, e in self.relations.values())}}
         self.gens = {g: self.slices[e] for g, e in gens.items()}
         self.rels = {r: self.slices[e] for r, (_, e) in self.relations.items()}
-        self.gen0, self.n0 = _offsets(self.gens, "cells")
-        self.rel0, n_rel0 = _offsets(self.rels, "cells")
-        self.gen1, self.n1 = _offsets(self.gens, "cells1", n_rel0)
+        self.gen0, self.n0 = _offsets(self.gens)
+        self.rel0, n_rel0 = _offsets(self.rels)
+        self.col1 = {cell: col for col, cell in enumerate(
+            ((g, j, t) for g, slc in self.gens.items() for j, t in slc.cells1
+             if g not in self.match or j < self.match[g][1]), n_rel0)}
+        self.n1 = n_rel0 + len(self.col1)
 
     def d1_rank_bound(self) -> int:
-        """The rank of the block-diagonal rows g (x) y of d1: a lower bound
-        on rank d1, and rank d1 itself when it reaches dim Tot0."""
+        """The rank of the block-diagonal rows g (x) y of d1: a lower bound on
+        rank d1 = rank d1', and rank d1 itself when it reaches dim Tot0."""
         return sum(slc.rank for slc in self.gens.values())
 
     def d1(self) -> list[dict[int, int]]:
-        """d1(r (x) x) = sum of c g (x) NF(v^k x) over the terms (c, k, g) of
-        r, and d1(g (x) y) = g (x) d'y."""
+        """d1' on the cells of Tot1: d1(r (x) x) = sum of c g (x) NF(v^k x)
+        over the terms (c, k, g) of r, and d1(g (x) y) = g (x) d'y."""
         rows = []
         for r, slc in self.rels.items():
             for j, h in slc.cells:
@@ -79,27 +83,25 @@ class _Tot:
                     for col, x in self.gens[g].nf[j + k, h]:
                         row[self.gen0[g] + col] = row.get(self.gen0[g] + col, 0) + c * x
                 rows.append(row)
-        return rows + [{self.gen0[g] + col: x for col, x in b}
-                       for g, slc in self.gens.items() for b in slc.boundary]
+        return rows + [{self.gen0[g] + col: x for col, x in slc.boundary[i]}
+                       for g, slc in self.gens.items() for (j, t), i in slc.cells1.items()
+                       if (g, j, t) in self.col1]
 
-    def reduced_d2(self) -> tuple[list[dict[int, int]], int]:
-        """(rows, pairs): d2' of the Morse reduction of Tot by the matching of
-        ``m``, and how many cell pairs it takes out.  A relation r' whose top
-        term is unit v^a g pairs each cell r' (x) y with g (x) v^a y, critical
-        in G'1 since G' is v-stable, so rows come only from the unmatched
-        relations.  d2(r (x) y) is the sum of c g (x) v^k y over the terms
-        (c, k, g) of r, less r (x) d'y.  A matched cell g (x) v^a y that a
-        row reaches stands for unit (r' (x) d'y - sum of c h (x) v^b y over
-        the other terms (c, b, h) of r'), whose cells have lower
-        v-exponents, so one walk over the pending cells, highest exponent
-        first and coalesced, ends on critical cells."""
-        match, relations = self.match, self.relations
-        rels, rel0, gens, gen1 = self.rels, self.rel0, self.gens, self.gen1
-        matched = {r for r, _, _ in match.values()}
-        pairs, rows = 0, []
-        for r, slc in rels.items():
+    def reduced_d2(self) -> list[dict[int, int]]:
+        """The rows of d2' of the Morse reduction of Tot by the matching of
+        ``m``.  A relation r' whose top term is unit v^a g pairs each cell
+        r' (x) y with g (x) v^a y, critical in G'1 since G' is v-stable, so
+        rows come only from the unmatched relations.  d2(r (x) y) is the
+        sum of c g (x) v^k y over the terms (c, k, g) of r, less r (x) d'y.
+        A matched cell g (x) v^a y that a row reaches stands for
+        unit (r' (x) d'y - sum of c h (x) v^b y over the other terms
+        (c, b, h) of r'), whose cells have lower v-exponents, so one walk
+        over the pending cells, highest exponent first and coalesced, ends
+        on the critical cells of Tot1."""
+        match, relations, rel0, col1 = self.match, self.relations, self.rel0, self.col1
+        matched, rows = {r for r, _, _ in match.values()}, []
+        for r, slc in self.rels.items():
             if r in matched:
-                pairs += len(slc.cells1)
                 continue
             for (j, t), i in slc.cells1.items():
                 row = {rel0[r] + col: -x for col, x in slc.boundary[i]}
@@ -111,25 +113,25 @@ class _Tot:
                     x = pending.pop(key)
                     if not x:
                         continue
-                    if g not in match or e < match[g][1]:
-                        row[gen1[g] + gens[g].cells1[e, t]] = x
+                    if (g, e, t) in col1:
+                        row[col1[g, e, t]] = x
                         continue
                     r2, a, unit = match[g]
                     x *= unit
-                    off, slc2 = rel0[r2], rels[r2]
+                    off, slc2 = rel0[r2], self.rels[r2]
                     for col, y in slc2.boundary[slc2.cells1[e - a, t]]:
                         row[off + col] = row.get(off + col, 0) + x * y
                     for c, b, h in relations[r2][0]:
                         if b < a:
                             pending[e - a + b, h] = pending.get((e - a + b, h), 0) - x * c
                 rows.append(row)
-        return rows, pairs
+        return rows
 
 
 @lru_cache(maxsize=None)
 def tensor_degree(m: LuModule, n_mod: LuModule, n: int) -> FgAbelianGroup:
     """Degree-n piece of the tensor product over Z[v]: H0 of Tot, the
-    cokernel of d1."""
+    cokernel of d1' on the critical cells of Tot1."""
     tot = _Tot(m, n_mod, n)
     return cokernel_group(tot.n0, tot.d1())
 
@@ -137,21 +139,18 @@ def tensor_degree(m: LuModule, n_mod: LuModule, n: int) -> FgAbelianGroup:
 @lru_cache(maxsize=None)
 def tor1_degree(m: LuModule, n_mod: LuModule, n: int) -> FgAbelianGroup:
     """Degree-n piece of the first derived functor over Z[v]: H1 of Tot, read
-    off coker d2' on the Morse reduction of Tot, the cell pairs it takes
-    out, and rank d1.  The matched Tot1 cells are columns that no row of
-    d2' meets, so they count in the free rank of the cokernel and are
-    subtracted again.  It is Tor_1 only when the relations of ``m`` are
+    off coker d2' on the critical cells of Tot1 and rank d1', the rank of
+    d1 on the same basis.  It is Tor_1 only when the relations of ``m`` are
     independent over Z[v]; the caller guarantees it.  Raises
     ``ValueError`` when those of ``n_mod`` are not, as a slice shows."""
     tot = _Tot(m, n_mod, n)
     if any(s.rank < len(s.cells1) for s in tot.slices.values()):
         raise ValueError("relations of the second factor are dependent over Z[v]")
-    rows, pairs = tot.reduced_d2()
-    h1 = cokernel_group(tot.n1, rows)
+    h1 = cokernel_group(tot.n1, tot.reduced_d2())
     # the block-diagonal bound is rank d1 when it reaches dim Tot0
     exact = tot.d1_rank_bound() == tot.n0
     rank_d1 = tot.n0 if exact else tot.n0 - tensor_degree(m, n_mod, n).free_rank
-    return _canonical(h1.free_rank - pairs - rank_d1, h1.invariant_factors)
+    return _canonical(h1.free_rank - rank_d1, h1.invariant_factors)
 
 
 def tor_closed_form(p: int, i: int, internal_degree: int) -> FgAbelianGroup:

@@ -90,7 +90,9 @@ def test_fixture_parser_and_validity():
         ("demo | 1 | 4.5 | Z/2 | 0 | src", "modulus '4.5' is not an integer"),
         ("demo | 1 | 4 | Z/2 | one | src", "min_n 'one' is not an integer"),
         ("demo | 1 | 4 | Q/Z | 0 | src", "cannot parse group expression 'Q/Z'"),
-        ("demo | 1 | 4 | Z/2^(n) | -1 | src", "negative exponent"),
+        # the fields are checked before the expression is evaluated at min_n
+        ("demo | 1 | 4 | Z/2^(n) | -1 | src", "negative min_n -1"),
+        ("demo | 0 | 8 | Z/2^(n) | -1 | src", "negative min_n -1"),
         ("demo | 1 | 4 | Z/2", "expected 6 fields, got 4"),
         ("demo | 1 | 4 | (Z/2)^(n) | 200000 | src",
          f"multiplicity 200000 in '(Z/2)^(n)' at n=200000 exceeds {MAX_EXPONENT}"),

@@ -165,49 +165,75 @@ def reference_tor(m, n_mod, n):
     return kernel_of_map(*reference_tensor_map(m, n_mod, n))
 
 
+def full_cells1(tot):
+    """The unreduced basis of Tot1 past F1 (x) G'0: every cell g (x) v^j t of
+    F0 (x) G'1, the matched ones included, as {(g, j, t): column}, block by
+    block in the order of the generators of ``m``."""
+    start = sum(len(slc.cells) for slc in tot.rels.values())
+    cells = [(g, j, t) for g, slc in tot.gens.items() for j, t in slc.cells1]
+    return {cell: start + i for i, cell in enumerate(cells)}
+
+
+def full_d1(tot):
+    """d1 of the unreduced complex Tot, one row for each cell of its Tot1:
+    d1(r (x) x) = sum of c g (x) NF(v^k x) over the terms (c, k, g) of r,
+    then d1(g (x) y) = g (x) d'y for every cell of :func:`full_cells1`.  The
+    reference for the rows that the engine keeps."""
+    rows = []
+    for r, slc in tot.rels.items():
+        for j, h in slc.cells:
+            row: dict[int, int] = {}
+            for c, k, g in tot.relations[r][0]:
+                for col, x in tot.gens[g].nf[j + k, h]:
+                    row[tot.gen0[g] + col] = row.get(tot.gen0[g] + col, 0) + c * x
+            rows.append(row)
+    for g, j, t in full_cells1(tot):
+        slc = tot.gens[g]
+        rows.append({tot.gen0[g] + col: x for col, x in slc.boundary[slc.cells1[j, t]]})
+    return rows
+
+
 def full_d2(tot):
     """d2 of the unreduced complex Tot: d2(r (x) y) = sum of c g (x) v^k y
     over the terms (c, k, g) of r, less r (x) d'y, for every relation r of
-    ``m``; v^k y is critical, since G' is v-stable.  The reference for the
-    reduced rows that the Tor path eliminates."""
-    rows = []
+    ``m``, on the basis of :func:`full_d1`; v^k y is critical, since G' is
+    v-stable.  The reference for the reduced rows that the Tor path
+    eliminates."""
+    full, rows = full_cells1(tot), []
     for r, slc in tot.rels.items():
         for (j, t), i in slc.cells1.items():
             row = {tot.rel0[r] + col: -x for col, x in slc.boundary[i]}
             for c, k, g in tot.relations[r][0]:
-                col = tot.gen1[g] + tot.gens[g].cells1[j + k, t]
+                col = full[g, j + k, t]
                 row[col] = row.get(col, 0) + c
             rows.append(row)
     return rows
 
 
-def matched_columns(tot):
-    """The Tot1 columns g (x) v^k y, k >= a, that the matching of ``m``
-    pairs off with r (x) v^(k-a) y, g matched with r by its top term unit
-    v^a g."""
-    match = tot.match
-    return {tot.gen1[g] + i for g, slc in tot.gens.items() if g in match
-            for (k, _), i in slc.cells1.items() if k >= match[g][1]}
-
-
 def assert_composes_to_zero(tot, where):
-    """d1 o d2 == 0 for the complex ``tot``, and d1 o d2' == 0 for its Morse
-    reduction: each row of d2 or d2', a combination of Tot1's basis, sent
-    through the rows of d1.  The reduced rows meet no matched column, and
-    the matched columns are as many as the pairs taken out.  Returns the
-    number of reduced rows."""
-    d1 = tot.d1()
+    """d1 o d2 == 0 for the unreduced complex Tot, and d1' o d2' == 0 for
+    its Morse reduction, which the engine builds: each row of d2 or d2', a
+    combination of Tot1's basis, sent through the rows of d1 or d1'.  d1'
+    has the cokernel H0 of d1, and is d1 on the critical cells; the Tot1
+    cells taken out are as many as the Tot2 cells of the matched
+    relations.  Returns the number of reduced rows."""
+    d1, full = tot.d1(), full_d1(tot)
+    assert cokernel_group(tot.n0, d1) == cokernel_group(tot.n0, full), where
     assert len(d1) == tot.n1, where
-    reduced, pairs = tot.reduced_d2()
-    for row in full_d2(tot) + reduced:
-        image: dict[int, int] = {}
-        for i, c in row.items():
-            for col, x in d1[i].items():
-                image[col] = image.get(col, 0) + c * x
-        assert not any(image.values()), (where, row)
-    matched = matched_columns(tot)
-    assert len(matched) == pairs, where
-    assert not any(matched.intersection(row) for row in reduced), where
+    cells = full_cells1(tot)
+    rel_rows = tot.n1 - len(tot.col1)
+    assert d1 == full[:rel_rows] + [full[cells[cell]] for cell in tot.col1], where
+    matched = {r for r, _, _ in tot.match.values()}
+    pairs = sum(len(slc.cells1) for r, slc in tot.rels.items() if r in matched)
+    assert len(cells) - len(tot.col1) == pairs, where
+    reduced = tot.reduced_d2()
+    for rows, basis in ((full_d2(tot), full), (reduced, d1)):
+        for row in rows:
+            image: dict[int, int] = {}
+            for i, c in row.items():
+                for col, x in basis[i].items():
+                    image[col] = image.get(col, 0) + c * x
+            assert not any(image.values()), (where, row)
     return len(reduced)
 
 

@@ -9,7 +9,7 @@ CHANGES.md.
 
 import pytest
 
-from kconn import abelian, kmods, kunneth, verify
+from kconn import abelian, kmods, kunneth, steenrod, verify
 
 from .test_kunneth import _clear_caches
 
@@ -72,20 +72,26 @@ def test_the_tor_sweep_hands_the_peel_only_unmatched_rows(monkeypatch, p, rows, 
 
 
 @pytest.mark.parametrize("p,top,degrees,rows,pivots,pops", [
-    (2, 80, 41, 1640, 860, 1680), (3, 72, 37, 1332, 702, 1368), (5, 96, 49, 2352, 1224, 2400)],
+    (2, 80, 41, 860, 860, 1680), (3, 72, 37, 737, 702, 1368), (5, 96, 49, 1362, 1224, 2400)],
     ids=["2-80", "3-72", "5-96"])
 def test_the_tensor_sweep_builds_each_degree_and_slice_once(monkeypatch, p, top, degrees,
                                                              rows, pivots, pops):
     # the benchmark's even grid: tensor_part(p, n) for even n <= top reads
     # the even degrees 0..top once each, one lattice per degree, and the
-    # slices of lu in the odd degrees below top that they meet, once each
+    # slices of lu in the odd degrees below top that they meet, once each.
+    # Each lattice is d1' on the critical cells of Tot1, no row for a
+    # matched cell (1,640/1,332/2,352 rows on the unreduced Tot1, with the
+    # same pivots and pops); at p = 2 every row of them is a pivot
     def sweep():
         for n in range(0, top + 1, 2):
             kunneth.tensor_part(p, n)
 
-    assert count_work(monkeypatch, sweep) == {
+    seen = count_work(monkeypatch, sweep)
+    assert seen == {
         "tensor_degrees": degrees, "tor_degrees": 0, "slices": degrees - 1,
         "lattices": degrees, "rows": rows, "pivots": pivots, "pops": pops}
+    if p == 2:
+        assert seen["rows"] == seen["pivots"]
 
 
 @pytest.mark.parametrize("top", [240, 480])
@@ -104,3 +110,34 @@ def test_criterion_10_peels_its_rings_and_products(monkeypatch):
     # by t (x) t: every pivot and heap pop of criterion 10
     seen = count_work(monkeypatch, verify.criterion_10)
     assert (seen["pivots"], seen["pops"]) == (255, 301)
+
+
+def test_the_functionals_reduce_sq1_once_per_degree(monkeypatch):
+    # the hom-dim half of the benchmark's functionals workload: hom_dim B
+    # and E for even degrees 2..300 on the smash square, from a cold
+    # _sq1_pivots, make one reduction of the Sq^1 rows per degree and one
+    # of the Sq^2 or Q_1 rows per algebra continuing it, 450 calls in all
+    # (600 if Sq^1 were reduced once per algebra); pivots count the rows
+    # each call adds to the pivots it continues
+    seen = {"calls": 0, "rows": 0, "pivots": 0}
+    f2_basis = steenrod._f2_basis
+
+    def counting(rows, pivots=None):
+        rows = list(rows)
+        out = f2_basis(rows, pivots)
+        seen["calls"] += 1
+        seen["rows"] += len(rows)
+        seen["pivots"] += len(out) - len(pivots or ())
+        return out
+
+    monkeypatch.setattr(steenrod, "_f2_basis", counting)
+    steenrod._sq1_pivots.cache_clear()
+    try:
+        for degree in range(2, 301, 2):
+            steenrod.hom_dim("B", "smash", degree)
+            steenrod.hom_dim("E", "smash", degree)
+        misses = steenrod._sq1_pivots.cache_info().misses
+    finally:
+        steenrod._sq1_pivots.cache_clear()
+    assert seen == {"calls": 450, "rows": 66603, "pivots": 16799}
+    assert misses == 150
