@@ -6,12 +6,13 @@ basis of a degree d, x^d on projective space and x^a y^(d - a) for 0 < a < d
 on the smash square, is known by its indices alone, and each action row is a
 bitmask built from the exponents by index arithmetic.  Hom spaces into the
 trivial module are annihilators of the positive-degree action image, so
-their dimensions are corank computations.
+their dimensions, and the exactness of the Hom sequence, are image ranks.
 
 Rank, echelon form and nullspace share one reduction loop: each row is XORed
 with the pivot row owning its lowest set bit until that bit has no owner,
 and is then kept as the owner of it.  A row meets only the pivots its own
-lowest bits meet, so a degree costs about what its sparse rows hold.
+lowest bits meet, so a degree costs about what its sparse rows hold.  The
+nullspace serves library callers and tests only.
 """
 
 from __future__ import annotations
@@ -208,61 +209,36 @@ def expected_dims(degree: int) -> tuple[int, int] | None:
 
 
 def verify_hom_sequence(i_max: int) -> HomSequenceReport:
-    """For every even degree, build the inclusion into the exterior-algebra
-    functionals and the squaring-composition map down two degrees, and verify
-    exactness of the three-term sequence by matrix ranks; even degrees at
-    least 4 are also checked against the closed dimension forms.
+    """For every even degree d, verify exactness of 0 -> Hom_B(d) ->
+    Hom_E(d) -> Hom_B(d - 2) -> 0, inclusion then precomposition with Sq^2,
+    by ranks of the images Im_B(d) = Sq^1 + Sq^2 and Im_E(d) = Sq^1 + Q_1
+    that the Hom spaces annihilate; even degrees at least 4 are also checked
+    against the closed dimension forms.
 
-    All subspaces are handled in the coordinates of the monomial dual basis.
+    Precomposition lands in Hom_B(d - 2) iff Sq^2 of Im_B(d - 2) adds no
+    pivot to Im_E(d).  Its kernel annihilates Im_E(d) + Sq^2, which contains
+    Im_B(d), so its rank is at least dim_e - dim_b, with equality iff
+    Im_E(d) lies in Im_B(d): iff the inclusion is defined, and then the
+    kernel is Hom_B(d).  So a sequence that lands is exact iff
+    dim_e - dim_b is dim_b_lower.  This holds for any action matrices.
     """
     module = SteenrodModule("smash")
     records = []
-    bl_basis = hom_basis("B", "smash", 0)
+    # the degree-0 image, empty, built as every other degree's is
+    lower, dim_b_lower = _image_pivots("B", "smash", 0), 0
     for degree in range(2, i_max + 1, 2):
-        # the Sq2 rows, built once for hom_basis("B", ...) and the Sq2 below
+        # the Sq2 rows, built once for Im_B(d) and for Sq2 of Im_B(d - 2)
         sq2_rows = module.sq_matrix(2, degree - 2)
-        b_basis = _nullspace(_f2_basis(sq2_rows, _sq1_pivots("smash", degree)), degree - 1)
-        e_basis = hom_basis("E", "smash", degree)
-        # the inclusion is well defined iff every restricted functional is an
-        # exterior one, and injectivity is the independence of the basis (a
-        # nullspace basis is independent: its rank is its length)
-        included = f2_rank(e_basis + b_basis) == len(e_basis)
-        injective = f2_rank(b_basis) == len(b_basis)
-        # precomposition with the degree-2 squaring operation, in the ambient
-        # dual coordinates of the lower degree: the image of a functional is
-        # the sum of the columns of that operation's matrix it selects
-        # smash basis sizes: degree - 3 two degrees down, degree - 1 here
-        lower_width = max(degree - 3, 0)
-        sq2_columns = _transpose_bits(sq2_rows, degree - 1)
-        lam_images = f2_compose(e_basis, sq2_columns)
-        lands = f2_rank(bl_basis + lam_images) == len(bl_basis)
-        onto = f2_rank(lam_images) == len(bl_basis)
-        # kernel of the composition map, back in ambient coordinates
-        kernel_coords = f2_nullspace(_transpose_bits(lam_images, lower_width), len(e_basis))
-        kernel_vecs = f2_compose(kernel_coords, e_basis)
-        middle = f2_rank(kernel_vecs) == f2_rank(b_basis + kernel_vecs) == len(b_basis)
-        exact = included and injective and lands and onto and middle
-        forms = expected_dims(degree)
-        forms_ok = forms is None or (len(b_basis), len(e_basis)) == forms
-        records.append(
-            HomSequenceRecord(
-                degree, len(b_basis), len(e_basis), len(bl_basis), exact, forms_ok
-            )
-        )
-        bl_basis = b_basis
+        image_b = _f2_basis(sq2_rows, _sq1_pivots("smash", degree))
+        image_e = _image_pivots("E", "smash", degree)
+        lower_images = f2_compose(list(lower.values()), sq2_rows)
+        lands = len(_f2_basis(lower_images, image_e)) == len(image_e)
+        dim_b, dim_e = degree - 1 - len(image_b), degree - 1 - len(image_e)
+        exact = lands and dim_e - dim_b == dim_b_lower
+        forms_ok = expected_dims(degree) in (None, (dim_b, dim_e))
+        records.append(HomSequenceRecord(degree, dim_b, dim_e, dim_b_lower, exact, forms_ok))
+        lower, dim_b_lower = image_b, dim_b
     return HomSequenceReport(i_max, tuple(records))
-
-
-def _transpose_bits(rows: list[int], width: int) -> list[int]:
-    """Columns of the rows as bitmasks over the row indices."""
-    out = [0] * width
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            row ^= low
-            out[low.bit_length() - 1] |= bit
-    return out
 
 
 def x_count(n: int) -> int:

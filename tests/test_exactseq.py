@@ -105,6 +105,9 @@ def test_fixture_parser_and_validity():
         ("demo | 9 | 8 | Z/2 | -1 | src", "negative min_n -1"),
         ("demo | 1 | -8 | Z/2 | 0 | src", "negative modulus -8"),
         ("demo | -3 | 8 | Z/2 | 0 | src", "negative residue -3"),
+        # a constant after an n-term needs its "+"
+        ("demo | 3 | 8 | Z/2^(4n3) | 0 | src", "cannot parse linear expression '4n3'"),
+        ("demo | 3 | 8 | (Z/2)^(n2) | 0 | src", "cannot parse linear expression 'n2'"),
     ],
 )
 def test_fixture_errors_name_their_line(line, message):
@@ -200,11 +203,13 @@ def three_branch_evaluate(text, n):
 
     def linear(exponent):
         exponent = exponent.strip()
-        m = re.match(r"^(?:(\d*)n)?\s*(?:\+?\s*(\d+))?$", exponent)
-        if not m or (m.group(1) is None and m.group(2) is None):
+        # an n-term, "+" and a constant; an n-term alone; or a constant
+        m = re.match(r"^(?:(\d*)n\s*\+\s*(\d+)|(\d*)n|\+?\s*(\d+))$", exponent)
+        if not m:
             raise ValueError(f"cannot parse linear expression {exponent!r}")
-        slope = (int(m.group(1)) if m.group(1) else 1) if "n" in exponent else 0
-        return slope * n + (int(m.group(2)) if m.group(2) else 0)
+        slope = m.group(1) if m.group(1) is not None else m.group(3)
+        slope = 0 if slope is None else int(slope or 1)
+        return slope * n + int(m.group(2) or m.group(4) or 0)
 
     m = re.match(r"^Z/(\d+)\^\(([^)]+)\)$|^Z/(\d+)\^(\d+)$", text)
     if m:
@@ -238,7 +243,8 @@ _TEMPLATED = st.builds(
     str.format,
     st.sampled_from(["Z/{b}^({a}n+{c})", "(Z/{b})^({a}n+{c})", "Z/{b}^({a}n)", "Z/{b}^({c})",
                      "(Z/{b})^{c}", "Z/{b}^{c}", "Z/{b}", "(Z/{b})", " Z/{b}^( n + {c} ) ",
-                     "(Z/{b})^(n)", "Z/{b}^(n+)", "Z/{b}^({a} n)"]),
+                     "(Z/{b})^(n)", "Z/{b}^(n+)", "Z/{b}^({a} n)", "Z/{b}^({a}n{c})",
+                     "(Z/{b})^(n {c})"]),
     a=_DIGITS, b=_DIGITS, c=_DIGITS,
 )
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from math import comb
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from kconn import steenrod
 from kconn.abelian import cokernel_group
 from kconn.steenrod import (
+    HomSequenceRecord,
+    HomSequenceReport,
     SteenrodModule,
     expected_dims,
     f2_compose,
@@ -368,14 +371,6 @@ def old_f2_compose(first, then):
     return out
 
 
-def old_transpose_bits(rows, width):
-    out = [0] * width
-    for i, row in enumerate(rows):
-        for low in old_set_bits(row):
-            out[low.bit_length() - 1] |= 1 << i
-    return out
-
-
 def sparse_row(width):
     # 1 to 3 set bits below the width, as the action matrices have
     bits = st.sets(st.integers(0, width - 1), min_size=1, max_size=3)
@@ -406,7 +401,6 @@ def test_f2_reduction_matches_the_generator_version(shape):
     assert f2_rank(rows) == len(old)
     assert f2_echelon(rows) == [old[low] for low in sorted(old)]
     assert f2_nullspace(rows, width) == old_f2_nullspace(rows, width)
-    assert steenrod._transpose_bits(rows, width) == old_transpose_bits(rows, width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -480,6 +474,107 @@ def test_hom_sequence_golden_to_200():
     text = json.dumps(verify_hom_sequence(200).to_json_dict(), sort_keys=True, indent=2)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == "97c13e820876cb2de5b5ade85f25a72a95c600e06569f9c537664e13c4ad7bd4"
+
+
+def test_hom_sequence_golden_to_600():
+    # recorded while exactness was still decided on bases of functionals
+    text = json.dumps(verify_hom_sequence(600).to_json_dict(), sort_keys=True, indent=2)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "bc29d313f5f28ca7916789c662e176a1a4e0ec79f931c1099d16430bfb1bde19"
+
+
+# --- the image check against bases of functionals ---------------------------------------
+# The sequence as it was checked before: nullspace bases of the functionals,
+# the inclusion as a rank, precomposition as the functionals times the
+# transposed Sq2, and the kernel of that map as a nullspace.  Test-local, as
+# the library decides exactness by ranks of the action images alone.
+
+def transpose_bits(rows, width):
+    # the columns of the rows, as bitmasks over the row indices
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for low in old_set_bits(row):
+            out[low.bit_length() - 1] |= 1 << i
+    return out
+
+
+def direct_hom_sequence(i_max):
+    module = SteenrodModule("smash")
+    records = []
+    bl_basis = hom_basis("B", "smash", 0)
+    for degree in range(2, i_max + 1, 2):
+        sq2_rows = module.sq_matrix(2, degree - 2)
+        sq1 = steenrod._sq1_pivots("smash", degree)
+        b_basis = steenrod._nullspace(steenrod._f2_basis(sq2_rows, sq1), degree - 1)
+        e_basis = hom_basis("E", "smash", degree)
+        # every restricted functional is an exterior one, and the basis is
+        # independent
+        included = f2_rank(e_basis + b_basis) == len(e_basis)
+        injective = f2_rank(b_basis) == len(b_basis)
+        # precomposition with Sq2: the image of a functional is the sum of
+        # the Sq2 columns it selects, over the degree - 3 monomials below
+        lam_images = f2_compose(e_basis, transpose_bits(sq2_rows, degree - 1))
+        lands = f2_rank(bl_basis + lam_images) == len(bl_basis)
+        onto = f2_rank(lam_images) == len(bl_basis)
+        # the kernel of precomposition, back in the monomial dual coordinates
+        kernel_coords = f2_nullspace(transpose_bits(lam_images, max(degree - 3, 0)), len(e_basis))
+        kernel_vecs = f2_compose(kernel_coords, e_basis)
+        middle = f2_rank(kernel_vecs) == f2_rank(b_basis + kernel_vecs) == len(b_basis)
+        exact = included and injective and lands and onto and middle
+        forms = expected_dims(degree)
+        forms_ok = forms is None or (len(b_basis), len(e_basis)) == forms
+        records.append(HomSequenceRecord(
+            degree, len(b_basis), len(e_basis), len(bl_basis), exact, forms_ok))
+        bl_basis = b_basis
+    return HomSequenceReport(i_max, tuple(records))
+
+
+def flipped(rows, seed, op, degree, width):
+    # about one row in twenty gets one bit flipped below the width; each
+    # flip is drawn from (seed, op, degree, row) alone, so a matrix is the
+    # same however often and in whatever order the checks build it
+    out = []
+    for index, row in enumerate(rows):
+        rng = random.Random(f"{seed} {op} {degree} {index}")
+        if rng.random() < 0.05:
+            row ^= 1 << rng.randrange(width)
+        out.append(row)
+    return out
+
+
+def test_the_image_check_matches_the_functional_bases_on_perturbed_actions(monkeypatch):
+    # the argument of verify_hom_sequence holds for any action matrices, so
+    # the image check and the one on bases of functionals must give equal
+    # reports on Sq1, Sq2 and Q1 rows with bits flipped, and every case
+    # changes exactness somewhere
+    sq_matrix, q1_matrix = SteenrodModule.sq_matrix, SteenrodModule.q1_matrix
+    unperturbed = [r.exact for r in verify_hom_sequence(40).records]
+    for seed in range(10):
+        for ops in [("sq1",), ("sq2",), ("q1",), ("sq1", "sq2", "q1")]:
+            def perturbed_sq(self, k, degree, seed=seed, ops=ops):
+                rows = sq_matrix(self, k, degree)
+                if f"sq{k}" not in ops:
+                    return rows
+                return flipped(rows, seed, f"sq{k}", degree, steenrod._width(self.space, degree + k))
+
+            def perturbed_q1(self, degree, seed=seed, ops=ops):
+                rows = q1_matrix(self, degree)
+                if "q1" not in ops:
+                    return rows
+                return flipped(rows, seed, "q1", degree, steenrod._width(self.space, degree + 3))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SteenrodModule, "sq_matrix", perturbed_sq)
+                patch.setattr(SteenrodModule, "q1_matrix", perturbed_q1)
+                # the cached Sq1 pivots would carry one case's flips into the
+                # next case, and into later tests
+                steenrod._sq1_pivots.cache_clear()
+                try:
+                    direct, images = direct_hom_sequence(40), verify_hom_sequence(40)
+                finally:
+                    steenrod._sq1_pivots.cache_clear()
+            assert images == direct, (seed, ops)
+            assert [r.exact for r in images.records] != unperturbed, (seed, ops)
 
 
 def test_hom_sequence_builds_each_sq2_matrix_once(monkeypatch):

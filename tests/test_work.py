@@ -112,15 +112,12 @@ def test_criterion_10_peels_its_rings_and_products(monkeypatch):
     assert (seen["pivots"], seen["pops"]) == (255, 301)
 
 
-def test_the_functionals_reduce_sq1_once_per_degree(monkeypatch):
-    # the hom-dim half of the benchmark's functionals workload: hom_dim B
-    # and E for even degrees 2..300 on the smash square, from a cold
-    # _sq1_pivots, make one reduction of the Sq^1 rows per degree and one
-    # of the Sq^2 or Q_1 rows per algebra continuing it, 450 calls in all
-    # (600 if Sq^1 were reduced once per algebra); pivots count the rows
-    # each call adds to the pivots it continues
-    seen = {"calls": 0, "rows": 0, "pivots": 0}
-    f2_basis = steenrod._f2_basis
+def count_f2(monkeypatch, work):
+    """Counts for ``work()``, run from a cold _sq1_pivots: the F2 reductions
+    and the rows they take, the pivots each adds to the pivots it
+    continues, and the nullspaces built, with the Sq^1 pivot misses."""
+    seen = {"calls": 0, "rows": 0, "pivots": 0, "nullspaces": 0}
+    f2_basis, nullspace = steenrod._f2_basis, steenrod._nullspace
 
     def counting(rows, pivots=None):
         rows = list(rows)
@@ -130,14 +127,45 @@ def test_the_functionals_reduce_sq1_once_per_degree(monkeypatch):
         seen["pivots"] += len(out) - len(pivots or ())
         return out
 
+    def counting_nullspace(pivots, width):
+        seen["nullspaces"] += 1
+        return nullspace(pivots, width)
+
     monkeypatch.setattr(steenrod, "_f2_basis", counting)
+    monkeypatch.setattr(steenrod, "_nullspace", counting_nullspace)
     steenrod._sq1_pivots.cache_clear()
     try:
+        work()
+        seen["sq1_misses"] = steenrod._sq1_pivots.cache_info().misses
+    finally:
+        steenrod._sq1_pivots.cache_clear()
+    return seen
+
+
+def test_the_functionals_reduce_sq1_once_per_degree(monkeypatch):
+    # the hom-dim half of the benchmark's functionals workload: hom_dim B
+    # and E for even degrees 2..300 on the smash square, from a cold
+    # _sq1_pivots, make one reduction of the Sq^1 rows per degree and one
+    # of the Sq^2 or Q_1 rows per algebra continuing it, 450 calls in all
+    # (600 if Sq^1 were reduced once per algebra); pivots count the rows
+    # each call adds to the pivots it continues
+    def sweep():
         for degree in range(2, 301, 2):
             steenrod.hom_dim("B", "smash", degree)
             steenrod.hom_dim("E", "smash", degree)
-        misses = steenrod._sq1_pivots.cache_info().misses
-    finally:
-        steenrod._sq1_pivots.cache_clear()
-    assert seen == {"calls": 450, "rows": 66603, "pivots": 16799}
-    assert misses == 150
+
+    assert count_f2(monkeypatch, sweep) == {
+        "calls": 450, "rows": 66603, "pivots": 16799, "nullspaces": 0, "sq1_misses": 150}
+
+
+def test_the_hom_sequence_reduces_only_the_action_images(monkeypatch):
+    # the other half: verify_hom_sequence(200) reduces, for each of its 100
+    # even degrees, the Sq^1 rows, the Sq^2 and the Q_1 rows continuing
+    # them, and Sq^2 of the image two degrees down against the Q_1 image,
+    # plus the Sq^1 and Sq^2 rows of the empty degree-0 image: 402 calls,
+    # and no basis of functionals (1,002 calls over 69,609 rows adding
+    # 27,650 pivots, and 301 nullspaces, when exactness was decided on
+    # bases of functionals)
+    seen = count_f2(monkeypatch, lambda: steenrod.verify_hom_sequence(200))
+    assert seen == {"calls": 402, "rows": 36704, "pivots": 7449, "nullspaces": 0,
+                    "sq1_misses": 101}
