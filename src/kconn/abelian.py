@@ -21,17 +21,15 @@ the rows that hold a +-g, shortest row first, each adding one factor Z/g,
 and repeats while the content of what is left grows, starting from the
 units (g = 1).  Every lattice that kconn builds goes entirely this way:
 the lattices of the Kunneth complex, whose tensor entries are +-p, the
-slices, and the truncated K-rings of ``kmods.ku_smash_check``, which
-:func:`_peeled` presents again on the generators the peel keeps, so that
-their tensor product is a 1 x 1 lattice.  :func:`_diagonal`, a short
-Euclid loop, takes whatever a peel leaves, the lattices of library callers
-only: each step pivots on an entry of least absolute value, and every
-nonzero remainder is smaller than the pivot, so the least entry falls until
-the pivot stands alone.  A second core, :func:`_echelon`, computes lattice
-bases as {leading column: row}, against which
-:func:`_solve_against_echelon` writes a vector; it serves only
-:func:`kernel_of_map` and :func:`simplify_presentation`, library functions
-that no other module calls.
+slices, and the truncated K-rings of ``kmods.ku_smash_check`` with their
+1 x 1 products.  :func:`_diagonal`, a short Euclid loop, takes whatever a
+peel leaves, the lattices of library callers only: each step pivots on an
+entry of least absolute value, and every nonzero remainder is smaller than
+the pivot, so the least entry falls until the pivot stands alone.  A
+second core, :func:`_echelon`, computes lattice bases as {leading column:
+row}, against which :func:`_solve_against_echelon` writes a vector; it
+serves only :func:`kernel_of_map` and :func:`simplify_presentation`,
+library functions that no other module calls.
 """
 
 from __future__ import annotations
@@ -256,10 +254,9 @@ def _subtract(rows, col_index, other: int, q: int, prow: dict[int, int]) -> None
             col_index[c].discard(other)
 
 
-def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
-    """Eliminate, in place, every row that holds a +-``pivot`` outside
-    column ``keep``, where ``pivot`` divides every entry, and return how
-    many went.
+def _peel_at(rows, col_index, pivot: int) -> int:
+    """Eliminate, in place, every row that holds a +-``pivot``, where
+    ``pivot`` divides every entry, and return how many went.
 
     Clearing the pivot's column takes exact row operations, after which its
     row is cleared by column operations that change only the pivot's own
@@ -269,8 +266,8 @@ def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
     operation can bring; ties go to the pivot whose column meets the fewest
     rows, then to the lowest column.  A row is filed again whenever it
     changes, and an entry that no longer matches its row is skipped when it
-    comes up.  What remains holds no +-``pivot`` outside ``keep``.  One
-    loop files every row and then, pivot by pivot, each row it changed.
+    comes up.  What remains holds no +-``pivot``.  One loop files every row
+    and then, pivot by pivot, each row it changed.
     """
     neg = -pivot
     heap, peeled = [], 0
@@ -295,7 +292,7 @@ def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
                     continue
             best = None
             for k, v in orow.items():
-                if (v == pivot or v == neg) and k != keep:
+                if v == pivot or v == neg:
                     hit = (len(col_index[k]), k)
                     if best is None or hit < best:
                         best = hit
@@ -316,17 +313,17 @@ def _peel_at(rows, col_index, pivot: int, keep: int) -> int:
         todo = [o for o in col_index[c] if o != rid]
 
 
-def _peel(rows, col_index, keep: int = -1) -> tuple[int, list[int]]:
+def _peel(rows, col_index) -> tuple[int, list[int]]:
     """Eliminate, in place, the rows whose pivot divides the whole lattice,
     and return how many went, the rank they add, and the invariant factors
     above 1 that they give.
 
     While rows remain, the content g of the lattice, the gcd of all its
-    entries, is taken in one pass.  An entry equal to +-g outside ``keep``
-    divides its row and column, so it is peeled as a unit is (g = 1 is the
-    unit peel), and each row that goes adds one factor g.  This repeats
-    while the content grows and some entry equals it, the first step of a
-    local Smith form; what is left is for :func:`_diagonal`.
+    entries, is taken in one pass.  An entry equal to +-g divides its row
+    and column, so it is peeled as a unit is (g = 1 is the unit peel), and
+    each row that goes adds one factor g.  This repeats while the content
+    grows and some entry equals it, the first step of a local Smith form;
+    what is left is for :func:`_diagonal`.
     """
     rank, factors, g = 0, [], 0
     while rows:
@@ -334,7 +331,7 @@ def _peel(rows, col_index, keep: int = -1) -> tuple[int, list[int]]:
         if content == g:
             break
         g = content
-        k = _peel_at(rows, col_index, g, keep)
+        k = _peel_at(rows, col_index, g)
         if not k:
             break
         rank += k
@@ -385,33 +382,6 @@ def cokernel_group(generators: int, relations) -> FgAbelianGroup:
     rank, factors = _peel(rows, col_index)
     diag = _diagonal(rows, col_index)
     return _canonical(index(generators) - rank - len(diag), _chain(factors + diag))
-
-
-def _peeled(generators: int, relations,
-            keep: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """(ncols, rows): the cokernel of ``relations`` presented again on the
-    generators that one peel keeping column ``keep`` leaves, rows as tuples
-    of (column, value) pairs.
-
-    The peel never pivots on ``keep``, and its column operations change
-    only each pivot's own generator, so each summand it takes out splits
-    off, and the generators it keeps, ``keep`` among them, present the rest
-    of the group by the residual rows.  ``keep`` becomes column 0, the other columns that still hold entries follow it
-    in increasing order, and the kept generators left with no entry stay as
-    empty columns after those; each Z/g the peel took out is one more
-    column, with the relation g.  So a lattice that the peel reduces to a
-    few columns is handed on, to a tensor product say, at that size.
-    """
-    if not 0 <= keep < generators:
-        raise ValueError(f"column {keep} outside 0..{generators - 1}")
-    rows, col_index = _sparse_rows((row.items() for row in relations), generators)
-    rank, factors = _peel(rows, col_index, keep=keep)
-    kept = index(generators) - rank
-    seen = sorted(c for c, ids in col_index.items() if ids and c != keep)
-    new = {c: j for j, c in enumerate([keep, *seen])}
-    out = [tuple((new[c], v) for c, v in row.items()) for row in rows.values()]
-    out += [((j, g),) for j, g in enumerate(factors, kept)]
-    return kept + len(factors), tuple(out)
 
 
 # --- sparse rows and lattice bases -------------------------------------------

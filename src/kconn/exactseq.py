@@ -34,8 +34,8 @@ MAX_EXPONENT = 4096
 # 0, Z, Z/B, Z/B^E or (Z/B)^E, where E is an integer or (an+b); the lookahead
 # lets a parenthesised base stand only before its exponent.
 _EXPRESSION = re.compile(r"(0|Z)|(\()?Z/(\d+)(?(2)\)(?=\^))(?:\^(?:(\d+)|\(([^)]+)\)))?")
-# A constant after an n-term needs its "+": (?(1)...) asks for it once n has matched.
-_LINEAR = re.compile(r"(?:(\d*)n)?\s*(?:(?(1)\+|\+?)\s*(\d+))?")
+# A constant needs its "+" after an n-term and takes none alone: (?(1)\+).
+_LINEAR = re.compile(r"(?:(\d*)n)?\s*(?:(?(1)\+)\s*(\d+))?")
 
 
 def _bounded(kind: str, value: int, text: str, n: int) -> int:

@@ -12,10 +12,9 @@ of Z[v]-modules quasi-isomorphic to F', free over Z on the critical cells,
 with boundary d' = NF o d.  Its H0 in degree n, a cokernel, is the degree-n
 piece of the module, compared against the cyclic closed form; the Kunneth
 complex reads the same slices.  The truncated projective-space K-ring check
-lives here as well: each ring is presented on what one peel of its
-relations keeps (``abelian._peeled``), the generator t alone, and the
-check tensors those one-column presentations, so that the content peel
-takes the whole product lattice and its quotient by t (x) t.
+lives here as well: each ring is read as its group and the order of t, and
+when t generates both rings the check tensors the two cyclic groups on t,
+a 1 x 1 lattice, with its quotient by t (x) t.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ._record import Record
-from .abelian import FgAbelianGroup, _order_from_quotient, _peeled, cokernel_group
+from .abelian import FgAbelianGroup, _order_from_quotient, cokernel_group
 
 Row = tuple[tuple[int, int], ...]  # sparse (column, value) pairs
 
@@ -194,19 +193,19 @@ def _ku_ring_relations(r: int) -> list[dict[int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _ku_ring(r: int) -> tuple[FgAbelianGroup, int, tuple[Row, ...]]:
-    """The reduced truncated K-ring's group and its presentation on what one
-    peel that keeps t leaves, t as column 0 (:func:`abelian._peeled`),
-    built once per truncation: :func:`ku_smash_check` reads them for every
-    v.  Each relation 2 t^(a+1) + t^(a+2) holds a unit at t^(a+2), so the
-    peel takes out every generator but t, which keeps the one relation
-    +-2^r t."""
-    ncols, rows = _peeled(r, _ku_ring_relations(r), 0)
-    return cokernel_group(ncols, [dict(row) for row in rows]), ncols, rows
+def _ku_ring(r: int) -> tuple[FgAbelianGroup, int | None]:
+    """The reduced truncated K-ring's group G and the order of t in it,
+    |G| / |G / <t>|, built once per truncation: :func:`ku_smash_check` reads
+    them for every v."""
+    relations = _ku_ring_relations(r)
+    group = cokernel_group(r, relations)
+    return group, _order_from_quotient(group, cokernel_group(r, [*relations, {0: 1}]))
 
 
 class KuSmashCheck(Record):
-    """Outcome of the truncated-projective-space product check."""
+    """Outcome of the truncated-projective-space product check.  When t
+    fails to generate a ring, ``generates`` is False and ``smash_group`` is
+    not the product's group but that of the orders of t."""
 
     r: int
     v: int
@@ -231,29 +230,17 @@ def ku_smash_check(r: int, v: int) -> KuSmashCheck:
     their product group has order 2^min(r, v), and that the external class
     t (x) t generates it.
 
-    Each ring is presented on what one peel that keeps t leaves of it
-    (:func:`_ku_ring`), and the product is presented on the products of the
-    two kept bases, column i * n + j for the left ring's column i and the
-    right ring's column j of n: each ring's rows times each basis element of
-    the other.  Tensoring is right exact, so this presents the product of
-    the two rings, and t (x) t is column 0; each ring keeps one column, so
-    the lattice is 1 x 1, and G and G / <t (x) t> are two cokernels of it,
-    the second with the relation t (x) t added, which the content peel
-    takes whole.  The order of t (x) t is |G| / |G / <t (x) t>|, by
-    :func:`abelian._order_from_quotient`.
+    t generates both rings when its orders a and b are theirs
+    (:func:`_ku_ring`).  Then they are Z/a and Z/b on t, and tensoring is
+    right exact, so the product is the 1 x 1 lattice of a and b on
+    t (x) t; the order of t (x) t is |G| / |G / <t (x) t>|.
     """
     if r < 1 or v < 1:
         raise ValueError("truncations must be at least 1")
-    left, m, left_rows = _ku_ring(r)
-    _, n, right_rows = _ku_ring(v)
-    rows = [{i * n + j: c for i, c in row} for row in left_rows for j in range(n)]
-    rows += [{i * n + j: c for j, c in row} for row in right_rows for i in range(m)]
-    smash = cokernel_group(m * n, rows)
-    quotient = cokernel_group(m * n, [*rows, {0: 1}])
-    order = _order_from_quotient(smash, quotient)
-    generates = (
-        smash.free_rank == 0
-        and len(smash.invariant_factors) <= 1
-        and order == smash.order()
-    )
+    left, a = _ku_ring(r)
+    right, b = _ku_ring(v)
+    rows = [{0: a}, {0: b}]
+    smash = cokernel_group(1, rows)
+    order = _order_from_quotient(smash, cokernel_group(1, [*rows, {0: 1}]))
+    generates = a == left.order() and b == right.order()
     return KuSmashCheck(r, v, left, smash, order, generates)

@@ -108,6 +108,9 @@ def test_fixture_parser_and_validity():
         # a constant after an n-term needs its "+"
         ("demo | 3 | 8 | Z/2^(4n3) | 0 | src", "cannot parse linear expression '4n3'"),
         ("demo | 3 | 8 | (Z/2)^(n2) | 0 | src", "cannot parse linear expression 'n2'"),
+        # and a constant alone takes no sign
+        ("demo | 3 | 8 | Z/2^(+3) | 0 | src", "cannot parse linear expression '+3'"),
+        ("demo | 3 | 8 | (Z/2)^( + 2) | 0 | src", "cannot parse linear expression '+ 2'"),
     ],
 )
 def test_fixture_errors_name_their_line(line, message):
@@ -204,7 +207,7 @@ def three_branch_evaluate(text, n):
     def linear(exponent):
         exponent = exponent.strip()
         # an n-term, "+" and a constant; an n-term alone; or a constant
-        m = re.match(r"^(?:(\d*)n\s*\+\s*(\d+)|(\d*)n|\+?\s*(\d+))$", exponent)
+        m = re.match(r"^(?:(\d*)n\s*\+\s*(\d+)|(\d*)n|(\d+))$", exponent)
         if not m:
             raise ValueError(f"cannot parse linear expression {exponent!r}")
         slope = m.group(1) if m.group(1) is not None else m.group(3)

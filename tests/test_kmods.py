@@ -421,27 +421,53 @@ def test_ku_smash_check_golden():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SMASH_CHECK["sha256"]
 
 
-def test_criterion_10_eliminates_each_left_ring_once(monkeypatch):
+def test_criterion_10_eliminates_each_left_ring_once():
     # each ring depends on its truncation alone, so criterion 10's 100
-    # checks peel it once for each of its 10 truncations
+    # checks eliminate it once for each of its 10 truncations
     from kconn import kmods, verify
 
-    calls = []
-    real = kmods._peeled
-    monkeypatch.setattr(kmods, "_peeled", lambda *args: calls.append(args) or real(*args))
     kmods._ku_ring.cache_clear()
     try:
         assert verify.criterion_10().passed
+        assert kmods._ku_ring.cache_info().misses == 10
     finally:
         kmods._ku_ring.cache_clear()
-    assert sorted(ncols for ncols, _, _ in calls) == list(range(1, 11))
+
+
+def test_t_has_the_order_of_its_ring():
+    # t generates each truncated ring: t^(a+1) = (-2)^a t, so its order is
+    # the ring's order
+    from kconn import kmods
+
+    kmods._ku_ring.cache_clear()
+    try:
+        for r in range(1, 65):
+            group, order = kmods._ku_ring(r)
+            assert order == group.order() == 2**r, r
+    finally:
+        kmods._ku_ring.cache_clear()
+
+
+def test_a_ring_that_t_does_not_generate_fails_the_check(monkeypatch):
+    # a Z/4 in which t has order 2: the check reports the failure and does
+    # not raise (its smash_group is then not the product's, so only these
+    # two fields are asserted)
+    from kconn import kmods
+
+    monkeypatch.setattr(kmods, "_ku_ring_relations", lambda r: [{0: 1, 1: -2}, {1: 4}])
+    kmods._ku_ring.cache_clear()
+    try:
+        chk = ku_smash_check(2, 2)
+        assert (chk.generates, chk.passed) == (False, False)
+    finally:
+        kmods._ku_ring.cache_clear()
 
 
 def full_lattice_smash_check(r, v):
-    """``ku_smash_check`` as it was before each ring was peeled first: the
-    product on all r * v generators t^(a+1) (x) t^(b+1), column a * v + b,
-    G and G / <t (x) t> from one peel of it (the test-local
-    :func:`cokernel_pair`), and the left ring's own elimination."""
+    """``ku_smash_check`` as it was before each ring was read through the
+    order of t: the product on all r * v generators t^(a+1) (x) t^(b+1),
+    column a * v + b, G and G / <t (x) t> from one peel of it (the
+    test-local :func:`cokernel_pair`), and the left ring's own elimination."""
     rows = [{a * v + b: c for a, c in rel.items()}
             for rel in _ku_ring_relations(r) for b in range(v)]
     rows += [{a * v + b: c for b, c in rel.items()}
@@ -457,8 +483,8 @@ def full_lattice_smash_check(r, v):
 
 
 def test_ku_smash_check_matches_the_full_lattice():
-    # past the golden's 24 x 24: the peeled rings' 1 x 1 product gives every
-    # field that the r * v lattice gives
+    # past the golden's 24 x 24: the 1 x 1 product of the orders of t gives
+    # every field that the r * v lattice gives
     for r in range(1, 41):
         for v in range(1, 41):
             assert ku_smash_check(r, v) == full_lattice_smash_check(r, v), (r, v)

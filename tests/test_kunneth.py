@@ -20,7 +20,6 @@ from kconn.abelian import (
 from kconn.exactseq import bott_audit
 from kconn.kmods import (
     bu_bzp_group,
-    ku_smash_check,
     lu_closed_form,
     lu_module,
     realize_degree,
@@ -552,8 +551,7 @@ def test_cached_rows_are_never_mutated(p):
     # realize_slice reads the interned module and hands out lru-cached rows;
     # no computation that reads them, the tensor and Tor paths included, may
     # change them (the unreduced slices, rebuilt from the module afterwards,
-    # show the module unchanged), and a caller cannot; the cached peeled
-    # K-ring that ku_smash_check reads is made of tuples, so nothing can
+    # show the module unchanged), and a caller cannot
     module, top = lu_module(p), 128
 
     def unreduced():
@@ -561,8 +559,7 @@ def test_cached_rows_are_never_mutated(p):
 
     slices = unreduced()
     reduced = [realize_slice(module, d) for d in range(top + 1)]
-    ring = kmods._ku_ring(6)
-    saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced], ring))
+    saved = copy.deepcopy((slices, [_reduced_data(s) for s in reduced]))
     for n in range(1, 122, 2):
         tor_part(p, n)
         tensor_part(p, n - 1)
@@ -570,13 +567,8 @@ def test_cached_rows_are_never_mutated(p):
         tor1_degree(module, module, n - 1)
         for i in range(1, p):
             tor1_degree(lu_module(p, i), module, n - 1)
-    ku_smash_check(6, 6)
     kernel_of_map(*v_multiplication_map(module, 2 * p - 1))
-    assert (unreduced(), [_reduced_data(s) for s in reduced], kmods._ku_ring(6)) == saved
-    _, _, ring_rows = ring
-    assert type(ring) is type(ring_rows) is tuple
-    assert all(type(row) is tuple and all(type(pair) is tuple for pair in row)
-               for row in ring_rows)
+    assert (unreduced(), [_reduced_data(s) for s in reduced]) == saved
     row = next(row for rows in slices for row in rows)
     with pytest.raises(TypeError):
         row[0] = 7

@@ -17,10 +17,12 @@ from .test_kunneth import _clear_caches
 def count_work(monkeypatch, work):
     """Counts for ``work()``, run from cold caches: the lattices kunneth
     hands to cokernel_group and their rows, the peel pivots and heap pops
-    of every lattice it eliminates, and the tensor degrees, Tor degrees and
-    slices it builds."""
-    seen = {"lattices": 0, "rows": 0, "pivots": 0, "pops": 0}
+    of every lattice it eliminates, the rows that the peels leave to the
+    general elimination, and the tensor degrees, Tor degrees and slices it
+    builds."""
+    seen = {"lattices": 0, "rows": 0, "pivots": 0, "pops": 0, "diagonal_rows": 0}
     cokernel, peel_at, heappop = kunneth.cokernel_group, abelian._peel_at, abelian.heappop
+    diagonal = abelian._diagonal
 
     def counting_cokernel(generators, relations):
         relations = list(relations)
@@ -37,9 +39,14 @@ def count_work(monkeypatch, work):
         seen["pops"] += 1
         return heappop(heap)
 
+    def counting_diagonal(rows, col_index):
+        seen["diagonal_rows"] += len(rows)
+        return diagonal(rows, col_index)
+
     monkeypatch.setattr(kunneth, "cokernel_group", counting_cokernel)
     monkeypatch.setattr(abelian, "_peel_at", counting_peel)
     monkeypatch.setattr(abelian, "heappop", counting_pop)
+    monkeypatch.setattr(abelian, "_diagonal", counting_diagonal)
     _clear_caches(kunneth, kmods)
     try:
         work()
@@ -65,10 +72,10 @@ def test_the_tor_sweep_hands_the_peel_only_unmatched_rows(monkeypatch, p, rows, 
     # the p - 1 bottom relations give rows: the unreduced d2 has 1,830 rows
     # at each p, 1,921 pivots with the slices'.  The peel pivots on every
     # row, and the 60 slices of lu in degrees 1..120 give one pivot each;
-    # every heap pop is a pivot
+    # every heap pop is a pivot, and no row is left to the general elimination
     seen = count_work(monkeypatch, lambda: tor_sweep(p, 121))
     assert seen == {"tensor_degrees": 0, "tor_degrees": 61, "slices": 60, "lattices": 61,
-                    "rows": rows, "pivots": pivots, "pops": pivots}
+                    "rows": rows, "pivots": pivots, "pops": pivots, "diagonal_rows": 0}
 
 
 @pytest.mark.parametrize("p,top,degrees,rows,pivots,pops", [
@@ -81,7 +88,8 @@ def test_the_tensor_sweep_builds_each_degree_and_slice_once(monkeypatch, p, top,
     # slices of lu in the odd degrees below top that they meet, once each.
     # Each lattice is d1' on the critical cells of Tot1, no row for a
     # matched cell (1,640/1,332/2,352 rows on the unreduced Tot1, with the
-    # same pivots and pops); at p = 2 every row of them is a pivot
+    # same pivots and pops); at p = 2 every row of them is a pivot, and the
+    # peels leave no row to the general elimination
     def sweep():
         for n in range(0, top + 1, 2):
             kunneth.tensor_part(p, n)
@@ -89,7 +97,8 @@ def test_the_tensor_sweep_builds_each_degree_and_slice_once(monkeypatch, p, top,
     seen = count_work(monkeypatch, sweep)
     assert seen == {
         "tensor_degrees": degrees, "tor_degrees": 0, "slices": degrees - 1,
-        "lattices": degrees, "rows": rows, "pivots": pivots, "pops": pops}
+        "lattices": degrees, "rows": rows, "pivots": pivots, "pops": pops,
+        "diagonal_rows": 0}
     if p == 2:
         assert seen["rows"] == seen["pivots"]
 
@@ -106,10 +115,13 @@ def test_the_p2_sweep_builds_one_slice_per_odd_degree(monkeypatch, top):
 
 
 def test_criterion_10_peels_its_rings_and_products(monkeypatch):
-    # the 10 peeled K-rings and the 100 1 x 1 products with their quotients
-    # by t (x) t: every pivot and heap pop of criterion 10
+    # the 10 K-rings with their quotients by t, and the 100 1 x 1 products
+    # with their quotients by t (x) t: every pivot and heap pop of criterion
+    # 10, (255, 301) while one peel that kept t presented each ring on t
+    # alone; the peels take every row, so none reaches the general
+    # elimination
     seen = count_work(monkeypatch, verify.criterion_10)
-    assert (seen["pivots"], seen["pops"]) == (255, 301)
+    assert (seen["pivots"], seen["pops"], seen["diagonal_rows"]) == (310, 401, 0)
 
 
 def count_f2(monkeypatch, work):
